@@ -16,11 +16,20 @@ direction is l/|l|_2, so the implementation uses the closed form rather than
 a literal grid augmentation).  Vector-valued maps report the max over
 components, with per-component values retained.
 
+Values on the uniform grid of m^d points come from an inverse FFT of the
+zero-padded coefficients (`grid_values`, the exact inverse of the FFT
+re-expansion).  Values at arbitrary points come from the dense
+trigonometric sum `evaluate`, factorized per axis and run over fixed blocks
+of points so its temporaries stay small; with real=True it returns only the
+real part, folding each mode l onto -l (Re(c_l e_l) + Re(c_-l e_-l) =
+Re((c_l + conj c_-l) e_l)) so the first axis runs over modes 0..n_max only.
+The dense sum is also the oracle the FFT grid synthesis is tested against.
+
 Composition f(x + h(x)) has two independent routes: the primary path samples
-on a uniform grid of (4 n_max)^d points (nonuniform trig evaluation is
-factorized per axis) and re-expands by FFT, reporting the coefficient mass
-that lands beyond n_max as "spill"; the oracle path sums the Taylor series
-sum_t (d^t f) h^t / t! and refuses outside its convergence radius.
+on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
+points by the dense sum) and re-expands by FFT, reporting the coefficient
+mass that lands beyond n_max as "spill"; the oracle path sums the Taylor
+series sum_t (d^t f) h^t / t! and refuses outside its convergence radius.
 Near-identity inversion likewise: a vectorized fixed-point sweep on the grid
 against the telescoping difference series.
 """
@@ -37,6 +46,9 @@ from .reports import VerificationReport
 from .schedule import DirectionGrid
 
 TWO_PI = 2 * math.pi
+# points per block of the dense evaluation: bounds its (components, 2 n_max
+# + 1, block) temporaries to a few MB at any point count
+EVAL_BLOCK = 1024
 
 
 class FourierMap:
@@ -153,26 +165,65 @@ class FourierMap:
             flipped = np.flip(flipped, axis=ax)
         return float(np.abs(self.coeffs - np.conj(flipped)).max())
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary points; shape (components, P).
+    def evaluate(self, points: np.ndarray, real: bool = False) -> np.ndarray:
+        """Values at arbitrary points by the dense trigonometric sum; shape
+        (components, P).
 
-        points: (P, d).  Factorized per axis: cost O(P (2 n_max + 1) ...)
-        instead of O(P modes).
+        points: (P, d) or a single point (d,).  Factorized per axis, cost
+        O(P (2 n_max + 1)^d), run over blocks of EVAL_BLOCK points.  With
+        real=True the result is evaluate(points).real for any coefficients,
+        Hermitian or not, at half the cost: each mode of the first axis is
+        folded onto its negative (c_l + conj c_-l), so that axis runs over
+        modes 0..n_max only.  For values on the uniform sample grid use
+        `grid_values`.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError("point dimension mismatch")
-        phases = [_phase_matrix(pts[:, ax], self.n_max) for ax in range(self.d)]
-        if self.d == 1:
-            return self.coeffs @ phases[0]
-        if self.d == 2:
-            # (c, a, b) @ (b, p) -> (c, a, p), then contract axis a against
-            # the first-axis phases; matmul dispatches to BLAS
-            tmp = self.coeffs @ phases[1]
-            return (tmp * phases[0][None]).sum(axis=1)
-        raise NotImplementedError("evaluation implemented for d <= 2")
+        if self.d > 2:
+            raise NotImplementedError("evaluation implemented for d <= 2")
+        n, c = self.n_max, self.components
+        coeffs = self.coeffs
+        if real:
+            # row 0 keeps every second-axis mode (its pairs l, -l both sit
+            # in that row); rows a > 0 absorb the conjugate of row -a
+            folded = coeffs[:, n:].copy()
+            mirror = np.flip(coeffs[:, :n], axis=tuple(range(1, self.d + 1)))
+            folded[:, 1:] += np.conj(mirror)
+            coeffs = folded
+        rows = coeffs.shape[1]
+        first = slice(n, None) if real else slice(None)
+        out = np.empty((c, pts.shape[0]),
+                       dtype=np.float64 if real else np.complex128)
+        for start in range(0, pts.shape[0], EVAL_BLOCK):
+            block = pts[start:start + EVAL_BLOCK]
+            phase0 = _phase_matrix(block[:, 0], n)[first]
+            if self.d == 1:
+                vals = coeffs @ phase0
+            else:
+                # (c a, b) @ (b, p) is one BLAS call; then contract axis a
+                # against the first-axis phases without a (c, a, p) product
+                tmp = (coeffs.reshape(c * rows, -1)
+                       @ _phase_matrix(block[:, 1], n)).reshape(c, rows, -1)
+                vals = np.einsum("cap,ap->cp", tmp, phase0)
+            out[:, start:start + EVAL_BLOCK] = vals.real if real else vals
+        return out
+
+    def grid_values(self, m: int) -> np.ndarray:
+        """Values at `_sample_points(d, m)`, shape (components, m^d), by an
+        inverse FFT of the zero-padded coefficients: the exact inverse of
+        `_reexpand`.  Needs m >= 2 n_max + 1 so that no two modes alias."""
+        if m < 2 * self.n_max + 1:
+            raise ValueError(f"grid of {m} points per axis aliases modes "
+                             f"|l| <= {self.n_max}")
+        idx = np.arange(-self.n_max, self.n_max + 1) % m
+        padded = np.zeros((self.components,) + (m,) * self.d, dtype=np.complex128)
+        padded[(slice(None),) + np.ix_(*([idx] * self.d))] = self.coeffs
+        axes = tuple(range(1, self.d + 1))
+        vals = np.fft.ifftn(padded, axes=axes) * m ** self.d
+        return vals.reshape(self.components, -1)
 
 
 def retruncate(f: FourierMap, n_max: int) -> FourierMap:
@@ -368,13 +419,20 @@ def multiply(f: FourierMap, g: FourierMap) -> FourierMap:
 
 
 def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution.  b is cropped to its nonzero bounding box and
+    only the nonzero entries of a are visited, in row-major order: the
+    additions skipped are exact zeros, so the result is bit-identical to the
+    dense double loop over a."""
     out = np.zeros((a.shape[0] + b.shape[0] - 1,
                     a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            v = a[i, j]
-            if v != 0:
-                out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    rows, cols = np.nonzero(b)
+    if rows.size == 0:
+        return out
+    r0, c0 = rows.min(), cols.min()
+    box = b[r0:rows.max() + 1, c0:cols.max() + 1]
+    br, bc = box.shape
+    for i, j in zip(*np.nonzero(a)):
+        out[i + r0:i + r0 + br, j + c0:j + c0 + bc] += a[i, j] * box
     return out
 
 
@@ -442,11 +500,11 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
                   series_tol: float = 1e-16, max_order: int = 40) -> FourierMap:
     """x -> f(x + h(x)), re-expanded to f's truncation.
 
-    method "grid": sample on the (4 n_max)^d uniform grid, evaluate the
-    shifted points exactly (trig polynomial), FFT back; the coefficient mass
-    beyond the truncation is reported in info["spill"].  method "series":
-    the Taylor oracle sum_t d^t f h^t / t!, independent of the grid path;
-    raises OracleDivergence outside |2 pi n_max| ||h||_l1 < 1.
+    method "grid": sample h on the (4 n_max)^d uniform grid by inverse FFT,
+    evaluate f at the shifted points exactly (dense trig sum), FFT back; the
+    coefficient mass beyond the truncation is reported in info["spill"].
+    method "series": the Taylor oracle sum_t d^t f h^t / t!, independent of
+    the grid path; raises OracleDivergence outside |2 pi n_max| ||h||_l1 < 1.
     """
     if f.d != h.d or h.components != f.d:
         raise ValueError("shift must be a d-component map on the same torus")
@@ -456,14 +514,12 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
         raise ValueError(f"unknown method {method!r}")
     m = _grid_size(max(f.n_max, h.n_max))
     pts = _sample_points(f.d, m)
-    shift = h.evaluate(pts)
+    shift = h.grid_values(m)
     shift_imag = float(np.abs(shift.imag).max())
     shifted = pts + shift.real.T
-    vals = f.evaluate(shifted)
     herm = (f.hermitian_defect() <= 1e-9 * max(f.l1_norm(), 1.0)
             and h.hermitian_defect() <= 1e-9 * max(h.l1_norm(), 1.0))
-    if herm:
-        vals = vals.real
+    vals = f.evaluate(shifted, real=herm)
     out, spill = _reexpand(np.asarray(vals, dtype=np.complex128),
                                 f.d, m, f.n_max, f.components)
     out.info["spill"] = spill
@@ -559,12 +615,13 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
                          max_sweeps: int = 80) -> FourierMap:
     """Correction g with (id - h + g) o (id + h) = id.
 
-    Primary path: solve y + h(y) = x for every grid point by the damped-free
-    fixed-point sweep y <- x - h(y) (all points vectorized), then re-expand
-    g(x) = y(x) - x + h(x)... note g is defined on the *target* side:
-    (id + h)^(-1)(w) = w - h(w) + g(w), so g(w) = y(w) - w + h(w) with
-    y(w) the preimage of w.  Requires the contraction guard
-    2 pi n_max ||h||_l1 < 1/2 and each sweep to cut the residual in half.
+    g is defined on the *target* side: (id + h)^(-1)(w) = w - h(w) + g(w),
+    so g(w) = y(w) - w + h(w) with y(w) the preimage of w.  Primary path:
+    take h(w) on the uniform grid once (inverse FFT), solve y + h(y) = w for
+    every grid point w by the damped-free fixed-point sweep y <- w - h(y)
+    (all points vectorized, h(y) by the real dense sum), then re-expand g by
+    FFT.  Requires the contraction guard 2 pi n_max ||h||_l1 < 1/2 and each
+    sweep to cut the residual in half.
 
     info carries the final residual, sweep count and re-expansion spill.
     The series oracle is `invert_series`.
@@ -578,10 +635,11 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
             f"inversion guard 2 pi n_max ||h - mean|| = {guard:.3g} >= 1/2")
     m = _grid_size(h.n_max)
     w = _sample_points(h.d, m)          # target points
-    y = w - h.evaluate(w).real.T        # first sweep from y0 = w
+    h_w = h.grid_values(m).real.T
+    y = w - h_w                         # first sweep from y0 = w
     residual = None
     for sweep in range(max_sweeps):
-        hy = h.evaluate(y).real.T
+        hy = h.evaluate(y, real=True).T
         res = np.abs(y + hy - w).max()
         if residual is not None and res > 0.5 * residual and res > tol:
             raise ContractionFailure(
@@ -591,7 +649,7 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
         if res < tol:
             break
         y = w - hy
-    g_vals = (y - w + h.evaluate(w).real.T).T
+    g_vals = (y - w + h_w).T
     out, spill = _reexpand(np.asarray(g_vals, dtype=np.complex128),
                                 h.d, m, h.n_max, h.components)
     out.info.update(residual=float(residual), sweeps=sweep + 1, spill=spill,

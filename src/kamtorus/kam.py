@@ -42,6 +42,7 @@ from .fourier import (
     invert_near_identity,
     norm_xi,
     pad_truncation,
+    translate,
     truncate_split,
 )
 from .schedule import (
@@ -94,8 +95,6 @@ def solve_cohomological(df: FourierMap, alpha, N: int) -> FourierMap:
 
 def cohomological_residual(h: FourierMap, df: FourierMap, alpha, N: int) -> float:
     """l1 coefficient norm of h o R_alpha - h - (T_N df - mean df)."""
-    from .fourier import translate
-
     shifted = translate(h, [float(a) for a in alpha])
     head, _ = truncate_split(df, N)
     rhs = head - FourierMap.constant(df.d, df.n_max, df.mean(),
@@ -302,26 +301,26 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     pts = _sample_points(df.d, m)
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
 
-    h_at = h.evaluate(pts).real.T
-    df_shift = df.evaluate(pts + h_at).real.T          # df(x + h(x))
-    df_at = df.evaluate(pts).real.T
+    h_at = h.grid_values(m).real.T
+    df_shift = df.evaluate(pts + h_at, real=True).T    # df(x + h(x))
+    df_at = df.grid_values(m).real.T
     inner = pts + alpha_row + h_at + df_shift          # argument of h and g
-    h_inner = h.evaluate(inner).real.T
-    h_rot = h.evaluate(pts + alpha_row).real.T
-    g_inner = g.evaluate(inner).real.T
+    h_inner = h.evaluate(inner, real=True).T
+    h_rot = translate(h, alpha_row[0]).grid_values(m).real.T
+    g_inner = g.evaluate(inner, real=True).T
 
     mean = df.mean().real[None, :]
     # tail values R_N df = df - (T_N df - mean) - mean, with the solved band
-    # reconstructed from the cohomological identity so the assembly consumes
-    # exactly what the solver removed
-    solved = _solved_band_values(df, h, alpha, pts)
-    tail_vals = df_at - solved - mean
+    # T_N df - mean = h o R_alpha - h taken from the cohomological identity,
+    # so the assembly consumes exactly what the solver removed
+    tail_vals = df_at - (h_rot - h_at) - mean
     assembled = (mean + tail_vals + (df_shift - df_at)
                  + (h_rot - h_inner) + g_inner)
 
     # direct composition: H^(-1)(f(H(x))) - x - alpha
     w2 = pts + h_at + alpha_row + df_shift
-    direct = w2 - h.evaluate(w2).real.T + g.evaluate(w2).real.T - pts - alpha_row
+    direct = (w2 - h.evaluate(w2, real=True).T + g.evaluate(w2, real=True).T
+              - pts - alpha_row)
     mismatch = float(np.abs(assembled - direct).max())
 
     out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
@@ -329,17 +328,6 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     info = {"mismatch": mismatch, "spill": spill + g.info.get("spill", 0.0),
             "g_norm": g.l1_norm()}
     return out, info
-
-
-def _solved_band_values(df: FourierMap, h: FourierMap, alpha, pts):
-    """Values of T_N df - mean over the sample grid, reconstructed from the
-    cohomological identity h o R_alpha - h (so the assembly consumes exactly
-    what the solver removed)."""
-    from .fourier import translate
-
-    shifted = translate(h, [float(a) for a in alpha])
-    diff = shifted - h
-    return diff.evaluate(pts).real.T
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +425,10 @@ def direct_conjugacy_defect(delta_f: FourierMap, conjugacy: FourierMap,
     m = _grid_size(conjugacy.n_max)
     pts = _sample_points(conjugacy.d, m)
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
-    p_at = conjugacy.evaluate(pts).real.T
-    hx = pts + p_at                                   # H(x)
-    lhs_arg = pts + alpha_row + final_delta.evaluate(pts).real.T
-    lhs = lhs_arg + conjugacy.evaluate(lhs_arg).real.T
-    rhs = hx + alpha_row + delta_f.evaluate(hx).real.T
+    hx = pts + conjugacy.grid_values(m).real.T        # H(x)
+    lhs_arg = pts + alpha_row + final_delta.grid_values(m).real.T
+    lhs = lhs_arg + conjugacy.evaluate(lhs_arg, real=True).T
+    rhs = hx + alpha_row + delta_f.evaluate(hx, real=True).T
     return float(np.abs(lhs - rhs).max())
 
 
@@ -481,7 +468,7 @@ def rotation_vector_estimate(delta_f: FourierMap, alpha, x0, iterations: int):
     lift = x.copy()
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
     for _ in range(iterations):
-        step = alpha_row + delta_f.evaluate(lift % 1.0).real.T
+        step = alpha_row + delta_f.evaluate(lift % 1.0, real=True).T
         lift = lift + step
     estimate = (lift - x)[0] / iterations
     return estimate, 1.0 / iterations

@@ -37,6 +37,51 @@ def const_domain(delta, d=2):
     return fr.SlicedDomain.constant(d, delta)
 
 
+def dense_random_map(rng, d, n_max, components=2, decay=0.7):
+    """Every coefficient drawn independently: not Hermitian."""
+    shape = (components,) + (2 * n_max + 1,) * d
+    idx = np.abs(np.arange(-n_max, n_max + 1))
+    sup = idx if d == 1 else np.maximum(idx[:, None], idx[None, :])
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * decay ** sup
+    return fr.FourierMap(d, n_max, coeffs)
+
+
+# -- evaluation ------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [0, 5, 16])
+def test_grid_values_match_dense_evaluate(d, n_max):
+    rng = np.random.default_rng(100 * d + n_max)
+    f = dense_random_map(rng, d, n_max)
+    for m in (2 * n_max + 1, fr._grid_size(n_max)):
+        dense = f.evaluate(fr._sample_points(d, m))
+        assert f.grid_values(m).shape == dense.shape
+        assert np.abs(f.grid_values(m) - dense).max() <= 1e-14 * max(f.l1_norm(), 1)
+
+
+def test_grid_values_refuse_aliasing_grid():
+    f = fr.FourierMap.zeros(2, 5)
+    with pytest.raises(ValueError):
+        f.grid_values(10)
+    assert f.grid_values(11).shape == (2, 121)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_evaluate_real_matches_real_part(d):
+    rng = np.random.default_rng(7 + d)
+    f = dense_random_map(rng, d, 6)
+    assert f.hermitian_defect() > 0.1
+    tol = 1e-15 * max(f.l1_norm(), 1)
+    for P in (1, fr.EVAL_BLOCK, fr.EVAL_BLOCK + 1):
+        pts = rng.random((P, d))
+        real = f.evaluate(pts, real=True)
+        assert real.dtype == np.float64 and real.shape == (2, P)
+        assert np.abs(real - f.evaluate(pts).real).max() <= tol
+    point = rng.random(d)
+    assert np.abs(f.evaluate(point, real=True)
+                  - f.evaluate(point).real).max() <= tol
+
+
 # -- norms ---------------------------------------------------------------------
 
 def test_norm_single_mode_strip():
@@ -134,6 +179,42 @@ def test_multiply_delta_modes():
     assert prod.n_max == 6
     assert prod.mode((3, 1))[0] == pytest.approx(1.0)
     assert np.count_nonzero(prod.coeffs) == 1
+
+
+def _convolve2d_dense(a, b):
+    """The dense double loop over a, the reference for _convolve2d."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1,
+                    a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            v = a[i, j]
+            if v != 0:
+                out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    return out
+
+
+def test_convolve2d_bit_identical_to_dense_loop():
+    rng = np.random.default_rng(404)
+
+    def sparse(shape, fill):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.where(rng.random(shape) < fill, x, 0)
+
+    cases = [(sparse((9, 9), fill), sparse((13, 13), fill2))
+             for fill in (0.05, 0.3, 1.0) for fill2 in (0.05, 0.3, 1.0)]
+    cases += [(np.zeros((5, 5), complex), sparse((7, 7), 0.5)),
+              (sparse((5, 5), 0.5), np.zeros((7, 7), complex)),
+              (np.full((1, 1), 0.3 - 2j), np.full((1, 1), -1.7 + 0.1j)),
+              (sparse((6, 6), 0.5), np.full((1, 1), 2.5 + 1j)),
+              (np.full((1, 1), -0.5j), sparse((6, 6), 0.5))]
+    single = np.zeros((7, 7), complex)
+    single[4, 2] = -1.25 + 0.5j          # a 1x1 bounding box off the corner
+    cases += [(sparse((6, 6), 0.5), single), (single, sparse((6, 6), 0.5))]
+    for a, b in cases:
+        got, want = fr._convolve2d(a, b), _convolve2d_dense(a, b)
+        assert got.shape == want.shape
+        # compare bit patterns, so a signed zero counts as a difference
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_multiply_constants():
