@@ -42,7 +42,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, iv
 
-from .diophantine import nearest_int_distance, sup_norm, l1_norm
+from .diophantine import _divisor_min, l1_norm, nearest_int_distance, sup_norm
 from .errors import ExponentOverflow, ScanTooLarge
 from .precision import (
     DEFAULT_DIGIT_BUDGET,
@@ -613,36 +613,14 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
     return rep
 
 
-def _nu_parallel(l_vec, nu) -> bool:
-    return l_vec[0] * nu[1] - l_vec[1] * nu[0] == 0
-
-
 def _exact_scan(alpha_pair, radius: int, skip_parallel_to=None):
     """Min of ||alpha . l|| over canonical 0 < |l|_sup <= radius, exact.
 
-    Returns (value: Fraction, argmin). skip_parallel_to excludes the ray of
-    a given direction vector.
+    Returns (value: Fraction, argmin), value 0 at a resonance.
+    skip_parallel_to excludes the ray of a given direction vector.
     """
-    a1, a2 = alpha_pair
-    den = math.lcm(a1.denominator, a2.denominator)
-    n1 = a1.numerator * (den // a1.denominator)
-    n2 = a2.numerator * (den // a2.denominator)
-    best = None
-    best_arg = None
-    for l1 in range(0, radius + 1):
-        start = 1 if l1 == 0 else -radius
-        for l2 in range(start, radius + 1):
-            if l1 == 0 and l2 <= 0:
-                continue
-            if skip_parallel_to is not None and _nu_parallel((l1, l2), skip_parallel_to):
-                continue
-            r = (l1 * n1 + l2 * n2) % den
-            dist = min(r, den - r)
-            if best is None or dist < best:
-                best, best_arg = dist, (l1, l2)
-    if best is None:
-        return None, None
-    return Fraction(best, den), best_arg
+    return _divisor_min(alpha_pair, radius, skip_parallel_to=skip_parallel_to,
+                        raise_resonance=False)
 
 
 def _log_inv(x: Fraction):
@@ -662,7 +640,7 @@ def _scan_alpha(state: ConstructionState, level: int):
 def verify_divisor_bounds(state: ConstructionState, level: int,
                           scan_guard: int = 10 ** 5,
                           ray_cap: int = 64) -> VerificationReport:
-    """Brute-force small-divisor structure at one level.
+    """Small-divisor structure at one level, from an exact full-ball scan.
 
     Scans the full ball |l|_sup <= q_tilde(level) on the level's even exact
     approximant: the minimizer must be +/- nu(level), and the minimum must
@@ -794,7 +772,7 @@ def verify_criteria(state: ConstructionState, max_scale: int = 128,
     3. Direction angles within a twist bracket are separated; the measured
        constant theta * t_n^(tb/2) is reported.
     4. Partial sums over non-direction divisors stay summable-looking at the
-       scanned scales (k_n from brute force up to max_scale).
+       scanned scales (k_n from the exact scan up to max_scale).
     5. Ray bounds are delegated to verify_divisor_bounds/_ray_entries.
     """
     if max_scale > 10 ** 5:

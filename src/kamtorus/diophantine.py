@@ -2,13 +2,16 @@
 
 Provides the nearest-integer distance ||x|| = min_k |x - k|, continued
 fractions with convergents and remainder products, the 1-D Bryuno-type
-partial sums, and the brute-force minimal divisor
+partial sums, and the minimal divisor
 
     Omega_alpha(N) = min over 0 < |l|_sup <= N of ||alpha . l||
 
 with minimizer tracking.  Scans accept either exact rational vectors
-(fractions.Fraction entries, evaluated in pure integer arithmetic) or real
-vectors evaluated as mpf at the working precision.
+(fractions.Fraction entries, certified in pure integer arithmetic) or real
+vectors certified as mpf at the working precision.  Every scan filters then
+certifies: a float64 pass over the whole box, with a rigorous rounding
+margin, keeps the few vectors that can still be minimal or resonant, and only
+those are evaluated exactly (see _divisor_min).
 
 Since ||x|| is even, minimizers always come in +/- pairs; scans therefore
 enumerate only the representatives whose first nonzero entry is positive and
@@ -17,13 +20,13 @@ report the lexicographically smallest minimizing representative.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 from .errors import RationalTruncation, ResonanceDetected
@@ -38,10 +41,6 @@ def sup_norm(l: Sequence[int]) -> int:
 
 def l1_norm(l: Sequence[int]) -> int:
     return sum(abs(c) for c in l)
-
-
-def l2_norm(l: Sequence[int]) -> float:
-    return math.sqrt(sum(c * c for c in l))
 
 
 def nearest_int_distance(x):
@@ -174,63 +173,162 @@ class SmallDivisorRecord:
         return to_mpf(self.value)
 
 
-def _canonical_vectors(d: int, N: int, lower: int = 1):
-    """Nonzero l with lower <= |l|_sup <= N, first nonzero entry > 0, lex order."""
-    for l in itertools.product(range(-N, N + 1), repeat=d):
-        m = max(abs(c) for c in l)
-        if m < lower or m > N:
-            continue
-        leading = next((c for c in l if c != 0), 0)
-        if leading > 0:
-            yield l
-
-
 def _resonance_eps():
     return mpmath.ldexp(1, -(mp.prec - 16))
 
 
-def omega_min(alpha: Sequence, N: int, lower: int = 1,
-              seed: SmallDivisorRecord | None = None) -> SmallDivisorRecord:
-    """Exhaustive minimal divisor over 0 < |l|_sup <= N (or an annulus).
+#: Rows per float64 filter block: bounds the scan's memory at any radius.
+_BLOCK = 1 << 14
 
-    `lower` restricts the scan to lower <= |l|_sup <= N, and `seed` supplies
-    a record already covering |l| < lower, which enables incremental dyadic
-    scans.  Exact rational alpha is scanned in integer arithmetic; otherwise
-    mpf at working precision, raising ResonanceDetected when a divisor
-    underflows the precision.
+
+def _box_blocks(d: int, N: int, lower: int):
+    """The l with lower <= |l|_sup <= N and first nonzero entry > 0, in
+    lexicographic order, as int64 arrays of at most _BLOCK rows.
+
+    Vectors whose first nonzero entry sits at position k (the last position
+    comes first in lexicographic order) are the mixed-radix numbers
+    l_k - 1 in [0, N) followed by d - 1 - k digits l_j + N in [0, 2N], so a
+    running index decodes to them in order.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    width = 2 * N + 1
+    for k in range(d - 1, -1, -1):
+        size = N * width ** (d - 1 - k)
+        for start in range(0, size, _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, size), dtype=np.int64)
+            block = np.zeros((len(rows), d), dtype=np.int64)
+            for j in range(d - 1, k, -1):
+                rows, digit = np.divmod(rows, width)
+                block[:, j] = digit - N
+            block[:, k] = rows + 1
+            if lower > 1:
+                block = block[np.abs(block).max(axis=1) >= lower]
+            yield block
+
+
+def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
+                 skip_parallel_to=None, raise_resonance: bool = True):
+    """(min ||alpha . l||, lexicographically first minimizer) over the
+    canonical l with lower <= |l|_sup <= N, or (None, None) if none is left.
+
+    Fraction/int alpha gives a Fraction value, certified in integers as
+    min(r, den - r) / den with r = l . nums mod den over a common
+    denominator; other alpha gives the mpf value
+    nearest_int_distance(fsum(l_i alpha_i)) at the working precision.
+    `skip_parallel_to` drops every l parallel to that nonzero vector.
+    Unless `raise_resonance` is false, the first l in lexicographic order
+    with value 0 (exact) or below _resonance_eps() (mpf) raises
+    ResonanceDetected.
+
+    Filter then certify (Shewchuk, Discrete Comput. Geom. 18, 1997):
+
+    1. Filter.  With af_i the float64 of alpha_i reduced mod 1, every box
+       vector gets fd(l) = |x - rint(x)|, x = fl(l . af).  Let u = 2^-53,
+       S = sum |af_i| and c(l) the certified value.  Three error terms
+       bound |fd(l) - c(l)| for |l|_sup <= N:
+       * rounding alpha_i mod 1 to af_i (faithful, even when subnormal):
+         at most 2u |af_i| + 2^-1074 per entry, so 2u N S + d N 2^-1074;
+       * the float64 products and sum: |l_i| < 2^53 is exact in float64,
+         and a d-term dot product errs by at most gamma_d N S with
+         gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
+         Numerical Algorithms, 3.1), in any order and with FMA; rint is
+         exact, x - rint(x) is exact by Sterbenz's lemma, and ||.|| is
+         1-Lipschitz;
+       * for mpf input only, the working-precision evaluation at
+         prec >= MIN_PRECISION = 64 bits: each product l_i alpha_i and the
+         final fsum round once (2^(1-prec) relative each; fsum adds its
+         terms exactly up to a 2^(-2 prec) cut), and 1 - frac rounds once,
+         so at most 2^(2-prec) (N A + 1) with A = sum |alpha_i|.
+       The margin m = (d + 3) u (N S + 1) + 2^(2-prec) (N A + 1), with the
+       second term only for mpf input, bounds their sum; the slack of one
+       u N S and the +1 cover the subnormal term and the rounding of the
+       threshold below.  Once 2m >= 1/2 (for example when sum |alpha_i|
+       overflows float64) every vector passes the filter below.
+    2. Candidates.  With fmin the least fd over the box and eps the
+       resonance threshold (0 for exact input), keep every l with
+       fd(l) <= fmin + 2m + eps.  Blocks are pruned against the running
+       minimum, which never undercuts fmin, then all against fmin.  A
+       minimizer l* is kept: for the float argmin lf,
+       fd(l*) <= c(l*) + m <= c(lf) + m <= fmin + 2m.  So is every
+       resonant l: c(l) < eps (or c(l) = 0) gives fd(l) < eps + m.
+    3. Certify.  The candidates, in lexicographic order, are evaluated
+       exactly as above and the strict < keeps the first minimizer, so the
+       argmin and the first resonant vector are those of a scan of the
+       whole box.  Near-ties (Liouville-type divisors far below 2^-52)
+       only add candidates; many exact ties cost at most the full loop.
+    """
     d = len(alpha)
     exact = all(isinstance(a, (Fraction, int)) for a in alpha)
-    best_val = None
-    best_arg = None
     if exact:
         fracs = [Fraction(a) for a in alpha]
         den = math.lcm(*(f.denominator for f in fracs))
         nums = [f.numerator * (den // f.denominator) for f in fracs]
-        for l in _canonical_vectors(d, N, lower):
-            r = sum(c * n for c, n in zip(l, nums)) % den
-            dist = min(r, den - r)
-            if dist == 0:
-                raise ResonanceDetected(
-                    f"alpha . {l} is an exact integer", lattice_vector=l)
-            if best_val is None or dist < best_val:
-                best_val, best_arg = dist, l
-        value = Fraction(best_val, den)
+        af = np.array([n % den / den for n in nums])
+        eps = mpf_error = 0.0
     else:
         alphas = [to_mpf(a) for a in alpha]
-        eps = _resonance_eps()
-        for l in _canonical_vectors(d, N, lower):
-            s = mpmath.fsum(c * a for c, a in zip(l, alphas))
-            dist = nearest_int_distance(s)
-            if dist < eps:
+        af = np.array([float(a - mpmath.floor(a)) for a in alphas])
+        eps = float(_resonance_eps())
+        mpf_error = 2.0 ** (2 - mp.prec) * (N * float(mpmath.fsum(alphas, absolute=True)) + 1)
+    margin = (d + 3) * 2.0 ** -53 * (N * float(af.sum()) + 1) + mpf_error
+    slack = 2 * margin + eps
+
+    ray = None
+    if skip_parallel_to is not None:
+        g = math.gcd(*skip_parallel_to)
+        nu = [c // g for c in skip_parallel_to]
+        if max(abs(c) for c in nu) <= N:
+            p = next(i for i, c in enumerate(nu) if c != 0)
+            ray = (p, np.array(nu, dtype=np.int64))
+
+    kept, fmin = [], math.inf
+    for block in _box_blocks(d, N, lower):
+        if ray is not None:
+            p, nu = ray
+            block = block[~np.all(block * nu[p] == block[:, [p]] * nu, axis=1)]
+        if not len(block):
+            continue
+        x = block @ af
+        fd = np.abs(x - np.rint(x))
+        fmin = min(fmin, float(fd.min()))
+        keep = fd <= fmin + slack
+        kept.append((block[keep], fd[keep]))
+    if not kept:
+        return None, None
+    candidates = [row for block, fd in kept for row in block[fd <= fmin + slack].tolist()]
+
+    best, best_arg = None, None
+    for l in map(tuple, candidates):
+        if exact:
+            r = sum(c * n for c, n in zip(l, nums)) % den
+            dist = min(r, den - r)
+            if dist == 0 and raise_resonance:
+                raise ResonanceDetected(
+                    f"alpha . {l} is an exact integer", lattice_vector=l)
+        else:
+            dist = nearest_int_distance(mpmath.fsum(c * a for c, a in zip(l, alphas)))
+            if dist < eps and raise_resonance:
                 raise ResonanceDetected(
                     f"||alpha . {l}|| = {mpmath.nstr(dist, 8)} underflows "
                     f"{mp.prec}-bit working precision", lattice_vector=l)
-            if best_val is None or dist < best_val:
-                best_val, best_arg = dist, l
-        value = best_val
+        if best is None or dist < best:
+            best, best_arg = dist, l
+    return (Fraction(best, den) if exact else best), best_arg
+
+
+def omega_min(alpha: Sequence, N: int, lower: int = 1,
+              seed: SmallDivisorRecord | None = None) -> SmallDivisorRecord:
+    """Minimal divisor over 0 < |l|_sup <= N (or an annulus).
+
+    `lower` restricts the scan to lower <= |l|_sup <= N, and `seed` supplies
+    a record already covering |l| < lower, which enables incremental dyadic
+    scans.  Exact rational alpha is certified in integer arithmetic;
+    otherwise mpf at working precision, raising ResonanceDetected when a
+    divisor underflows the precision.  The result equals an exhaustive
+    scan's (see _divisor_min).
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    value, best_arg = _divisor_min(alpha, N, lower)
     if seed is not None:
         both_exact = isinstance(seed.value, Fraction) and isinstance(value, Fraction)
         sv, nv = (seed.value, value) if both_exact else (to_mpf(seed.value), to_mpf(value))

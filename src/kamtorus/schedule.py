@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
-from .diophantine import nearest_int_distance, omega_min, omega_min_1d, sup_norm
+from .diophantine import (_box_blocks, _resonance_eps, nearest_int_distance,
+                          omega_min, omega_min_1d, sup_norm)
 from .errors import GridTooCoarse, ResonanceDetected, ZeroVector
 from .precision import to_mpf
 from .reports import VerificationReport
@@ -196,7 +196,7 @@ class DivisorOracle:
         else:
             s = mpmath.fsum(to_mpf(a) * c for a, c in zip(self.alpha, key))
             dist = nearest_int_distance(s)
-            if dist < mpmath.ldexp(1, -(mp.prec - 16)):
+            if dist < _resonance_eps():
                 raise ResonanceDetected(
                     f"||alpha . {key}|| vanishes at working precision",
                     lattice_vector=key)
@@ -220,18 +220,9 @@ def _log10_int(n: int) -> float:
 
 def _stage_modes(dimension: int, n: int, variant: str):
     """Canonical (sign-normalized) lattice modes of stage n."""
-    hi = 1 << (n + 1)
     lo = (1 << n) + 1 if variant == "annulus" else 1
-    if dimension == 1:
-        for v in range(lo, hi + 1):
-            yield (v,)
-        return
-    for l1 in range(0, hi + 1):
-        start = 1 if l1 == 0 else -hi
-        for l2 in range(start, hi + 1):
-            if max(abs(l1), abs(l2)) < lo or (l1 == 0 and l2 <= 0):
-                continue
-            yield (l1, l2)
+    for block in _box_blocks(dimension, 1 << (n + 1), lo):
+        yield from map(tuple, block.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +539,7 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     with mpmath.workprec(128):
         damping = mpmath.mpf(1 << n) * to_mpf(float(weights.c[n]))
         for l in _stage_modes(grid.dimension, n, variant):
-            dist = to_mpf(oracle.distance(l)) if not isinstance(oracle.distance(l), Fraction) \
-                else mpmath.mpf(oracle.distance(l).numerator) / oracle.distance(l).denominator
+            dist = to_mpf(oracle.distance(l))
             g_log = -damping if sup_norm(l) <= (1 << n) else mpmath.mpf(0)
             dots = [abs(mpmath.fsum(to_mpf(b) * c for b, c in zip(d, l)))
                     for d in grid.directions]

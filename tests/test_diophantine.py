@@ -1,14 +1,16 @@
 """Tests for nearest-integer distance, continued fractions and Omega scans."""
 
+import itertools
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kamtorus import construction as con
 from kamtorus import diophantine as dio
 from kamtorus.errors import RationalTruncation, ResonanceDetected
-from kamtorus.precision import working_precision
+from kamtorus.precision import to_mpf, working_precision
 
 
 def test_nearest_int_distance_basics():
@@ -204,3 +206,201 @@ def test_precision_is_recorded(golden):
         assert rec.precision_bits == 128
         cf = dio.continued_fraction(golden, 3)
         assert cf.precision_bits == 128
+
+
+# ---------------------------------------------------------------------------
+# the filter-then-certify kernel against an exhaustive oracle
+
+
+def _canonical_vectors(d: int, N: int, lower: int = 1):
+    """Nonzero l with lower <= |l|_sup <= N, first nonzero entry > 0, lex order."""
+    for l in itertools.product(range(-N, N + 1), repeat=d):
+        m = max(abs(c) for c in l)
+        if m < lower or m > N:
+            continue
+        leading = next((c for c in l if c != 0), 0)
+        if leading > 0:
+            yield l
+
+
+def _oracle(alpha, N, lower=1, skip_parallel_to=None):
+    """Scan every canonical vector: (value, argmin), or ("resonant", l) for
+    the first resonant l.  Exact input is summed as Fractions, not through
+    the kernel's common-denominator integers."""
+    exact = all(isinstance(a, (Fraction, int)) for a in alpha)
+    values = alpha if exact else [to_mpf(a) for a in alpha]
+    eps = dio._resonance_eps()
+    nu = skip_parallel_to
+    best = arg = None
+    for l in _canonical_vectors(len(alpha), N, lower):
+        if nu is not None and all(l[i] * nu[j] == l[j] * nu[i]
+                                  for i in range(len(l)) for j in range(i)):
+            continue
+        if exact:
+            dist = dio.nearest_int_distance(sum(c * a for c, a in zip(l, values)))
+            if dist == 0:
+                return "resonant", l
+        else:
+            dist = dio.nearest_int_distance(mpmath.fsum(c * a for c, a in zip(l, values)))
+            if dist < eps:
+                return "resonant", l
+        if best is None or dist < best:
+            best, arg = dist, l
+    return best, arg
+
+
+def _kernel(alpha, N, lower=1, skip_parallel_to=None):
+    try:
+        return dio._divisor_min(alpha, N, lower, skip_parallel_to=skip_parallel_to)
+    except ResonanceDetected as exc:
+        return "resonant", exc.lattice_vector
+
+
+def _frac(x, bits=60):
+    """A Fraction near the mpf x with a denominator of about `bits` bits."""
+    return Fraction(int(mpmath.floor(x * 2 ** bits)), 2 ** bits + 1)
+
+
+_SQ2, _SQ3, _SQ5 = (mpmath.sqrt(p) - int(mpmath.sqrt(p)) for p in (2, 3, 5))
+
+
+@pytest.mark.parametrize("d,N,lower,block", [
+    (1, 9, 1, 4), (1, 9, 5, 1), (2, 6, 1, 7), (2, 6, 4, 16), (3, 3, 1, 10),
+    (3, 4, 3, 64), (2, 5, 1, 1 << 14)])
+def test_box_blocks_enumerate_canonical_vectors(monkeypatch, d, N, lower, block):
+    monkeypatch.setattr(dio, "_BLOCK", block)
+    blocks = list(dio._box_blocks(d, N, lower))
+    assert all(len(b) <= block for b in blocks)
+    rows = [tuple(r) for b in blocks for r in b.tolist()]
+    assert rows == list(_canonical_vectors(d, N, lower))
+
+
+@pytest.mark.parametrize("alpha,N,lower", [
+    ([_SQ2], 200, 1),
+    ([_SQ2, _SQ3], 40, 1),
+    ([_SQ2, _SQ3], 32, 17),
+    ([_SQ2, _SQ3, _SQ5], 6, 1),
+    ([_SQ2, _SQ3, _SQ5], 6, 4),
+    ([_frac(_SQ2)], 300, 1),
+    ([_frac(_SQ2), _frac(_SQ5, 90)], 30, 1),
+    ([_frac(_SQ2), _frac(_SQ5, 90)], 30, 11),
+    ([_frac(_SQ2), _frac(_SQ3), _frac(_SQ5)], 5, 1),
+    ([_frac(_SQ2), _frac(_SQ3), _frac(_SQ5)], 5, 3),
+    ([Fraction(7, 3), -_frac(_SQ3), 2], 4, 1),
+    ([mpmath.mpf(5) + _SQ2, -_SQ3], 20, 1),
+])
+def test_divisor_min_matches_exhaustive_scan(alpha, N, lower):
+    assert _kernel(alpha, N, lower) == _oracle(alpha, N, lower)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40),
+                min_size=1, max_size=3),
+       st.integers(1, 6), st.booleans())
+def test_small_denominators_ties_and_resonance(alpha, N, as_mpf):
+    # few residues: exact ties, and resonances whose first vector must match
+    if as_mpf:
+        alpha = [to_mpf(a) for a in alpha]
+    N = min(N, 3) if len(alpha) == 3 else N
+    assert _kernel(alpha, N) == _oracle(alpha, N)
+
+
+def test_resonance_vector_and_exact_scan_zero():
+    alpha = [Fraction(1, 3), Fraction(2, 3)]
+    assert _kernel(alpha, 3) == ("resonant", (0, 3)) == _oracle(alpha, 3)
+    # the construction scans measure resonance instead of raising
+    assert con._exact_scan(alpha, 3) == (0, (0, 3))
+    dyadic = [mpmath.mpf(0.5), mpmath.mpf(0.25)]
+    assert _kernel(dyadic, 5) == ("resonant", (0, 4)) == _oracle(dyadic, 5)
+
+
+@pytest.mark.parametrize("a", [2, 3, 5])
+def test_exact_ties_the_float_filter_misorders(a):
+    # ||l a/q|| = 1/q at l = a^-1 mod q and at q - l; for many q the float
+    # filter ranks the later of the two strictly lower (q = 103, a = 2)
+    for q in range(101, 131, 2):
+        if q % a:
+            alpha = [Fraction(a, q)]
+            assert _kernel(alpha, q - 1) == _oracle(alpha, q - 1)
+
+
+def test_tie_across_block_boundary():
+    # ||2l/q|| = 1/q at l = (q-1)/2 = 2^14 and l = 2^14 + 1: the last row of
+    # the first block and the first row of the second; the first one wins
+    q = 2 * dio._BLOCK + 1
+    alpha = [Fraction(2, q)]
+    assert _kernel(alpha, 2 * dio._BLOCK) == (Fraction(1, q), (dio._BLOCK,))
+    assert _oracle(alpha, 2 * dio._BLOCK) == (Fraction(1, q), (dio._BLOCK,))
+
+
+def test_minimizer_in_last_block():
+    # N alpha_1 + N alpha_2 = 1 + N delta: (N, N) is the lexicographically
+    # last vector of a three-block box and the unique minimizer
+    N = 128
+    a1 = _frac((mpmath.sqrt(5) - 1) / 2)
+    alpha = [a1, Fraction(1, N) - a1 + Fraction(1, 10 ** 12)]
+    assert _kernel(alpha, N) == (Fraction(N, 10 ** 12), (N, N)) == _oracle(alpha, N)
+
+
+def test_divisors_far_below_double_precision():
+    # ||4610 alpha|| ~ 2^-4622: float64 sees only rounding noise, so the
+    # filter cannot tell the multiples of 4610 apart; certification must
+    alpha = [dio.synthetic_liouville(4)]
+    assert alpha[0].denominator.bit_length() > 4600
+    result = _kernel(alpha, 9300)
+    assert result == _oracle(alpha, 9300)
+    assert result[1] == (4610,) and result[0] < Fraction(1, 2 ** 4600)
+    # as mpf the same divisor underflows the working precision
+    mp_alpha = [to_mpf(alpha[0])]
+    assert _kernel(mp_alpha, 9300) == ("resonant", (4610,)) == _oracle(mp_alpha, 9300)
+
+
+def test_constructed_state_scans_match_oracle():
+    # paper mode, level 1: the even approximant puts ||alpha . nu(0)|| near
+    # 2^-98, far below what float64 resolves
+    paper = con.build(levels=1, mode="paper")
+    alpha = paper.alpha_pair_at(2)
+    value, arg = _oracle(alpha, 101)
+    assert arg == (100, -101) and value < Fraction(1, 2 ** 90)
+    assert con._exact_scan(alpha, 101) == (value, arg)
+    assert con._exact_scan(alpha, 60, skip_parallel_to=paper.nu[0]) == \
+        _oracle(alpha, 60, skip_parallel_to=paper.nu[0])
+    # toy mode: denominators of 600+ bits, skipping a deep and a shallow ray
+    toy = con.build(levels=3, mode="toy",
+                    schedule=con.GrowthSchedule(mode="toy", base=2, exponent_scale="1"))
+    alpha = con.alpha_approx(toy)
+    assert min(a.denominator.bit_length() for a in alpha) > 600
+    for N, nu in ((64, None), (64, toy.nu[-1]), (40, toy.nu[0])):
+        assert con._exact_scan(alpha, N, skip_parallel_to=nu) == \
+            _oracle(alpha, N, skip_parallel_to=nu)
+
+
+def test_skip_parallel_ray():
+    # 3 a1 - 2 a2 is nearly an integer, so the ray of (3, -2) holds the
+    # minimizers until it is skipped
+    a1 = _frac(_SQ2)
+    alpha = [a1, (3 * a1 - Fraction(1, 10 ** 9)) / 2]
+    assert _kernel(alpha, 12)[1] == (3, -2)
+    skipped = _oracle(alpha, 12, skip_parallel_to=(3, -2))
+    assert skipped[1] not in ((3, -2), (6, -4), (9, -6), (12, -8))
+    for nu in ((3, -2), (-6, 4), (12, -8)):    # non-primitive, either sign
+        assert _kernel(alpha, 12, skip_parallel_to=nu) == skipped
+    # a reduced direction longer than the radius leaves the box intact
+    assert _kernel(alpha, 12, skip_parallel_to=(26, 7)) == _oracle(alpha, 12)
+    triple = [_frac(_SQ2), _frac(_SQ3), _frac(_SQ5)]
+    assert _kernel(triple, 4, skip_parallel_to=(2, 0, -2)) == \
+        _oracle(triple, 4, skip_parallel_to=(1, 0, -1))
+    assert _kernel([a1], 5, skip_parallel_to=(4,)) == (None, None)
+
+
+@pytest.mark.parametrize("alpha", [
+    [Fraction(2, 17)],                               # tie across the seam
+    [_frac(_SQ2, 20), _frac(_SQ3, 20)],
+    [_SQ2, _SQ3],
+])
+def test_seed_merge_matches_whole_ball(alpha):
+    inner = dio.omega_min(alpha, 8)
+    merged = dio.omega_min(alpha, 16, lower=9, seed=inner)
+    whole = dio.omega_min(alpha, 16)
+    assert (merged.value, merged.argmin) == (whole.value, whole.argmin) \
+        == _oracle(alpha, 16)
