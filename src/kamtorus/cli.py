@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=Path, default=Path("artifacts"))
     parser.add_argument("--seed", type=int, default=2026,
                         help="seed for randomized inputs; recorded in artifacts")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved for data-parallel scans (accepted, single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the exact vector")

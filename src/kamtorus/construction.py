@@ -138,15 +138,19 @@ def _floor_twist_scaled(q_bar: int, q: int, gap: int, t: int,
     """
     half = theta_bar / 2
     rn, rd = half.numerator, half.denominator
-    root = int_nth_root(t ** rn, rd)
-    if root ** rd == t ** rn:
-        return math.floor(Fraction(q_bar * (2 * root - gap), q * gap))
+    power = t ** rn
+    root = int_nth_root(power, rd)
+    if root ** rd == power:
+        return q_bar * (2 * root - gap) // (q * gap)
+    # lo and hi are q_bar (2 S - gap 2^P) / (q gap 2^P) for S = scaled and
+    # scaled + 1, floored by integer division without gcd normalisation;
+    # hi - lo = 2 q_bar / den, so one division gives both floors
     bits = max(q_bar.bit_length() - q.bit_length(), 0) + 66
     while True:
-        scaled = int_nth_root(t ** rn << (rd * bits), rd)
-        lo = Fraction(q_bar * 2 * scaled, q * gap << bits) - Fraction(q_bar, q)
-        hi = Fraction(q_bar * 2 * (scaled + 1), q * gap << bits) - Fraction(q_bar, q)
-        flo, fhi = math.floor(lo), math.floor(hi)
+        scaled = int_nth_root(power << (rd * bits), rd)
+        den = q * gap << bits
+        flo, rem = divmod(q_bar * (2 * scaled - (gap << bits)), den)
+        fhi = flo + (rem + 2 * q_bar) // den
         if flo == fhi:
             return flo
         bits *= 2
@@ -584,16 +588,18 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
         rep.add("cofactor_coprime", f"level {l}",
                 big_gcd(a_even, cof) == 1)
 
+    # every approximant is built (and gcd-normalised) once
+    pairs = [state.alpha_pair_at(k) for k in range(2 * state.level + 1)]
     # tail bound against the deepest approximant as proxy limit
-    deep1, deep2 = alpha_approx(state)
+    deep1, deep2 = pairs[-1]
     for l in range(state.level):
-        a1, a2 = state.alpha_pair_at(2 * l + 1)
+        a1, a2 = pairs[2 * l + 1]
         bound = Fraction(2, state.a[2 * l + 1])
-        ok = abs(deep1 - a1) <= bound and abs(deep2 - a2) <= bound
+        tail1 = abs(deep1 - a1)
+        ok = tail1 <= bound and abs(deep2 - a2) <= bound
         rep.add("tail_bound", f"level {l}", ok,
-                margin=_fraction_ratio_str(
-                    (abs(deep1 - a1)).numerator * bound.denominator,
-                    (abs(deep1 - a1)).denominator * bound.numerator),
+                margin=_fraction_ratio_str(tail1.numerator * bound.denominator,
+                                           tail1.denominator * bound.numerator),
                 note="proxy limit = deepest approximant"
                      + ("; toy-scale" if toy else ""))
 
@@ -602,13 +608,8 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
             squares_ok if not toy else None,
             note="a_{j+1} > a_j^2" + ("; informational in toy mode" if toy else ""))
 
-    increasing = True
-    for k in range(2 * state.level):
-        b1, b2 = state.alpha_pair_at(k)
-        c1, c2 = state.alpha_pair_at(k + 1)
-        if not (c1 > b1 and c2 > b2):
-            increasing = False
-            break
+    increasing = all(c1 > b1 and c2 > b2
+                     for (b1, b2), (c1, c2) in zip(pairs, pairs[1:]))
     rep.add("approximants_increasing", "all indices", increasing)
     return rep
 

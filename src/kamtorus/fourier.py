@@ -37,7 +37,7 @@ against the telescoping difference series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,55 +313,37 @@ class SlicedDomain:
 class NormReport:
     value: float
     per_component: tuple
-    detail: list = field(default_factory=list)  # (l, weight, |coef|) rows
 
     def __float__(self):
         return float(self.value)
 
 
-def norm_xi(f: FourierMap, domain: SlicedDomain,
-            keep_detail: bool = False) -> NormReport:
-    """Weighted coefficient norm sum_l |f_hat(l)| exp(2 pi w(l)).
-
-    Per component, summed in sorted mode order for reproducibility; the
+def norm_xi(f: FourierMap, domain: SlicedDomain) -> NormReport:
+    """Weighted coefficient norm sum_l |f_hat(l)| exp(2 pi w(l)), with
+    w(l) = `SlicedDomain.weight(l)` vectorized over the mode box; the
     report's value is the max over components.
     """
-    if not keep_detail:
-        idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
-        if domain.constant_radius is not None:
-            if f.d == 1:
-                w = np.abs(idx) * domain.constant_radius
-            else:
-                w = np.hypot(idx[:, None], idx[None, :]) * domain.constant_radius
+    idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
+    if domain.constant_radius is not None:
+        if f.d == 1:
+            w = np.abs(idx) * domain.constant_radius
         else:
-            dirs = np.asarray(domain.grid.directions, dtype=np.float64)
-            radii = np.asarray(domain.radii, dtype=np.float64)
-            if f.d == 1:
-                dots = np.abs(dirs[:, :1] * idx[None, :])       # (G, M)
-                w = (radii[:, None] * dots).max(axis=0)
-            else:
-                lx = np.repeat(idx, idx.size)
-                ly = np.tile(idx, idx.size)
-                dots = np.abs(dirs @ np.vstack([lx, ly]))       # (G, M*M)
-                w = (radii[:, None] * dots).max(axis=0).reshape(idx.size, idx.size)
-        weights = np.exp(TWO_PI * w)
-        per = tuple(float((np.abs(f.coeffs[j]) * weights).sum())
-                    for j in range(f.components))
-        return NormReport(value=max(per) if per else 0.0, per_component=per)
-    totals = [[] for _ in range(f.components)]
-    detail = []
-    for l, vec in f.modes():
-        w = domain.weight(l)
-        factor = math.exp(TWO_PI * w)
-        mags = np.abs(vec)
-        for j in range(f.components):
-            if mags[j] != 0:
-                totals[j].append(mags[j] * factor)
-        if keep_detail:
-            detail.append((l, w, float(mags.max())))
-    per = tuple(math.fsum(t) for t in totals)
-    return NormReport(value=max(per) if per else 0.0, per_component=per,
-                      detail=detail)
+            w = np.hypot(idx[:, None], idx[None, :]) * domain.constant_radius
+    else:
+        dirs = np.asarray(domain.grid.directions, dtype=np.float64)
+        radii = np.asarray(domain.radii, dtype=np.float64)
+        if f.d == 1:
+            dots = np.abs(dirs[:, :1] * idx[None, :])       # (G, M)
+            w = (radii[:, None] * dots).max(axis=0)
+        else:
+            lx = np.repeat(idx, idx.size)
+            ly = np.tile(idx, idx.size)
+            dots = np.abs(dirs @ np.vstack([lx, ly]))       # (G, M*M)
+            w = (radii[:, None] * dots).max(axis=0).reshape(idx.size, idx.size)
+    weights = np.exp(TWO_PI * w)
+    per = tuple(float((np.abs(f.coeffs[j]) * weights).sum())
+                for j in range(f.components))
+    return NormReport(value=max(per) if per else 0.0, per_component=per)
 
 
 def seminorm_beta(f: FourierMap, beta, delta_bar) -> float:

@@ -22,6 +22,7 @@ crash.
 from __future__ import annotations
 
 import contextlib
+import math
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -36,12 +37,6 @@ from .errors import ExponentOverflow
 if sys.get_int_max_str_digits() < 2_100_000:
     sys.set_int_max_str_digits(2_100_000)
 
-
-def decimal_digits(n: int) -> int:
-    """Number of decimal digits of |n|."""
-    if n == 0:
-        return 1
-    return len(str(abs(n)))
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -107,25 +102,64 @@ def to_mpf(value) -> mpmath.mpf:
 
 try:
     import gmpy2 as _gmpy2
-except ImportError:  # pure-int fallbacks below keep everything working
+except ImportError:  # the pure-Python kernels below give the same results
     _gmpy2 = None
 
 
 def int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1 (exact integer arithmetic)."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1 (exact integer arithmetic).
+
+    Without gmpy2, k == 2 is `math.isqrt` and any other k is `_iroot`,
+    precision-doubling Newton (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, section 1.5): the root of the top half of the bits,
+    shifted back, starts one integer Newton step at full size.
+
+    * From any positive x the integer Newton step
+      floor(((k-1) x + n // x^(k-1)) / k) lands at or above floor(n^(1/k)):
+      it equals floor(((k-1) x + n / x^(k-1)) / k) (nested floors), and
+      that mean is >= n^(1/k) by the AM-GM inequality.
+    * From the start x = (floor(n^(1/k) / 2^h) + 1) 2^h, which lies within
+      2^h above the real root (rb its bit length, h = rb // 2 - 4), the
+      step lands within O(k 2^(2h - rb)) of the root.
+    * The loop `while x**k > n: x -= 1` then walks down to the exact
+      floor, O(1) times.
+
+    Correctness rests on the step's lower bound and that loop; the guard
+    bits (the 4 in h) only keep the loop short.  Roots of at most 48 bits
+    take the monotone descent from 2^rb: above the floor, x^k > n makes
+    the step strictly decrease, so the first x whose step does not
+    decrease is the floor.
+    """
     if n < 0 or k < 1:
         raise ValueError("int_nth_root requires n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n
     if _gmpy2 is not None:
         return int(_gmpy2.iroot(_gmpy2.mpz(n), k)[0])
-    # initial guess from the bit length, then monotone Newton descent
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+    if k == 2:
+        return math.isqrt(n)
+    return _iroot(n, k)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, k >= 2; see `int_nth_root`.
+
+    Recursion goes through this name, never the public one, so wrappers
+    bound to `int_nth_root` see one call per root.
+    """
+    rb = -(-n.bit_length() // k)
+    if rb <= 48:
+        # k may be in the hundreds here: no float guess, no linear search
+        x = 1 << rb
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                return x
+            x = y
+    h = rb // 2 - 4
+    # the recursion gives floor(n^(1/k) / 2^h) exactly (nested floors)
+    x = (_iroot(n >> (k * h), k) + 1) << h
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while x ** k > n:
         x -= 1
     return x
@@ -135,7 +169,6 @@ def big_gcd(a: int, b: int) -> int:
     """gcd tuned for very large operands."""
     if _gmpy2 is not None:
         return int(_gmpy2.gcd(_gmpy2.mpz(a), _gmpy2.mpz(b)))
-    import math
     return math.gcd(a, b)
 
 

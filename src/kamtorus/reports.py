@@ -40,9 +40,6 @@ class VerificationReport:
         self.entries.append(entry)
         return entry
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.entries.extend(other.entries)
-
     def all_passed(self) -> bool:
         return all(e.passed is not False for e in self.entries)
 
