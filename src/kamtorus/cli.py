@@ -177,6 +177,21 @@ def resolve_alpha(spec: str):
     return parts
 
 
+def _alpha_record(spec: str) -> dict:
+    """How an artifact names its alpha: a constructed state by the SHA-256 of
+    its file's bytes, not by its path, so the artifact does not depend on
+    where the state lives; any other spec as given."""
+    if spec.startswith("constructed:"):
+        # imported here: hashlib loads OpenSSL, about 3 MB of resident
+        # memory that no other command needs
+        import hashlib
+
+        data = Path(spec.split(":", 1)[1]).read_bytes()
+        return {"alpha": "constructed",
+                "alpha_state_sha256": hashlib.sha256(data).hexdigest()}
+    return {"alpha": spec}
+
+
 def _artifact_header(args) -> dict:
     return {
         "command": args.command,
@@ -237,7 +252,7 @@ def cmd_analyze(args) -> int:
     out = args.out_dir
     _write_csv(out / "analyze.csv", ("k", "scale", "omega", "partial_sum"), rows)
     payload = _artifact_header(args)
-    payload.update(alpha=args.alpha, depth=args.depth,
+    payload.update(_alpha_record(args.alpha), depth=args.depth,
                    bryuno_partial_sum=float(total))
     if len(alpha) == 1:
         try:
@@ -284,7 +299,7 @@ def cmd_schedule(args) -> int:
     out = args.out_dir
     _write_csv(out / "schedule.csv", SCHEDULE_CSV_COLUMNS, result.csv_rows())
     payload = _artifact_header(args)
-    payload.update(alpha=args.alpha, headline=result.headline())
+    payload.update(_alpha_record(args.alpha), headline=result.headline())
     write_json(out / "schedule.json", payload)
     print(json.dumps(result.headline(), sort_keys=True))
     print(f"rows -> {out / 'schedule.csv'}")

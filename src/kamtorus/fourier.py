@@ -20,10 +20,14 @@ Values on the uniform grid of m^d points come from an inverse FFT of the
 zero-padded coefficients (`grid_values`, the exact inverse of the FFT
 re-expansion).  Values at arbitrary points come from the dense
 trigonometric sum `evaluate`, factorized per axis and run over fixed blocks
-of points so its temporaries stay small; with real=True it returns only the
-real part, folding each mode l onto -l (Re(c_l e_l) + Re(c_-l e_-l) =
-Re((c_l + conj c_-l) e_l)) so the first axis runs over modes 0..n_max only.
-The dense sum is also the oracle the FFT grid synthesis is tested against.
+of points so its temporaries stay small.  It sums only over the central box
+|l|_sup <= s that holds the nonzero coefficients, at cost O(P (2s + 1)^d)
+for P points; s is far below n_max for the stage maps of the KAM loop,
+whose solver zeroes every mode outside its truncation.  With real=True it
+returns only the real part, folding each mode l onto -l (Re(c_l e_l) +
+Re(c_-l e_-l) = Re((c_l + conj c_-l) e_l)) so the first axis runs over
+modes 0..s only.  The dense sum is also the oracle the FFT grid synthesis
+is tested against.
 
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
@@ -169,13 +173,15 @@ class FourierMap:
         """Values at arbitrary points by the dense trigonometric sum; shape
         (components, P).
 
-        points: (P, d) or a single point (d,).  Factorized per axis, cost
-        O(P (2 n_max + 1)^d), run over blocks of EVAL_BLOCK points.  With
-        real=True the result is evaluate(points).real for any coefficients,
-        Hermitian or not, at half the cost: each mode of the first axis is
-        folded onto its negative (c_l + conj c_-l), so that axis runs over
-        modes 0..n_max only.  For values on the uniform sample grid use
-        `grid_values`.
+        points: (P, d) or a single point (d,).  The sum runs over the
+        central box |l|_sup <= s only, s being the nonzero radius (the
+        largest |l|_sup of a nonzero coefficient in any component, 0 for the
+        zero map): factorized per axis, cost O(P (2s + 1)^d), run over
+        blocks of EVAL_BLOCK points.  With real=True the result is
+        evaluate(points).real for any coefficients, Hermitian or not, at
+        half the cost: each mode of the first axis is folded onto its
+        negative (c_l + conj c_-l), so that axis runs over modes 0..s only.
+        For values on the uniform sample grid use `grid_values`.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
@@ -184,8 +190,12 @@ class FourierMap:
             raise ValueError("point dimension mismatch")
         if self.d > 2:
             raise NotImplementedError("evaluation implemented for d <= 2")
-        n, c = self.n_max, self.components
-        coeffs = self.coeffs
+        # n is the nonzero radius s: the terms outside its box are exact
+        # zeros and the phase rows |m| <= s are the same cumulative products
+        nonzero = np.any(self.coeffs != 0, axis=0)
+        n = int(_sup_norms(self.d, self.n_max)[nonzero].max(initial=0))
+        c = self.components
+        coeffs = retruncate(self, n).coeffs
         if real:
             # row 0 keeps every second-axis mode (its pairs l, -l both sit
             # in that row); rows a > 0 absorb the conjugate of row -a
@@ -375,14 +385,17 @@ def truncate_split(f: FourierMap, N: int):
 
 
 def _ball_mask(d: int, n_max: int, N: int) -> np.ndarray:
+    return (_sup_norms(d, n_max) <= N)[None]
+
+
+def _sup_norms(d: int, n_max: int) -> np.ndarray:
+    """|l|_sup over the stored mode box, shape (2 n_max + 1,) * d."""
     idx = np.abs(np.arange(-n_max, n_max + 1))
     if d == 1:
-        sup = idx
-    elif d == 2:
-        sup = np.maximum(idx[:, None], idx[None, :])
-    else:
-        raise NotImplementedError
-    return (sup <= N)[None]
+        return idx
+    if d == 2:
+        return np.maximum(idx[:, None], idx[None, :])
+    raise NotImplementedError
 
 
 def multiply(f: FourierMap, g: FourierMap) -> FourierMap:

@@ -358,6 +358,10 @@ class RunReport:
             "notes": self.notes,
             "csv_columns": list(CSV_COLUMNS),
             "stage_rows": [list(r.csv_row()) for r in self.step_reports],
+            "stage_diagnostics": [
+                {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
+                 "spill": r.spill, "h_norm": r.h_norm}
+                for r in self.step_reports],
         }
 
 

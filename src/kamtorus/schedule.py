@@ -580,13 +580,6 @@ def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
     return lo
 
 
-def dimension_one_weights(alpha_1d, depth: int, gothic_d: float = 1.0,
-                     records: list | None = None) -> WeightSequence:
-    """The d = 1 weight recipe c_n = 2 pi 2^-n log(1/Omega(2^n))."""
-    return dyadic_weight_recipe(alpha_1d, depth, records=records,
-                                gothic_d=gothic_d)
-
-
 def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
                    dual_path_cap: int = 12):
     """One-dimensional consistency suite.
@@ -613,8 +606,8 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
     x = alpha_1d[0] if isinstance(alpha_1d, (tuple, list)) else alpha_1d
     alpha = (x,)
     records = []
-    weights = dimension_one_weights(alpha, depth, gothic_d=gothic_d,
-                               records=records)
+    weights = dyadic_weight_recipe(alpha, depth, records=records,
+                                   gothic_d=gothic_d)
     grid = DirectionGrid.pair()
     sched = delta_schedule(alpha, grid, weights, depth, variant="full_range")
     rep = VerificationReport("one-dimensional schedule checks", {

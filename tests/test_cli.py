@@ -1,6 +1,8 @@
 """CLI behavior: artifacts, exit codes, determinism, config handling."""
 
+import hashlib
 import json
+
 from kamtorus import cli
 from kamtorus import construction as con
 from kamtorus.serialize import read_json
@@ -125,3 +127,21 @@ def test_precision_flag_recorded(tmp_path):
     assert run("--precision", "320", "--out-dir", tmp_path, "analyze",
                "--alpha", "golden", "--depth", "4") == 0
     assert read_json(tmp_path / "analyze.json")["precision_bits"] == 320
+
+
+def test_analyze_constructed_independent_of_location(tmp_path):
+    assert run("--out-dir", tmp_path / "build", "construct", "--mode", "toy",
+               "--levels", "2") == 0
+    state_bytes = (tmp_path / "build" / "state.json").read_bytes()
+    outs = []
+    for name in ("a", "deeper/b"):
+        out = tmp_path / name
+        out.mkdir(parents=True)
+        (out / "state.json").write_bytes(state_bytes)
+        assert run("--out-dir", out, "analyze", "--alpha",
+                   f"constructed:{out / 'state.json'}", "--depth", "4") == 0
+        outs.append((out / "analyze.json").read_bytes())
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert payload["alpha"] == "constructed"
+    assert payload["alpha_state_sha256"] == hashlib.sha256(state_bytes).hexdigest()

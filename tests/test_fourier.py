@@ -82,6 +82,64 @@ def test_evaluate_real_matches_real_part(d):
                   - f.evaluate(point).real).max() <= tol
 
 
+def _evaluate_untrimmed(f, points, real=False):
+    """The dense sum over the whole stored box (2 n_max + 1)^d, as before the
+    support trim: the oracle for `FourierMap.evaluate`."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n, c = f.n_max, f.components
+    coeffs = f.coeffs
+    if real:
+        folded = coeffs[:, n:].copy()
+        mirror = np.flip(coeffs[:, :n], axis=tuple(range(1, f.d + 1)))
+        folded[:, 1:] += np.conj(mirror)
+        coeffs = folded
+    rows = coeffs.shape[1]
+    phase0 = fr._phase_matrix(pts[:, 0], n)[slice(n, None) if real else slice(None)]
+    if f.d == 1:
+        vals = coeffs @ phase0
+    else:
+        tmp = (coeffs.reshape(c * rows, -1)
+               @ fr._phase_matrix(pts[:, 1], n)).reshape(c, rows, -1)
+        vals = np.einsum("cap,ap->cp", tmp, phase0)
+    return vals.real if real else vals
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [0, 1, 7, 16])
+def test_evaluate_trimmed_to_nonzero_radius(d, s):
+    n_max = 16
+    rng = np.random.default_rng(1000 + 10 * d + s)
+    f = fr.pad_truncation(dense_random_map(rng, d, s), n_max)
+    assert f.hermitian_defect() > 0.1 or s == 0
+    tol = 1e-15 * max(f.l1_norm(), 1)
+    for pts in (rng.random(d), rng.random((fr.EVAL_BLOCK + 1, d))):
+        for real in (False, True):
+            got = f.evaluate(pts, real=real)
+            assert np.abs(got - _evaluate_untrimmed(f, pts, real)).max() <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_evaluate_zero_map(d):
+    f = fr.FourierMap.zeros(d, 5, components=2)
+    pts = np.random.default_rng(d).random((fr.EVAL_BLOCK + 1, d))
+    for real in (False, True):
+        vals = f.evaluate(pts, real=real)
+        assert vals.shape == (2, fr.EVAL_BLOCK + 1) and not vals.any()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [0, 3, 6])
+def test_evaluate_unchanged_by_zero_padding(d, s):
+    rng = np.random.default_rng(50 + 10 * d + s)
+    f = fr.pad_truncation(dense_random_map(rng, d, s), 6)
+    pts = rng.random((fr.EVAL_BLOCK + 1, d))
+    for real in (False, True):
+        want = f.evaluate(pts, real=real)
+        for N in (7, 20):
+            got = fr.pad_truncation(f, N).evaluate(pts, real=real)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # -- norms ---------------------------------------------------------------------
 
 def test_norm_single_mode_strip():

@@ -1,5 +1,6 @@
 """Tests for the cohomological solver and the linearization loop."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from kamtorus import fourier as fr
 from kamtorus import kam
 from kamtorus.errors import ResonanceDetected, StepDiverged
+from kamtorus.serialize import canonical_dumps
 
 ALPHA = (math.sqrt(2) - 1, math.sqrt(3) - 1)
 
@@ -205,3 +207,16 @@ def test_repeat_stage_configuration():
     _, rep, _ = kam.run_linearize(f, ALPHA, params)
     assert rep.converged
     assert len(rep.step_reports[0].csv_row()) == len(kam.CSV_COLUMNS)
+
+
+def test_summary_stage_diagnostics():
+    f = kam.manufacture_test_map(small_h_star(12), ALPHA)
+    params = kam.KamParams(n_max=12, max_stages=5, repeats=2, target_defect=1e-12)
+    _, rep, _ = kam.run_linearize(f, ALPHA, params)
+    data = json.loads(canonical_dumps(rep.to_jsonable()))
+    diag = data["stage_diagnostics"]
+    assert len(diag) == rep.stages == len(rep.step_reports) >= 2
+    for entry, r in zip(diag, rep.step_reports):
+        assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
+                         "spill": r.spill, "h_norm": r.h_norm}
+    assert len(data["stage_rows"]) == len(diag)

@@ -80,7 +80,7 @@ def test_phi_weight_examples():
 # -- the schedule -------------------------------------------------------------
 
 def test_schedule_monotone_and_headline_d1(golden):
-    w = sch.dimension_one_weights([golden], 10)
+    w = sch.dyadic_weight_recipe([golden], 10)
     s = sch.delta_schedule([golden], sch.DirectionGrid.pair(), w, 10)
     for n in range(s.stages() - 1):
         for i in range(2):
@@ -288,7 +288,7 @@ def test_classify_golden_1d(golden):
 
 def test_classify_liouville_1d():
     liou = dio.synthetic_liouville(4)
-    rep = sch.classify([liou], depth=15, weights=sch.dimension_one_weights([liou], 15, gothic_d=0.75))
+    rep = sch.classify([liou], depth=15, weights=sch.dyadic_weight_recipe([liou], 15, gothic_d=0.75))
     assert rep.headline["inf_delta"] < 0.1
     assert rep.dimension_one_consistent is False or rep.headline["inf_delta"] < 0.75
 
