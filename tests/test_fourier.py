@@ -80,6 +80,10 @@ def test_evaluate_real_matches_real_part(d):
     point = rng.random(d)
     assert np.abs(f.evaluate(point, real=True)
                   - f.evaluate(point).real).max() <= tol
+    # the real first axis takes the m >= 0 rows of the full phase matrix
+    x = rng.random(fr.EVAL_BLOCK)
+    assert np.array_equal(fr._phase_rows(x, 6).view(np.int64),
+                          fr._phase_matrix(x, 6)[6:].view(np.int64))
 
 
 def _evaluate_untrimmed(f, points, real=False):
@@ -268,6 +272,30 @@ def test_convolve2d_bit_identical_to_dense_loop():
     single = np.zeros((7, 7), complex)
     single[4, 2] = -1.25 + 0.5j          # a 1x1 bounding box off the corner
     cases += [(sparse((6, 6), 0.5), single), (single, sparse((6, 6), 0.5))]
+    few = np.zeros((9, 9), complex)
+    few[[1, 4, 7], [6, 0, 3]] = [0.5 - 1j, -2.0 + 0.25j, 1e-3j]
+    narrow = np.zeros((11, 11), complex)
+    narrow[3:5, 6:9] = sparse((2, 3), 1.0)
+    cases += [(few, sparse((11, 11), 1.0)),      # box far larger than nnz(a)
+              (sparse((9, 9), 1.0), narrow)]     # box far smaller than nnz(a)
+    # exact zeros of either sign inside b's bounding box still add their
+    # (signed-zero) products, as in the dense loop
+    signed = np.zeros((7, 7), complex)
+    signed[1, 1], signed[5, 4] = 1.5 - 0.5j, -0.75j
+    signed[2:5, 2] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    signed[3, 3] = -0.0
+    cases += [(sparse((6, 6), 0.7), signed), (-sparse((6, 6), 0.7), signed)]
+    # a derivative of the criterion-08 field against a component of its
+    # shift, at the series oracle's working truncation n_max + 6
+    crit = np.random.default_rng(808)
+    f = fr.FourierMap.from_modes(2, 10, {
+        (1, 0): crit.standard_normal(2) * 0.3 + 1j * crit.standard_normal(2) * 0.3,
+        (0, 1): crit.standard_normal(2) * 0.2,
+        (2, 1): crit.standard_normal(2) * 0.05})
+    h0 = fr.FourierMap.from_modes(2, 10, {
+        (1, 0): [2e-4, 1e-4j], (0, 1): [-1.3e-4, 2.1e-4], (1, 1): [7e-5, -5e-5]})
+    cases += [(fr.pad_truncation(fr.derivative(f, 1), 16).coeffs[0],
+               h0.coeffs[1])]
     for a, b in cases:
         got, want = fr._convolve2d(a, b), _convolve2d_dense(a, b)
         assert got.shape == want.shape
