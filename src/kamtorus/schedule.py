@@ -19,6 +19,22 @@ Both constraint ranges are implemented:
 The per-mode solve is the closed form delta* = log(M ||alpha.l|| / g) /
 (2 pi |beta.l|): the left side is monotone and invertible in delta, so this
 is exact to round-off (a bisection oracle cross-checks it in the tests).
+`advance_stage` solves a whole block of modes at once, as (modes, G)
+arrays of dots, budgets and caps, and gives the same doubles as a loop over
+the modes: for d <= 2 the fsum of one or two products is one IEEE
+addition, np.argmin's first occurrence is the loop's strict `<` update, and
+every other step is the same elementwise IEEE operation in the same order.
+The divisors come from `DivisorOracle`, which computes each mode's
+log(1/||alpha.l||) once, on integer residues for rational alpha.
+
+Resonance thresholds (a divisor below its threshold raises
+ResonanceDetected with the offending lattice vector):
+
+* rational alpha (`DivisorOracle`, `omega_min`): exact zero;
+* float alpha (`DivisorOracle`): ||alpha.l|| < 1e-13, and in
+  `kam.solve_cohomological` |e^(2 pi i alpha.l) - 1| < 1e-13;
+* mpf alpha (`DivisorOracle`, `omega_min`): ||alpha.l|| < 2^-(prec - 16);
+* `kam._float_omega`, the KAM default schedule's scan: min < 1e-14.
 
 The continuous sphere is a finite grid: the neighborhood minimum always
 includes the immediate grid ring, and the first stage whose true radius
@@ -37,16 +53,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
+import numpy as np
+from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
+                          mpf_neg, mpf_sub, mpf_sum, to_float)
 
-from .diophantine import (_box_blocks, _resonance_eps, nearest_int_distance,
-                          omega_min, omega_min_1d, sup_norm)
+from .diophantine import (_box_blocks, _resonance_eps, omega_min, omega_min_1d,
+                          sup_norm)
 from .errors import GridTooCoarse, ResonanceDetected, ZeroVector
 from .precision import to_mpf
 from .reports import VerificationReport
 
 TWO_PI = 2 * math.pi
+
+#: Cells of the (modes, G) arrays one step of a stage solve holds: 64 KB per
+#: temporary whatever the grid size.  Larger steps gain little speed and
+#: cost memory: `schedule` with the README flags peaked 3 MB higher with
+#: 512 KB temporaries.
+_STAGE_CELLS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +110,22 @@ class DirectionGrid:
     def __len__(self):
         return len(self.directions)
 
+    @cached_property
+    def _chords(self) -> np.ndarray:
+        """Chord distances between grid directions, computed once per grid."""
+        return np.array([[math.dist(a, b) for b in self.directions]
+                         for a in self.directions])
+
+    def neighborhoods(self, radius: float) -> np.ndarray:
+        """Boolean (G, G) mask whose row i marks neighbors(i, radius)."""
+        mask = self._chords < max(radius, self.spacing * 1.0000001)
+        np.fill_diagonal(mask, True)
+        return mask
+
     def neighbors(self, index: int, radius: float) -> list:
         """Grid indices within chord distance < radius of directions[index];
         always contains the index itself and its immediate ring."""
-        base = self.directions[index]
-        out = []
-        for j, d in enumerate(self.directions):
-            if j == index or math.dist(base, d) < max(radius, self.spacing * 1.0000001):
-                out.append(j)
-        return out
+        return np.flatnonzero(self.neighborhoods(radius)[index]).tolist()
 
 
 @dataclass(frozen=True)
@@ -158,10 +191,14 @@ PHI_NOTE = "phi uses |beta.l| (plain inner product), not nearest-integer distanc
 class DivisorOracle:
     """||alpha.l|| with resonance detection; exact on rational vectors.
 
-    Real vectors are evaluated as mpf at the working precision.  log_inv(l)
-    returns log(1/||alpha.l||) as a float (the solver works in log scale, so
-    double precision suffices even when the divisor itself underflows a
-    double, as Liouville-type vectors arrange).
+    Rational alpha = P / q (q the common denominator) is evaluated on
+    integers: r = (l.P) mod q and ||alpha.l|| = min(r, q - r) / q.  Real
+    vectors are evaluated as mpf at the working precision, through the
+    `mpmath.libmp` functions the mpf operators dispatch to (same precision,
+    same rounding, no wrapper objects).  log_inv(l) returns log(1/||alpha.l||)
+    as a float (the solver works in log scale, so double precision suffices
+    even when the divisor itself underflows a double, as Liouville-type
+    vectors arrange); each mode's value is computed once per oracle.
     """
 
     def __init__(self, alpha):
@@ -173,7 +210,48 @@ class DivisorOracle:
         # working-precision route
         self.float_mode = (not self.exact
                            and all(isinstance(a, float) for a in self.alpha))
-        self._cache = {}
+        if self.exact:
+            self._den = math.lcm(*(a.denominator for a in self.alpha))
+            self._nums = tuple(a.numerator * (self._den // a.denominator)
+                               for a in self.alpha)
+        # ((prec, rounding), raw mpf alpha, resonance threshold)
+        self._mpf_alpha = (None, None, None)
+        self._cache = {}                    # distance per mode
+        self._log_table = {}                # log_inv per mode (not float mode)
+
+    def _residue(self, key) -> int:
+        """Numerator m of ||alpha.l|| = m / q (exact mode)."""
+        q = self._den
+        r = sum(c * p for c, p in zip(key, self._nums)) % q
+        if r == 0:
+            raise ResonanceDetected(f"alpha . {key} is an exact integer",
+                                    lattice_vector=key)
+        return min(r, q - r)
+
+    def _float_distance(self, key) -> float:
+        s = math.fsum(a * c for a, c in zip(self.alpha, key))
+        dist = abs(s - round(s))
+        if dist < 1e-13:
+            raise _vanishing(key, "double precision")
+        return dist
+
+    def _mpf_distance(self, key):
+        """Raw mpf ||alpha.l||: the libmp calls behind
+        nearest_int_distance(fsum(to_mpf(a) * c))."""
+        prec, rnd = mpmath.mp._prec_rounding
+        at, raw, eps = self._mpf_alpha
+        if at != (prec, rnd):
+            raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
+            eps = _resonance_eps()._mpf_
+            self._mpf_alpha = ((prec, rnd), raw, eps)
+        s = mpf_sum([mpf_mul_int(a, c, prec, rnd) for a, c in zip(raw, key)],
+                    prec, rnd)
+        frac = mpf_sub(s, mpf_floor(s, prec, rnd), prec, rnd)
+        other = mpf_sub(fone, frac, prec, rnd)
+        dist = other if mpf_lt(other, frac) else frac
+        if mpf_lt(dist, eps):
+            raise _vanishing(key, "working precision")
+        return dist
 
     def distance(self, l):
         key = tuple(l)
@@ -181,35 +259,55 @@ class DivisorOracle:
         if hit is not None:
             return hit
         if self.exact:
-            s = sum(a * c for a, c in zip(self.alpha, key))
-            dist = nearest_int_distance(s)
-            if dist == 0:
-                raise ResonanceDetected(f"alpha . {key} is an exact integer",
-                                        lattice_vector=key)
+            dist = Fraction(self._residue(key), self._den)
         elif self.float_mode:
-            s = math.fsum(a * c for a, c in zip(self.alpha, key))
-            dist = abs(s - round(s))
-            if dist < 1e-13:
-                raise ResonanceDetected(
-                    f"||alpha . {key}|| vanishes at double precision",
-                    lattice_vector=key)
+            dist = self._float_distance(key)
         else:
-            s = mpmath.fsum(to_mpf(a) * c for a, c in zip(self.alpha, key))
-            dist = nearest_int_distance(s)
-            if dist < _resonance_eps():
-                raise ResonanceDetected(
-                    f"||alpha . {key}|| vanishes at working precision",
-                    lattice_vector=key)
+            dist = mpmath.mp.make_mpf(self._mpf_distance(key))
         self._cache[key] = dist
         return dist
 
+    def _fresh_log_inv(self, key) -> float:
+        if self.exact:
+            m = self._residue(key)
+            g = math.gcd(m, self._den)
+            # the reduced fraction's terms, as Fraction(m, q) would hold them
+            return (_log10_int(self._den // g) - _log10_int(m // g)) * math.log(10)
+        if self.float_mode:
+            return -math.log(self._float_distance(key))
+        prec, rnd = mpmath.mp._prec_rounding
+        log = mpf_log(self._mpf_distance(key), prec, rnd)
+        return to_float(mpf_neg(log, prec, rnd), rnd=rnd)
+
     def log_inv(self, l) -> float:
-        dist = self.distance(l)
-        if isinstance(dist, Fraction):
-            return (_log10_int(dist.denominator) - _log10_int(dist.numerator)) * math.log(10)
-        if isinstance(dist, float):
-            return -math.log(dist)
-        return float(-mpmath.log(dist))
+        key = tuple(l)
+        val = self._log_table.get(key)
+        if val is None:
+            val = self._log_table[key] = self._fresh_log_inv(key)
+        return val
+
+    def log_inv_rows(self, block: np.ndarray) -> np.ndarray:
+        """log_inv of every row of an int64 mode block, in row order; the
+        first resonant row raises, as a loop over the rows would."""
+        if not self.float_mode:
+            return np.array([self.log_inv(key) for key in block.tolist()])
+        # the fsum of d <= 2 products is one IEEE addition, and rint rounds
+        # half to even like round(): the same doubles as _float_distance
+        lf = block.astype(np.float64)
+        s = lf[:, 0] * self.alpha[0]
+        for k in range(1, self.dimension):
+            s = s + lf[:, k] * self.alpha[k]
+        dist = np.abs(s - np.rint(s))
+        bad = np.flatnonzero(dist < 1e-13)
+        if len(bad):
+            raise _vanishing(tuple(block[bad[0]].tolist()), "double precision")
+        # math.log, not np.log: the two may differ in the last bit
+        return np.array([-math.log(x) for x in dist.tolist()])
+
+
+def _vanishing(key, where: str) -> ResonanceDetected:
+    return ResonanceDetected(f"||alpha . {key}|| vanishes at {where}",
+                             lattice_vector=key)
 
 
 def _log10_int(n: int) -> float:
@@ -223,6 +321,16 @@ def _stage_modes(dimension: int, n: int, variant: str):
     lo = (1 << n) + 1 if variant == "annulus" else 1
     for block in _box_blocks(dimension, 1 << (n + 1), lo):
         yield from map(tuple, block.tolist())
+
+
+def _stage_blocks(dimension: int, n: int, variant: str, rows: int):
+    """Canonical (sign-normalized) lattice modes of stage n, in scan order,
+    as int64 blocks of at most max(rows, 1) rows."""
+    lo = (1 << n) + 1 if variant == "annulus" else 1
+    step = max(rows, 1)
+    for block in _box_blocks(dimension, 1 << (n + 1), lo):
+        for start in range(0, len(block), step):
+            yield block[start:start + step]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +407,6 @@ def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
     argmins = [[None] * G for _ in range(len(values))]
     sched = DeltaSchedule(grid=grid, variant=variant, weights=weights,
                           values=values, argmins=argmins)
-    dirs = [tuple(float(x) for x in d) for d in grid.directions]
 
     for n in range(weights.N, n_max):
         merged, merged_arg, collapsed, radius = advance_stage(
@@ -320,6 +427,46 @@ def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
     return sched
 
 
+def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
+                weights: WeightSequence, prev, n: int, variant: str):
+    """The stage's caps before the neighborhood minimum: (values, binding
+    modes, collapsed), each direction's value the least of prev and its
+    caps, its binding mode the first mode in scan order to reach it."""
+    G = len(grid)
+    dirs = np.array(grid.directions, dtype=np.float64)
+    damping = (1 << n) * float(weights.c[n])
+    new = np.array([float(v) for v in prev])
+    scaled = TWO_PI * new                       # 2 pi delta[beta][n]
+    binding = [None] * G
+    collapsed = False
+    for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
+        log_inv = oracle.log_inv_rows(block)
+        g_log = np.where(np.abs(block).max(axis=1) <= (1 << n), -damping, 0.0)
+        lf = block.astype(np.float64)
+        # snap float-noise inner products to exact orthogonality, otherwise a
+        # 1e-16 dot turns an infeasible orthogonal constraint into a cap of
+        # absurd magnitude
+        ortho = 1e-12 * np.sqrt((lf * lf).sum(axis=1))
+        dots = lf[:, :1] * dirs[:, 0]
+        for k in range(1, grid.dimension):
+            dots = dots + lf[:, k:k + 1] * dirs[:, k]
+        dots = np.abs(dots)
+        dots[dots < ortho[:, None]] = 0.0
+        log_m = (scaled * dots).max(axis=1)
+        budget = log_m - log_inv - g_log        # log(M ||alpha.l|| / g)
+        orthogonal = dots == 0.0
+        collapsed = collapsed or bool((budget[orthogonal.any(axis=1)] < 0).any())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            caps = budget[:, None] / (TWO_PI * dots)
+        caps[orthogonal] = np.inf
+        first = caps.argmin(axis=0)             # first occurrence: strict <
+        best = caps[first, np.arange(G)]
+        for i in np.flatnonzero(best < new).tolist():
+            new[i] = best[i]
+            binding[i] = tuple(block[first[i]].tolist())
+    return new, binding, collapsed
+
+
 def advance_stage(oracle: DivisorOracle, grid: DirectionGrid,
                   weights: WeightSequence, prev, n: int,
                   variant: str = "full_range", c1: float = 1.0):
@@ -328,49 +475,22 @@ def advance_stage(oracle: DivisorOracle, grid: DirectionGrid,
     Returns (values_{n+1}, binding modes, collapsed, neighborhood radius).
     `collapsed` reports a mode orthogonal to some grid direction whose
     constraint no delta can satisfy (possible only deep in the divergent
-    regime).
+    regime).  Each block of modes is solved as (modes, G) arrays; see the
+    module docstring for why this equals the loop over modes bit for bit.
     """
-    G = len(grid)
-    dirs = [tuple(float(x) for x in d) for d in grid.directions]
     damping = (1 << n) * float(weights.c[n])    # -log of the inner cutoff
-    new = [float(v) for v in prev]
-    binding = [None] * G
-    collapsed = False
-    for l in _stage_modes(grid.dimension, n, variant):
-        log_inv = oracle.log_inv(l)
-        g_log = -damping if sup_norm(l) <= (1 << n) else 0.0
-        # snap float-noise inner products to exact orthogonality, otherwise a
-        # 1e-16 dot turns an infeasible orthogonal constraint into a cap of
-        # absurd magnitude
-        ortho = 1e-12 * math.hypot(*(float(c) for c in l))
-        dots = [abs(math.fsum(b * c for b, c in zip(d, l))) for d in dirs]
-        dots = [0.0 if v < ortho else v for v in dots]
-        log_m = max(TWO_PI * float(prev[i]) * dots[i] for i in range(G))
-        budget = log_m - log_inv - g_log        # log(M ||alpha.l|| / g)
-        for i in range(G):
-            if dots[i] == 0.0:
-                if budget < 0:
-                    collapsed = True
-                continue
-            cap = budget / (TWO_PI * dots[i])
-            if cap < new[i]:
-                new[i] = cap
-                binding[i] = l
+    new, binding, collapsed = _stage_caps(oracle, grid, weights, prev, n, variant)
     radius = math.exp(-damping)
     if variant == "annulus":
         radius *= c1 * 2.0 ** (grid.dimension * n)
-    merged = []
-    merged_arg = []
-    for i in range(G):
-        js = grid.neighbors(i, radius)
-        j_best = min(js, key=lambda j: new[j])
-        merged.append(new[j_best])
-        merged_arg.append(binding[j_best])
+    j_best = np.where(grid.neighborhoods(radius), new, np.inf).argmin(axis=1)
+    merged = new[j_best]
+    merged_arg = [binding[j] for j in j_best.tolist()]
     if variant == "annulus":
         # min keeps stage monotonicity exact even once deltas go negative
-        shrink = 1.0 - float(weights.c[n + 1])
-        merged = [min(v * shrink, v) for v in merged]
-    return merged, merged_arg, collapsed, radius
+        shrunk = merged * (1.0 - float(weights.c[n + 1]))
+        merged = np.where(merged < shrunk, merged, shrunk)
+    return merged.tolist(), merged_arg, collapsed, radius
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +657,20 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     G = len(grid)
     caps = [to_mpf(float(p)) for p in prev]
     with mpmath.workprec(128):
+        two_pi = 2 * mpmath.pi
         damping = mpmath.mpf(1 << n) * to_mpf(float(weights.c[n]))
+        dirs = [[to_mpf(b) for b in d] for d in grid.directions]
+        scaled = [two_pi * to_mpf(float(p)) for p in prev]
         for l in _stage_modes(grid.dimension, n, variant):
             dist = to_mpf(oracle.distance(l))
             g_log = -damping if sup_norm(l) <= (1 << n) else mpmath.mpf(0)
-            dots = [abs(mpmath.fsum(to_mpf(b) * c for b, c in zip(d, l)))
-                    for d in grid.directions]
-            log_m = max(2 * mpmath.pi * to_mpf(float(prev[i])) * dots[i]
-                        for i in range(G))
+            dots = [abs(mpmath.fsum(b * c for b, c in zip(d, l))) for d in dirs]
+            log_m = max(s * dot for s, dot in zip(scaled, dots))
             budget = log_m + mpmath.log(dist) - g_log
             for i in range(G):
                 if dots[i] == 0:
                     continue
-                cap = budget / (2 * mpmath.pi * dots[i])
+                cap = budget / (two_pi * dots[i])
                 if cap < caps[i]:
                     caps[i] = cap
     return caps

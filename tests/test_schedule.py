@@ -4,14 +4,17 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kamtorus import construction as con
 from kamtorus import diophantine as dio
+from kamtorus import kam
 from kamtorus import schedule as sch
 from kamtorus.errors import GridTooCoarse, ResonanceDetected, ZeroVector
-from kamtorus.precision import working_precision
+from kamtorus.fourier import FourierMap
+from kamtorus.precision import to_mpf, working_precision
 
 
 def pair_alpha():
@@ -184,6 +187,377 @@ def test_schedule_csv_rows_shape():
     rows = list(s.csv_rows())
     assert len(rows) == 4 * 8
     assert all(len(r) == 6 and r[5] == "full_range" for r in rows)
+
+
+# -- the vectorized stage against the scalar oracle ----------------------------
+#
+# _ref_log_inv, _ref_stage_caps and _ref_advance_stage are the mode-by-mode
+# solver, kept as the reference: Fraction sums, math.fsum dots, mpmath
+# wrappers and one neighbors() scan per direction.  The vectorized stage must
+# give the same doubles, binding modes, collapse flag and radius, bit for bit.
+
+
+def _ref_log_inv(alpha, l, cache):
+    key = tuple(l)
+    if key in cache:
+        return cache[key]
+    exact = all(isinstance(a, (Fraction, int)) for a in alpha)
+    if exact:
+        dist = dio.nearest_int_distance(sum(a * c for a, c in zip(alpha, key)))
+        if dist == 0:
+            raise ResonanceDetected(f"alpha . {key} is an exact integer",
+                                    lattice_vector=key)
+        val = (sch._log10_int(dist.denominator)
+               - sch._log10_int(dist.numerator)) * math.log(10)
+    elif all(isinstance(a, float) for a in alpha):
+        s = math.fsum(a * c for a, c in zip(alpha, key))
+        dist = abs(s - round(s))
+        if dist < 1e-13:
+            raise ResonanceDetected(
+                f"||alpha . {key}|| vanishes at double precision",
+                lattice_vector=key)
+        val = -math.log(dist)
+    else:
+        s = mpmath.fsum(to_mpf(a) * c for a, c in zip(alpha, key))
+        dist = dio.nearest_int_distance(s)
+        if dist < dio._resonance_eps():
+            raise ResonanceDetected(
+                f"||alpha . {key}|| vanishes at working precision",
+                lattice_vector=key)
+        val = float(-mpmath.log(dist))
+    cache[key] = val
+    return val
+
+
+def _ref_neighbors(grid, index, radius):
+    base = grid.directions[index]
+    return [j for j, d in enumerate(grid.directions)
+            if j == index or math.dist(base, d) < max(radius, grid.spacing * 1.0000001)]
+
+
+def _ref_stage_caps(alpha, cache, grid, weights, prev, n, variant):
+    G = len(grid)
+    dirs = [tuple(float(x) for x in d) for d in grid.directions]
+    damping = (1 << n) * float(weights.c[n])
+    new = [float(v) for v in prev]
+    binding = [None] * G
+    collapsed = False
+    lo = (1 << n) + 1 if variant == "annulus" else 1
+    for block in dio._box_blocks(grid.dimension, 1 << (n + 1), lo):
+        for l in map(tuple, block.tolist()):
+            log_inv = _ref_log_inv(alpha, l, cache)
+            g_log = -damping if dio.sup_norm(l) <= (1 << n) else 0.0
+            ortho = 1e-12 * math.hypot(*(float(c) for c in l))
+            dots = [abs(math.fsum(b * c for b, c in zip(d, l))) for d in dirs]
+            dots = [0.0 if v < ortho else v for v in dots]
+            log_m = max(sch.TWO_PI * float(prev[i]) * dots[i] for i in range(G))
+            budget = log_m - log_inv - g_log
+            for i in range(G):
+                if dots[i] == 0.0:
+                    if budget < 0:
+                        collapsed = True
+                    continue
+                cap = budget / (sch.TWO_PI * dots[i])
+                if cap < new[i]:
+                    new[i] = cap
+                    binding[i] = l
+    return new, binding, collapsed
+
+
+def _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant, c1=1.0):
+    new, binding, collapsed = _ref_stage_caps(alpha, cache, grid, weights,
+                                              prev, n, variant)
+    radius = math.exp(-(1 << n) * float(weights.c[n]))
+    if variant == "annulus":
+        radius *= c1 * 2.0 ** (grid.dimension * n)
+    merged, merged_arg = [], []
+    for i in range(len(grid)):
+        j_best = min(_ref_neighbors(grid, i, radius), key=lambda j: new[j])
+        merged.append(new[j_best])
+        merged_arg.append(binding[j_best])
+    if variant == "annulus":
+        shrink = 1.0 - float(weights.c[n + 1])
+        merged = [min(v * shrink, v) for v in merged]
+    return merged, merged_arg, collapsed, radius
+
+
+def _assert_same_stage(got, want):
+    values, args, collapsed, radius = got
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [v.hex() for v in want[0]]
+    assert args == want[1]
+    for arg in args:
+        assert arg is None or all(type(c) is int for c in arg)
+    assert collapsed is want[2]
+    assert radius.hex() == want[3].hex()
+
+
+def _compare_stages(alpha, grid, weights, n_max, variant, c1=1.0):
+    """Step both solvers from the same values through stages N..n_max-1;
+    returns the stages compared and whether any collapsed."""
+    oracle = sch.DivisorOracle(alpha)
+    cache = {}
+    prev = [float(weights.gothic_d)] * len(grid)
+    seen_collapse = False
+    for n in range(weights.N, n_max):
+        want = _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant, c1)
+        got = sch.advance_stage(oracle, grid, weights, prev, n, variant, c1)
+        _assert_same_stage(got, want)
+        seen_collapse = seen_collapse or want[2]
+        prev = want[0]
+    return seen_collapse
+
+
+def _alpha_kinds(alpha_mpf):
+    """The same vector as mpf, float and Fraction input."""
+    floats = tuple(float(a) for a in alpha_mpf)
+    return {"mpf": tuple(alpha_mpf), "float": floats,
+            "fraction": tuple(Fraction(x) for x in floats)}
+
+
+@pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
+@pytest.mark.parametrize("variant", ["full_range", "annulus"])
+def test_advance_stage_matches_scalar_oracle_d1(kind, variant, golden):
+    alpha = _alpha_kinds([golden])[kind]
+    w = flat_weights(0.3, count=9, N=1, gothic_d=0.5)
+    _compare_stages(alpha, sch.DirectionGrid.pair(), w, 6, variant)
+
+
+@pytest.mark.parametrize("count, n_max", [(8, 5), (16, 4), (64, 3)])
+@pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
+@pytest.mark.parametrize("variant", ["full_range", "annulus"])
+def test_advance_stage_matches_scalar_oracle_d2(count, n_max, kind, variant):
+    alpha = _alpha_kinds(pair_alpha())[kind]
+    w = flat_weights(0.1, count=n_max + 2, N=1, gothic_d=0.4)
+    _compare_stages(alpha, sch.DirectionGrid.circle(count), w, n_max, variant)
+
+
+@pytest.mark.parametrize("box_rows, stage_cells", [(37, sch._STAGE_CELLS),
+                                                    (dio._BLOCK, 16 * 5)])
+def test_advance_stage_matches_scalar_oracle_across_blocks(monkeypatch, box_rows,
+                                                           stage_cells):
+    # short scan blocks (37 rows) or short solve steps (5 rows on 16
+    # directions) put neighboring modes, and the running minimum, on both
+    # sides of many block boundaries
+    monkeypatch.setattr(dio, "_BLOCK", box_rows)
+    monkeypatch.setattr(sch, "_STAGE_CELLS", stage_cells)
+    for kind, alpha in _alpha_kinds(pair_alpha()).items():
+        w = sch.dyadic_weight_recipe(pair_alpha(), 5, gothic_d=0.4, N=2)
+        _compare_stages(alpha, sch.DirectionGrid.circle(16), w, 5, "full_range")
+
+
+def test_advance_stage_matches_scalar_oracle_on_collapse():
+    # underdamped weights: an orthogonal mode's constraint becomes infeasible
+    for alpha in _alpha_kinds(pair_alpha()).values():
+        w = flat_weights(0.02, count=8, gothic_d=0.4)
+        assert _compare_stages(alpha, sch.DirectionGrid.circle(16), w, 4,
+                               "full_range")
+
+
+def test_stage_caps_tie_keeps_first_mode(monkeypatch):
+    # alpha = (1/10, 1/2 + 1/q): ||alpha.(5, -1)|| = ||alpha.(5, 1)|| = 1/q,
+    # the smallest divisor of the stage (the relation alpha.(10, 0) = 1 sits
+    # outside the box |l| <= 8).  On circle(4) both modes have the same dots
+    # and budget at beta = (1, 0) and (-1, 0), so their caps tie there; the
+    # loop keeps the first in scan order, (5, -1).  Blocks of one row put
+    # the two modes in different blocks.
+    q = 10 ** 40
+    alpha = (Fraction(1, 10), Fraction(1, 2) + Fraction(1, q))
+    grid = sch.DirectionGrid.circle(4)
+    w = flat_weights(0.1, count=4, gothic_d=1.0)
+    oracle = sch.DivisorOracle(alpha)
+    assert oracle.log_inv((5, -1)) == oracle.log_inv((5, 1))
+    prev = [4.0] * 4
+    want = _ref_stage_caps(alpha, {}, grid, w, prev, 2, "full_range")
+    assert want[1][0] == want[1][2] == (5, -1)
+    for block_rows in (dio._BLOCK, 1):
+        monkeypatch.setattr(dio, "_BLOCK", block_rows)
+        values, binding, collapsed = sch._stage_caps(
+            sch.DivisorOracle(alpha), grid, w, prev, 2, "full_range")
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in want[0]]
+        assert binding == want[1] and collapsed is want[2]
+        _assert_same_stage(
+            sch.advance_stage(sch.DivisorOracle(alpha), grid, w, prev, 2),
+            _ref_advance_stage(alpha, {}, grid, w, prev, 2, "full_range"))
+
+
+def test_neighborhood_minimum_tie_keeps_first_direction(monkeypatch):
+    # no reachable input ties two neighbors with different binding modes, so
+    # the merge is fed designed caps: directions 1 and 2 tie at 0.5
+    grid = sch.DirectionGrid.circle(4)
+    w = flat_weights(0.1, count=4)
+    caps = np.array([1.0, 0.5, 0.5, 1.0])
+    binding = [None, (1, 0), (2, 0), None]
+    monkeypatch.setattr(sch, "_stage_caps", lambda *args: (caps, binding, False))
+    values, args, _, radius = sch.advance_stage(None, grid, w, [1.0] * 4, 0)
+    want = [min(_ref_neighbors(grid, i, radius), key=lambda j: caps[j])
+            for i in range(4)]
+    assert want == [1, 1, 1, 2]
+    assert args == [binding[j] for j in want]
+    assert values == [caps[j] for j in want]
+
+
+@pytest.mark.parametrize("alpha", [
+    (Fraction(1, 3), Fraction(1, 5)),
+    (1 / 3, 0.2),
+    (mpmath.mpf(1) / 3, mpmath.mpf(1) / 5),
+], ids=["fraction", "float", "mpf"])
+def test_advance_stage_resonance_matches_scalar_oracle(alpha):
+    grid = sch.DirectionGrid.circle(8)
+    w = flat_weights(0.1, count=8)
+    prev = [1.0] * len(grid)
+    oracle = sch.DivisorOracle(alpha)
+    cache = {}
+    for n in range(4):
+        try:
+            want = _ref_advance_stage(alpha, cache, grid, w, prev, n, "full_range")
+        except ResonanceDetected as exc:
+            expected = exc
+            break
+        _assert_same_stage(sch.advance_stage(oracle, grid, w, prev, n), want)
+        prev = want[0]
+    else:
+        pytest.fail("the scalar oracle found no resonance")
+    with pytest.raises(ResonanceDetected) as got:
+        sch.advance_stage(oracle, grid, w, prev, n)
+    assert str(got.value) == str(expected)
+    assert got.value.lattice_vector == expected.lattice_vector
+
+
+def test_oracle_distance_and_log_inv_match_scalar_oracle():
+    alphas = [pair_alpha(), _alpha_kinds(pair_alpha())["float"],
+              _alpha_kinds(pair_alpha())["fraction"], (dio.synthetic_liouville(4),),
+              (Fraction(3, 1009), Fraction(5, 1013))]
+    for alpha in alphas:
+        oracle = sch.DivisorOracle(alpha)
+        d = len(alpha)
+        for block in dio._box_blocks(d, 40 if d == 1 else 9, 1):
+            rows = oracle.log_inv_rows(block)
+            for l, val in zip(map(tuple, block.tolist()), rows.tolist()):
+                assert val.hex() == _ref_log_inv(alpha, l, {}).hex()
+                assert oracle.log_inv(l) == val
+                if oracle.exact:
+                    want = dio.nearest_int_distance(
+                        sum(a * c for a, c in zip(alpha, l)))
+                else:
+                    want = dio.nearest_int_distance(
+                        mpmath.fsum(to_mpf(a) * c for a, c in zip(alpha, l)))
+                if not oracle.float_mode:
+                    assert oracle.distance(l) == want
+                    assert type(oracle.distance(l)) is type(want)
+
+
+def test_float_log_inv_rows_match_scalar_oracle():
+    # numpy's log differs from math.log in the last bit for about one
+    # distance in 2000 here; the float route must keep math.log
+    alpha = _alpha_kinds(pair_alpha())["float"]
+    oracle = sch.DivisorOracle(alpha)
+    for block in dio._box_blocks(2, 300, 1):
+        want = [_ref_log_inv(alpha, l, {}) for l in map(tuple, block.tolist())]
+        assert oracle.log_inv_rows(block).tolist() == want
+
+
+def test_ortho_snap_norm_matches_hypot():
+    # the stage's orthogonality threshold uses sqrt(l1^2 + l2^2) in numpy;
+    # over every mode the tests and the CLI reach it equals math.hypot
+    ls = np.arange(0, 513, dtype=np.float64)
+    for x in range(0, 513):
+        fast = np.sqrt(x * x + ls * ls)
+        slow = [math.hypot(float(x), y) for y in ls.tolist()]
+        assert fast.tolist() == slow
+
+
+def test_neighborhoods_match_neighbors():
+    grid = sch.DirectionGrid.circle(16)
+    for radius in (1e-9, 0.3, 0.8, 2.5):
+        mask = grid.neighborhoods(radius)
+        for i in range(len(grid)):
+            assert np.flatnonzero(mask[i]).tolist() == _ref_neighbors(grid, i, radius)
+            assert grid.neighbors(i, radius) == _ref_neighbors(grid, i, radius)
+
+
+def test_independent_stage_caps_reads_raw_distances_only(monkeypatch, golden):
+    def refuse(*args):
+        raise AssertionError("the independent caps must not use log_inv")
+
+    cases = [((golden,), sch.DirectionGrid.pair()),
+             ((dio.synthetic_liouville(4),), sch.DirectionGrid.pair()),
+             (pair_alpha(), sch.DirectionGrid.circle(8))]
+    w = flat_weights(0.2, count=6, gothic_d=0.5)
+    for alpha, grid in cases:
+        want = sch._independent_stage_caps(sch.DivisorOracle(alpha), grid, w,
+                                           [0.5] * len(grid), 3, "full_range")
+        with monkeypatch.context() as m:
+            m.setattr(sch.DivisorOracle, "log_inv", refuse)
+            m.setattr(sch.DivisorOracle, "log_inv_rows", refuse)
+            oracle = sch.DivisorOracle(alpha)
+            got = sch._independent_stage_caps(oracle, grid, w,
+                                              [0.5] * len(grid), 3, "full_range")
+        assert got == want
+        assert oracle._log_table == {} and oracle._cache
+
+
+# -- resonance thresholds (module docstring) ----------------------------------
+
+def _raises_resonance(fn):
+    try:
+        fn()
+    except ResonanceDetected:
+        return True
+    return False
+
+
+def _oracle_both_paths(alpha):
+    """Resonance at l = (1,) through distance() and through log_inv_rows()."""
+    block = np.array([[1]], dtype=np.int64)
+    return (_raises_resonance(lambda: sch.DivisorOracle(alpha).distance((1,))),
+            _raises_resonance(lambda: sch.DivisorOracle(alpha).log_inv_rows(block)))
+
+
+def test_resonance_threshold_exact_zero():
+    assert _oracle_both_paths((Fraction(1) + Fraction(1, 2 ** 4000),)) == (False, False)
+    assert _oracle_both_paths((Fraction(3),)) == (True, True)
+    with pytest.raises(ResonanceDetected) as exc:
+        dio.omega_min((Fraction(1, 3),), 3)
+    assert exc.value.lattice_vector == (3,)
+
+
+def test_resonance_threshold_float_oracle():
+    assert _oracle_both_paths((1e-13,)) == (False, False)
+    assert _oracle_both_paths((math.nextafter(1e-13, 0),)) == (True, True)
+
+
+def test_resonance_threshold_mpf_oracle():
+    eps = dio._resonance_eps()
+    assert eps == mpmath.ldexp(1, -(mpmath.mp.prec - 16))
+    below = eps - mpmath.ldexp(1, -mpmath.mp.prec)
+    assert below < eps
+    assert _oracle_both_paths((eps,)) == (False, False)
+    assert _oracle_both_paths((below,)) == (True, True)
+
+
+def test_resonance_threshold_solve_cohomological():
+    # |e^(2 pi i x) - 1| is the double fl(2 pi x) this close to 0, monotone
+    # in x: step to the smallest x whose divisor reaches 1e-13
+    def divisor(x):
+        return abs(np.exp(2j * np.pi * (1 * x)) - 1.0)
+
+    x = 1e-13 / (2 * math.pi)
+    while divisor(x) >= 1e-13:
+        x = math.nextafter(x, 0)
+    while divisor(x) < 1e-13:
+        x = math.nextafter(x, 1)
+    df = FourierMap(1, 2, np.zeros((1, 5), dtype=complex))
+    kam.solve_cohomological(df, (x,), 1)
+    with pytest.raises(ResonanceDetected) as exc:
+        kam.solve_cohomological(df, (math.nextafter(x, 0),), 1)
+    assert exc.value.lattice_vector == (-1,)
+
+
+def test_resonance_threshold_float_omega():
+    assert kam._float_omega((1e-14,), 1) == 1e-14
+    with pytest.raises(ResonanceDetected):
+        kam._float_omega((math.nextafter(1e-14, 0),), 1)
 
 
 # -- weight adjustment --------------------------------------------------------
