@@ -192,13 +192,14 @@ class DivisorOracle:
     """||alpha.l|| with resonance detection; exact on rational vectors.
 
     Rational alpha = P / q (q the common denominator) is evaluated on
-    integers: r = (l.P) mod q and ||alpha.l|| = min(r, q - r) / q.  Real
-    vectors are evaluated as mpf at the working precision, through the
-    `mpmath.libmp` functions the mpf operators dispatch to (same precision,
-    same rounding, no wrapper objects).  log_inv(l) returns log(1/||alpha.l||)
-    as a float (the solver works in log scale, so double precision suffices
-    even when the divisor itself underflows a double, as Liouville-type
-    vectors arrange); each mode's value is computed once per oracle.
+    integers: r = (l.P) mod q and ||alpha.l|| = min(r, q - r) / q.  Plain
+    floats are evaluated in double precision; mpf vectors at the working
+    precision, through the `mpmath.libmp` functions the mpf operators
+    dispatch to (same precision, same rounding, no wrapper objects).
+    log_inv(l) returns log(1/||alpha.l||) as a float (the solver works in
+    log scale, so double precision suffices even when the divisor itself
+    underflows a double, as Liouville-type vectors arrange); each mode's
+    value is computed once per oracle.
     """
 
     def __init__(self, alpha):
@@ -217,7 +218,7 @@ class DivisorOracle:
         # ((prec, rounding), raw mpf alpha, resonance threshold)
         self._mpf_alpha = (None, None, None)
         self._cache = {}                    # distance per mode
-        self._log_table = {}                # log_inv per mode (not float mode)
+        self._log_table = {}                # log_inv per mode
 
     def _residue(self, key) -> int:
         """Numerator m of ||alpha.l|| = m / q (exact mode)."""
@@ -286,24 +287,6 @@ class DivisorOracle:
             val = self._log_table[key] = self._fresh_log_inv(key)
         return val
 
-    def log_inv_rows(self, block: np.ndarray) -> np.ndarray:
-        """log_inv of every row of an int64 mode block, in row order; the
-        first resonant row raises, as a loop over the rows would."""
-        if not self.float_mode:
-            return np.array([self.log_inv(key) for key in block.tolist()])
-        # the fsum of d <= 2 products is one IEEE addition, and rint rounds
-        # half to even like round(): the same doubles as _float_distance
-        lf = block.astype(np.float64)
-        s = lf[:, 0] * self.alpha[0]
-        for k in range(1, self.dimension):
-            s = s + lf[:, k] * self.alpha[k]
-        dist = np.abs(s - np.rint(s))
-        bad = np.flatnonzero(dist < 1e-13)
-        if len(bad):
-            raise _vanishing(tuple(block[bad[0]].tolist()), "double precision")
-        # math.log, not np.log: the two may differ in the last bit
-        return np.array([-math.log(x) for x in dist.tolist()])
-
 
 def _vanishing(key, where: str) -> ResonanceDetected:
     return ResonanceDetected(f"||alpha . {key}|| vanishes at {where}",
@@ -314,13 +297,6 @@ def _log10_int(n: int) -> float:
     """log10 of a positive integer, safe for million-bit values."""
     shift = max(n.bit_length() - 64, 0)
     return math.log10(n >> shift) + shift * math.log10(2)
-
-
-def _stage_modes(dimension: int, n: int, variant: str):
-    """Canonical (sign-normalized) lattice modes of stage n."""
-    lo = (1 << n) + 1 if variant == "annulus" else 1
-    for block in _box_blocks(dimension, 1 << (n + 1), lo):
-        yield from map(tuple, block.tolist())
 
 
 def _stage_blocks(dimension: int, n: int, variant: str, rows: int):
@@ -440,7 +416,7 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     binding = [None] * G
     collapsed = False
     for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
-        log_inv = oracle.log_inv_rows(block)
+        log_inv = np.array([oracle.log_inv(key) for key in block.tolist()])
         g_log = np.where(np.abs(block).max(axis=1) <= (1 << n), -damping, 0.0)
         lf = block.astype(np.float64)
         # snap float-noise inner products to exact orthogonality, otherwise a
@@ -661,18 +637,19 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
         damping = mpmath.mpf(1 << n) * to_mpf(float(weights.c[n]))
         dirs = [[to_mpf(b) for b in d] for d in grid.directions]
         scaled = [two_pi * to_mpf(float(p)) for p in prev]
-        for l in _stage_modes(grid.dimension, n, variant):
-            dist = to_mpf(oracle.distance(l))
-            g_log = -damping if sup_norm(l) <= (1 << n) else mpmath.mpf(0)
-            dots = [abs(mpmath.fsum(b * c for b, c in zip(d, l))) for d in dirs]
-            log_m = max(s * dot for s, dot in zip(scaled, dots))
-            budget = log_m + mpmath.log(dist) - g_log
-            for i in range(G):
-                if dots[i] == 0:
-                    continue
-                cap = budget / (two_pi * dots[i])
-                if cap < caps[i]:
-                    caps[i] = cap
+        for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
+            for l in map(tuple, block.tolist()):
+                dist = to_mpf(oracle.distance(l))
+                g_log = -damping if sup_norm(l) <= (1 << n) else mpmath.mpf(0)
+                dots = [abs(mpmath.fsum(b * c for b, c in zip(d, l))) for d in dirs]
+                log_m = max(s * dot for s, dot in zip(scaled, dots))
+                budget = log_m + mpmath.log(dist) - g_log
+                for i in range(G):
+                    if dots[i] == 0:
+                        continue
+                    cap = budget / (two_pi * dots[i])
+                    if cap < caps[i]:
+                        caps[i] = cap
     return caps
 
 

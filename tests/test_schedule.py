@@ -242,8 +242,7 @@ def _ref_stage_caps(alpha, cache, grid, weights, prev, n, variant):
     new = [float(v) for v in prev]
     binding = [None] * G
     collapsed = False
-    lo = (1 << n) + 1 if variant == "annulus" else 1
-    for block in dio._box_blocks(grid.dimension, 1 << (n + 1), lo):
+    for block in sch._stage_blocks(grid.dimension, n, variant, dio._BLOCK):
         for l in map(tuple, block.tolist()):
             log_inv = _ref_log_inv(alpha, l, cache)
             g_log = -damping if dio.sup_norm(l) <= (1 << n) else 0.0
@@ -432,10 +431,8 @@ def test_oracle_distance_and_log_inv_match_scalar_oracle():
         oracle = sch.DivisorOracle(alpha)
         d = len(alpha)
         for block in dio._box_blocks(d, 40 if d == 1 else 9, 1):
-            rows = oracle.log_inv_rows(block)
-            for l, val in zip(map(tuple, block.tolist()), rows.tolist()):
-                assert val.hex() == _ref_log_inv(alpha, l, {}).hex()
-                assert oracle.log_inv(l) == val
+            for l in map(tuple, block.tolist()):
+                assert oracle.log_inv(l).hex() == _ref_log_inv(alpha, l, {}).hex()
                 if oracle.exact:
                     want = dio.nearest_int_distance(
                         sum(a * c for a, c in zip(alpha, l)))
@@ -445,16 +442,6 @@ def test_oracle_distance_and_log_inv_match_scalar_oracle():
                 if not oracle.float_mode:
                     assert oracle.distance(l) == want
                     assert type(oracle.distance(l)) is type(want)
-
-
-def test_float_log_inv_rows_match_scalar_oracle():
-    # numpy's log differs from math.log in the last bit for about one
-    # distance in 2000 here; the float route must keep math.log
-    alpha = _alpha_kinds(pair_alpha())["float"]
-    oracle = sch.DivisorOracle(alpha)
-    for block in dio._box_blocks(2, 300, 1):
-        want = [_ref_log_inv(alpha, l, {}) for l in map(tuple, block.tolist())]
-        assert oracle.log_inv_rows(block).tolist() == want
 
 
 def test_ortho_snap_norm_matches_hypot():
@@ -489,7 +476,6 @@ def test_independent_stage_caps_reads_raw_distances_only(monkeypatch, golden):
                                            [0.5] * len(grid), 3, "full_range")
         with monkeypatch.context() as m:
             m.setattr(sch.DivisorOracle, "log_inv", refuse)
-            m.setattr(sch.DivisorOracle, "log_inv_rows", refuse)
             oracle = sch.DivisorOracle(alpha)
             got = sch._independent_stage_caps(oracle, grid, w,
                                               [0.5] * len(grid), 3, "full_range")
@@ -508,10 +494,9 @@ def _raises_resonance(fn):
 
 
 def _oracle_both_paths(alpha):
-    """Resonance at l = (1,) through distance() and through log_inv_rows()."""
-    block = np.array([[1]], dtype=np.int64)
+    """Resonance at l = (1,) through distance() and through log_inv()."""
     return (_raises_resonance(lambda: sch.DivisorOracle(alpha).distance((1,))),
-            _raises_resonance(lambda: sch.DivisorOracle(alpha).log_inv_rows(block)))
+            _raises_resonance(lambda: sch.DivisorOracle(alpha).log_inv((1,))))
 
 
 def test_resonance_threshold_exact_zero():
