@@ -90,5 +90,25 @@ class StepDiverged(KamTorusError):
         return d
 
 
+class StageDefect(KamTorusError):
+    """A KAM stage broke its conjugacy identity H o f_k = f_(k-1) o H by
+    more than the stage's error bound."""
+
+    def __init__(self, message, stage=None, ledger=None, terms=None):
+        super().__init__(message)
+        self.stage = stage
+        self.ledger = ledger
+        self.terms = terms
+
+    def diagnostic(self) -> dict:
+        d = super().diagnostic()
+        d["stage"] = self.stage
+        if self.ledger is not None:
+            d["ledger"] = self.ledger
+        if self.terms is not None:
+            d["terms"] = self.terms
+        return d
+
+
 class SchemaMismatch(KamTorusError):
     """A CSV/JSON artifact does not conform to its documented schema."""

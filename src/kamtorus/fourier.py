@@ -192,8 +192,7 @@ class FourierMap:
             raise NotImplementedError("evaluation implemented for d <= 2")
         # n is the nonzero radius s: the terms outside its box are exact
         # zeros and the phase rows |m| <= s are the same cumulative products
-        nonzero = np.any(self.coeffs != 0, axis=0)
-        n = int(_sup_norms(self.d, self.n_max)[nonzero].max(initial=0))
+        n = nonzero_radius(self)
         c = self.components
         coeffs = retruncate(self, n).coeffs
         if real:
@@ -236,6 +235,13 @@ class FourierMap:
         return vals.reshape(self.components, -1)
 
 
+def nonzero_radius(f: FourierMap) -> int:
+    """Largest |l|_sup of a nonzero coefficient in any component (0 for
+    the zero map)."""
+    nonzero = np.any(f.coeffs != 0, axis=0)
+    return int(_sup_norms(f.d, f.n_max)[nonzero].max(initial=0))
+
+
 def retruncate(f: FourierMap, n_max: int) -> FourierMap:
     """View f at an arbitrary truncation: pad with zeros or drop the outer
     modes (an exact head extraction when shrinking)."""
@@ -250,12 +256,13 @@ def retruncate(f: FourierMap, n_max: int) -> FourierMap:
 
 def _phase_rows(x: np.ndarray, n_max: int) -> np.ndarray:
     """exp(2 pi i m x_p) for m = 0..n_max: one exp row, then cumulative
-    products (complex exp is ~50x costlier than a complex multiply)."""
+    products written in place (complex exp is ~50x costlier than a complex
+    multiply)."""
     base = np.exp(2j * np.pi * x)
     out = np.empty((n_max + 1, x.size), dtype=np.complex128)
     out[0] = 1.0
     for m in range(1, n_max + 1):
-        out[m] = out[m - 1] * base
+        np.multiply(out[m - 1], base, out=out[m])
     return out
 
 
@@ -410,12 +417,12 @@ def _sup_norms(d: int, n_max: int) -> np.ndarray:
 def multiply(f: FourierMap, g: FourierMap) -> FourierMap:
     """Coefficient convolution of scalar maps; output truncation doubles.
 
-    In d = 2 `_convolve2d` takes one vectorized step per entry of g's
-    nonzero bounding box, each over all nonzeros of f, and the result is
-    bit-identical to the dense loop adding f_hat(l) * g_hat over l in
-    row-major order.  f stays the left operand of every product, as in
-    that loop: the complex product is not bitwise commutative where numpy
-    uses FMA.
+    In d = 2 `_convolve2d` forms every product of a nonzero of f with an
+    entry of g's nonzero bounding box at once and sums them per output
+    with `np.bincount`, in an order that keeps the result bit-identical to
+    the dense loop adding f_hat(l) * g_hat over l in row-major order.  f
+    stays the left operand of every product, as in that loop: the complex
+    product is not bitwise commutative where numpy uses FMA.
     """
     if f.components != 1 or g.components != 1:
         raise ValueError("multiply expects scalar (single component) maps")
@@ -436,16 +443,19 @@ def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order, starting from +0.
 
     b is cropped to its nonzero bounding box (the additions dropped are
-    exact zeros) and the loop runs over the box entries (u, v) in reverse
-    row-major order, one vectorized gather-add-scatter per entry over all
-    nonzeros of a: |box| steps.  The pairs (i, j), (u, v) that reach one
-    output have i + u and j + v fixed, so a descending (u, v) is an
-    ascending (i, j): each output receives its terms in the dense loop's
-    order.  Within one step the targets of distinct (i, j) are distinct.
-    The |box| x nnz(a) products and their flat targets are formed once (at
-    most about 50,000 of each, 1.2 MB, in the series oracle's calls).  The
-    products keep a as the left operand, as in the dense loop: complex
-    multiplication is not bitwise commutative where numpy uses FMA.
+    exact zeros).  Every product a[i, j] * box[u, v] and its flat target
+    is formed once, step-major: the steps are the box entries (u, v) in
+    reverse row-major order, each over all nonzeros of a.  The pairs
+    (i, j), (u, v) that reach one output have i + u and j + v fixed, so a
+    descending (u, v) is an ascending (i, j): in this flat order each
+    output meets its terms in the dense loop's order.  Two `np.bincount`
+    passes, one for the real and one for the imaginary parts, then add the
+    terms of each output in input order starting from +0, which is the
+    loop's sum part by part.  The |box| x nnz(a) products and targets take
+    24 bytes each (at most about 50,000 of each, 1.2 MB, in the series
+    oracle's calls).  The products keep a as the left operand, as in the
+    dense loop: complex multiplication is not bitwise commutative where
+    numpy uses FMA.
     """
     out = np.zeros((a.shape[0] + b.shape[0] - 1,
                     a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
@@ -459,10 +469,12 @@ def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     base = (ai + r0) * width + aj + c0           # flat target of entry (0, 0)
     shifts = (np.arange(box.shape[0])[:, None] * width
               + np.arange(box.shape[1])).ravel()[::-1]
-    prods = a[ai, aj][None, :] * box.ravel()[::-1, None]
-    flat = out.reshape(-1)
-    for targets, prod in zip(shifts[:, None] + base, prods):
-        flat[targets] += prod
+    targets = (shifts[:, None] + base).ravel()
+    prods = (a[ai, aj][None, :] * box.ravel()[::-1, None]).ravel()
+    out.real = np.bincount(targets, weights=prods.real, minlength=out.size
+                           ).reshape(out.shape)
+    out.imag = np.bincount(targets, weights=prods.imag, minlength=out.size
+                           ).reshape(out.shape)
     return out
 
 

@@ -6,11 +6,13 @@ conjugating with H = id + h, where h solves the cohomological equation
     h o R_alpha - h = T_N (Delta f) - mean(Delta f)
 
 diagonally in Fourier modes: h_hat(l) = df_hat(l) / (e^(2 pi i alpha.l) - 1).
-The conjugated perturbation is assembled from its four structural pieces
-(the constant term, the truncation tail, the shift difference of Delta f,
-the shift difference of h, and the inversion correction g of H^(-1)); a
-direct pointwise composition H^(-1) o f o H cross-checks the assembly at
-every stage.
+The conjugated perturbation is assembled from its structural pieces (the
+constant term, the truncation tail, the shift difference of Delta f, the
+shift difference of h, and the inversion correction g of H^(-1)).  Every
+stage is gated: the solved band must meet the cohomological equation, and
+the new map f_k = R_alpha + Delta f_k must satisfy the stage identity
+H o f_k = f_(k-1) o H at the grid points, each within a derived rounding
+and truncation bound; a breach raises StageDefect carrying the ledger.
 
 The constant term mean(Delta f) is never removed by force: the equation
 drops it from the right side and the iteration tracks it, relying on the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ResonanceDetected, StepDiverged
+from .errors import ResonanceDetected, StageDefect, StepDiverged
 from .fourier import (
     FourierMap,
     SlicedDomain,
@@ -40,6 +42,7 @@ from .fourier import (
     _reexpand,
     _sample_points,
     invert_near_identity,
+    nonzero_radius,
     norm_xi,
     pad_truncation,
     translate,
@@ -227,11 +230,18 @@ def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
 def kam_step(state: KamState) -> KamState:
     """One conjugation stage (with the configured number of repeats).
 
-    Builds h at the stage truncation, H = id + h, computes the new
-    perturbation both by the structural assembly and by direct pointwise
-    composition (their mismatch is recorded and must stay at re-expansion
-    level), advances the domain column, and raises StepDiverged if the
+    Builds h at the stage truncation and H = id + h, assembles the new
+    perturbation, advances the domain column, and raises StepDiverged if the
     perturbation grew in the new stage norm.
+
+    Each repeat is gated twice and a breach raises StageDefect (stage
+    number, the ledger of the finished stages, the measured value and its
+    bound).  The solved band must satisfy the cohomological equation:
+    `cohomological_residual` may not exceed `_residual_bound`.  The
+    conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
+    the grid points (`_conjugate`), within `_identity_bound`; the identity
+    is recorded as `assembly_mismatch` (max over repeats).  Both bounds are
+    derived rounding and truncation budgets, not fitted tolerances.
     """
     params = state.params
     n = state.stage
@@ -246,11 +256,22 @@ def kam_step(state: KamState) -> KamState:
 
     norm_head_before, norm_tail_before = _stage_norms(df, domain_next, trunc)
 
-    for _ in range(max(1, params.repeats)):
+    def gate(name, value, bound, terms):
+        if not value <= bound:
+            raise StageDefect(
+                f"stage {n}: {name} {value:.3g} exceeds its bound {bound:.3g}",
+                stage=n, ledger=[r.csv_row() for r in state.reports],
+                terms=dict(terms, check=name, value=value, bound=bound))
+
+    for repeat in range(max(1, params.repeats)):
         h = solve_cohomological(df, alpha, trunc)
-        residual = max(residual,
-                       cohomological_residual(h, df, alpha, trunc))
+        res = cohomological_residual(h, df, alpha, trunc)
+        gate("cohomological residual", res, _residual_bound(df, h),
+             {"repeat": repeat})
+        residual = max(residual, res)
         df, info = _conjugate(df, h, alpha)
+        gate("conjugacy identity", info["mismatch"], info["bound"],
+             dict(info["terms"], repeat=repeat))
         mismatch = max(mismatch, info["mismatch"])
         spill_total += info["spill"]
         new_maps.append(h)
@@ -292,10 +313,24 @@ def _stage_norms(df: FourierMap, domain: SlicedDomain, trunc: int):
 
 
 def _conjugate(df: FourierMap, h: FourierMap, alpha):
-    """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h.
+    """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h, and the
+    stage identity that checks it; returns (map, info).
 
-    Assembled pointwise from the structural pieces and cross-checked against
-    the direct composition; returns (map, info)."""
+    The map is assembled pointwise on the (4 n_max)^d grid from the
+    structural pieces and re-expanded by FFT.  The check evaluates both
+    sides of H o f_k = f_(k-1) o H at the grid points x:
+
+        lhs = y + h(y),  y = x + alpha + df_k(x)
+        rhs = x + h(x) + alpha + df(x + h(x))
+
+    df_k(x) comes from the re-expanded output, so the check sees the
+    inversion correction g, the truncation and the re-expansion.  It does
+    not see the solved band h o R_alpha - h: the assembly takes it from
+    `translate` on both of its sides, where it cancels, and the band is
+    checked by the cohomological residual instead.  info["mismatch"] is
+    sup |lhs - rhs|, info["bound"] its `_identity_bound`, info["terms"]
+    the bound's inputs.
+    """
     g = invert_near_identity(h)
     m = _grid_size(df.n_max)
     pts = _sample_points(df.d, m)
@@ -317,17 +352,142 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     assembled = (mean + tail_vals + (df_shift - df_at)
                  + (h_rot - h_inner) + g_inner)
 
-    # direct composition: H^(-1)(f(H(x))) - x - alpha
-    w2 = pts + h_at + alpha_row + df_shift
-    direct = (w2 - h.evaluate(w2, real=True).T + g.evaluate(w2, real=True).T
-              - pts - alpha_row)
-    mismatch = float(np.abs(assembled - direct).max())
-
     out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
                            df.d, m, df.n_max, df.components)
-    info = {"mismatch": mismatch, "spill": spill + g.info.get("spill", 0.0),
-            "g_norm": g.l1_norm()}
+    assembled_sup = float(np.abs(assembled).max())
+    # the identity needs none of the assembly's arrays: release them before
+    # its grid synthesis and evaluation, which would otherwise set the peak
+    del df_at, inner, h_inner, h_rot, g_inner, tail_vals, assembled
+
+    y = pts + alpha_row + out.grid_values(m).real.T
+    lhs = y + h.evaluate(y, real=True).T
+    rhs = pts + h_at + alpha_row + df_shift
+    spill += g.info.get("spill", 0.0)
+    bound, terms = _identity_bound(
+        lhs, rhs, h, g, df, spill=spill,
+        r_inv=g.info.get("residual", 0.0), assembled_sup=assembled_sup, m=m)
+    info = {"mismatch": float(np.abs(lhs - rhs).max()), "bound": bound,
+            "terms": terms, "spill": spill}
     return out, info
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _lipschitz(f: FourierMap) -> float:
+    """2 pi max_j sum_l |l|_1 |f_hat_j(l)|: a Lipschitz constant of f in
+    the sup norm, |f(y) - f(z)|_sup <= L |y - z|_sup."""
+    idx = np.abs(np.arange(-f.n_max, f.n_max + 1))
+    l1 = idx if f.d == 1 else idx[:, None] + idx[None, :]
+    axes = tuple(range(1, f.d + 1))
+    return TWO_PI * float((np.abs(f.coeffs) * l1).sum(axis=axes).max())
+
+
+def _residual_bound(df: FourierMap, h: FourierMap) -> float:
+    """Rounding bound of `cohomological_residual` for h from
+    `solve_cohomological`: u (32 |df| + 3 |h|), |.| the l1 norms.
+
+    Per solved mode l, h_l = fl(df_l / D) with D = fl(E - 1), and the
+    residual forms fl(fl(h_l E) - h_l) - df_l with the same double E:
+    `translate` and the solver compute the phase by the same expression, so
+    the error of E itself drops out and no small divisor amplifies
+    anything.  First order in u: D is off by u |D| (one real subtraction),
+    which moves h_l (E - 1) by u |df_l|; the quotient is off by at most
+    30 u |h_l| (Smith's division as numpy does it: at most 7 roundings per
+    part, each at most 2 sqrt(2) u |h_l|), which moves h_l (E - 1) by
+    30 u |df_l|; the product h_l E is off by sqrt(2) gamma_2 |h_l| < 3 u
+    |h_l|; the difference h_l E - h_l by u |df_l|.  So each mode's residual
+    is at most u (32 |df_l| + 3 |h_l|); the last subtraction and the l1 sum
+    scale that by 1 + O(u) only.
+    """
+    return UNIT_ROUNDOFF * (32 * df.l1_norm() + 3 * h.l1_norm())
+
+
+def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
+                    spill: float, r_inv: float, assembled_sup: float, m: int):
+    """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
+
+    Notation: u = 2^-53; G = H^(-1) exactly and g* = G - id + h; n = n_max,
+    s the nonzero radius of h (at most the stage truncation), N = m^d grid
+    points; |.| the l1 coefficient norm; L = `_lipschitz`(h), below 1
+    because the inversion guard gives 2 pi n |h| < 1/2 and
+    L <= 2 pi d s |h|; theta = 1/(1 - L); M the largest |coordinate| of
+    lhs and rhs;
+    P = |df| + |h| + |g|, which bounds every perturbation-sized value;
+    S the sup of the assembled values; rho = k / (1 - k) with
+    k = log2(N) (u + gamma_4 (sqrt 2 + u)), the normwise relative error of
+    a computed FFT of N values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm. 24.2, with twiddle factors correct to u);
+    iota = (2n + 1)^(d/2): by Parseval and Cauchy-Schwarz, the stored-box
+    interpolant of a grid field has sup over the torus at most iota times
+    the field's root mean square.  Everything below is first order in u
+    and in the perturbation size (partial sums of coordinates stay within
+    O(P) of M).
+
+    With v the computed `inner` point, the exact identity is H(G(v)) = v.
+    The computed y is G(v) - e_v + delta, with e_v the rounding of v (3
+    additions, <= 3 u M): the assembly cancels algebraically to
+    v - h(v) + g(v) - x - alpha.  rhs is v with its additions reordered,
+    so lhs - rhs = [H(y) - v + e_v] + [h~(y) - h(y)] + e_lhs - e_rhs and
+
+        |lhs - rhs| <= (1 + L) |delta| + 3 L u M + E_h + u M + 3 u M,
+
+    where E_h = u (1.5 (M + 1) L + (4.5 s + 10) |h|) bounds a dense
+    evaluation of h (`FourierMap.evaluate`: one fold rounding, phase rows
+    with argument error 3 pi |x| u + 3 u and one complex product per row,
+    then sums of 2s + 1 and s + 1 terms); E_g is the same for g with its
+    radius n and L_g <= 2 pi d n |g|.  delta collects:
+
+    * spill: the output's re-expansion drops the band counted in its spill
+      (the line |l|_sup = m/2 = 2n is taken to be below the rounding), and
+      g* differs from g by its own spill.  Both are in `spill`.
+    * the sweep: the computed preimage y_K of each target grid point has
+      residual at most r_inv + 2 u M + E_h (r_inv is measured with rounding
+      and a computed h), so |y_K - y*| <= theta (r_inv + 2 u M + E_h) on
+      the grid.  The exact residual field is smooth and keeps this sup
+      between grid points.
+    * rounding noise of g's grid values, which g's interpolant can amplify
+      by iota between grid points: y_K's own rounding (u M), the last
+      sweep's evaluation (E_h), h on the target grid by inverse FFT
+      ((rho + 2u) |h| root mean square), the two additions forming g
+      (3 u P) and g's forward FFT (coefficients off by (rho + u) P in l2).
+    * E_g and E_h for g(v) and h(v); the assembly's 9 additions on partial
+      sums at most 5 P (45 u P); the re-expansion and the inverse FFT of
+      the output (an error of l2 norm over the grid, hence of sup, at most
+      2 (rho + 2u) sqrt(N) S); the 2 additions forming y (2 u M).
+
+    Summed:
+
+        B = (1 + L) (spill + theta r_inv
+                     + theta (2 u M + E_h) + iota (u M + E_h + (2 rho + 6 u) P)
+                     + E_g + E_h + 45 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
+            + 3 L u M + E_h + 4 u M
+    """
+    u = UNIT_ROUNDOFF
+    d, n = h.d, h.n_max
+    points = m ** d
+    s = nonzero_radius(h)
+    M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    lip = _lipschitz(h)
+    theta = 1.0 / (1.0 - lip)
+    h_norm, g_norm = h.l1_norm(), g.l1_norm()
+    P = df.l1_norm() + h_norm + g_norm
+    k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
+    rho = k / (1 - k)
+    iota = (2 * n + 1) ** (d / 2)
+    e_h = u * (1.5 * (M + 1) * lip + (4.5 * s + 10) * h_norm)
+    e_g = u * (1.5 * (M + 1) * TWO_PI * d * n + 4.5 * n + 10) * g_norm
+    delta = (spill + theta * r_inv
+             + theta * (2 * u * M + e_h)
+             + iota * (u * M + e_h + (2 * rho + 6 * u) * P)
+             + e_g + e_h + 45 * u * P
+             + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
+             + 2 * u * M)
+    bound = (1 + lip) * delta + 3 * lip * u * M + e_h + 4 * u * M
+    terms = {"spill": spill, "inversion_residual": r_inv,
+             "lipschitz_h": lip, "coordinate_max": M, "perturbation_l1": P,
+             "assembled_sup": assembled_sup}
+    return bound, terms
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,27 @@ def test_evaluate_real_matches_real_part(d):
                           fr._phase_matrix(x, 6)[6:].view(np.int64))
 
 
+def _phase_rows_loop(x, n_max):
+    """The phase rows as built before they were written in place: the
+    reference for `_phase_rows`."""
+    base = np.exp(2j * np.pi * x)
+    out = np.empty((n_max + 1, x.size), dtype=np.complex128)
+    out[0] = 1.0
+    for m in range(1, n_max + 1):
+        out[m] = out[m - 1] * base
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 48])
+@pytest.mark.parametrize("points", [1, 1024, 1025])
+def test_phase_rows_in_place_bit_identical(n_max, points):
+    x = np.random.default_rng(points + n_max).random(points) * 3 - 1
+    got = fr._phase_rows(x, n_max)
+    assert got.shape == (n_max + 1, points)
+    assert np.array_equal(got.view(np.int64),
+                          _phase_rows_loop(x, n_max).view(np.int64))
+
+
 def _evaluate_untrimmed(f, points, real=False):
     """The dense sum over the whole stored box (2 n_max + 1)^d, as before the
     support trim: the oracle for `FourierMap.evaluate`."""

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from kamtorus import cli
 from kamtorus import fourier as fr
 from kamtorus import kam
-from kamtorus.errors import ResonanceDetected, StepDiverged
+from kamtorus.errors import ResonanceDetected, StageDefect, StepDiverged
 from kamtorus.serialize import canonical_dumps
 
 ALPHA = (math.sqrt(2) - 1, math.sqrt(3) - 1)
@@ -220,3 +221,112 @@ def test_summary_stage_diagnostics():
         assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
                          "spill": r.spill, "h_norm": r.h_norm}
     assert len(data["stage_rows"]) == len(diag)
+
+
+# -- the stage gates -----------------------------------------------------------------
+
+def _zero_correction(h, *args, **kwargs):
+    return fr.FourierMap.zeros(h.d, h.n_max, h.components)
+
+
+def _manufactured_state(n_max=16):
+    f = kam.manufacture_test_map(small_h_star(n_max), ALPHA)
+    return kam.initial_state(f, ALPHA, kam.KamParams(n_max=n_max, max_stages=4))
+
+
+def test_gate_catches_missing_inversion_correction(monkeypatch):
+    state = _manufactured_state()
+    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    with pytest.raises(StageDefect) as exc:
+        kam.kam_step(state)
+    err = exc.value
+    assert err.stage == 0 and err.ledger == []       # no finished stage yet
+    assert err.terms["check"] == "conjugacy identity"
+    assert err.terms["value"] > 1e6 * err.terms["bound"]
+    diag = err.diagnostic()
+    assert diag["error"] == "StageDefect" and diag["stage"] == 0
+
+
+def test_gate_ledger_holds_the_finished_stages(monkeypatch):
+    state = kam.kam_step(_manufactured_state())
+    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    with pytest.raises(StageDefect) as exc:
+        kam.kam_step(state)
+    assert exc.value.stage == 1
+    assert exc.value.ledger == [r.csv_row() for r in state.reports]
+
+
+def test_gate_catches_wrong_solved_band(monkeypatch):
+    # a wrong translate corrupts the band h o R_alpha - h; the assembly takes
+    # it from translate on both of its sides, where it cancels, so the stage
+    # identity stays at rounding level and the residual gate must fire
+    state = _manufactured_state()
+    right = fr.translate
+    monkeypatch.setattr(kam, "translate", lambda f, v: right(f, -np.asarray(v)))
+    h = kam.solve_cohomological(state.delta_f, ALPHA, kam.KamParams(n_max=16).truncation(0))
+    _, info = kam._conjugate(state.delta_f, h, ALPHA)
+    assert info["mismatch"] <= info["bound"]
+    with pytest.raises(StageDefect) as exc:
+        kam.kam_step(state)
+    assert exc.value.stage == 0
+    assert exc.value.terms["check"] == "cohomological residual"
+    assert exc.value.terms["value"] > 1e6 * exc.value.terms["bound"]
+
+
+def test_gate_budgets_the_inversion_residual(monkeypatch):
+    # a coarser inversion is still a correct one: its identity defect follows
+    # its sweep residual, far above rounding, and the bound's residual term
+    # must carry it
+    state = _manufactured_state()
+    right = fr.invert_near_identity
+    monkeypatch.setattr(kam, "invert_near_identity",
+                        lambda h: right(h, tol=1e-8))
+    out = kam.kam_step(state)
+    assert 1e-12 < out.reports[0].assembly_mismatch < 1e-8
+
+
+def test_cli_stage_defect_exit_and_diagnostic(tmp_path, monkeypatch):
+    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    rc = cli.main(["--out-dir", str(tmp_path), "linearize", "--n-max", "12",
+                   "--stages", "3"])
+    assert rc == 3
+    diag = json.loads((tmp_path / "diagnostic.json").read_text())
+    assert diag["error"] == "StageDefect" and diag["stage"] == 0
+    assert diag["command"] == "linearize"
+    assert diag["terms"]["check"] == "conjugacy identity"
+    assert not (tmp_path / "kam_stages.csv").exists()
+
+
+def test_readme_run_identity_within_bound(tmp_path, monkeypatch):
+    seen = []
+    bound = kam._identity_bound
+
+    def record(lhs, rhs, *args, **kwargs):
+        b, terms = bound(lhs, rhs, *args, **kwargs)
+        seen.append((float(np.abs(lhs - rhs).max()), b))
+        return b, terms
+
+    monkeypatch.setattr(kam, "_identity_bound", record)
+    assert cli.main(["--out-dir", str(tmp_path), "linearize", "--n-max", "32",
+                     "--stages", "8", "--epsilon", "1e-3"]) == 0
+    diag = json.loads((tmp_path / "kam_summary.json").read_text())[
+        "summary"]["stage_diagnostics"]
+    assert len(seen) == len(diag) >= 2
+    for (identity, b), entry in zip(seen, diag):
+        assert entry["assembly_mismatch"] == identity <= b
+        # the bound is a rounding budget, far below a structural error
+        assert b < 1e-12
+
+
+def test_residual_bound_covers_random_solves():
+    rng = np.random.default_rng(202)
+    for _ in range(20):
+        modes = {}
+        for _ in range(20):
+            l = tuple(int(rng.integers(-8, 9)) for _ in range(2))
+            if l != (0, 0):
+                modes[l] = (rng.standard_normal(2)
+                            + 1j * rng.standard_normal(2)) * 10.0 ** rng.integers(-8, 0)
+        df = fr.FourierMap.from_modes(2, 8, modes)
+        h = kam.solve_cohomological(df, ALPHA, 8)
+        assert kam.cohomological_residual(h, df, ALPHA, 8) <= kam._residual_bound(df, h)
