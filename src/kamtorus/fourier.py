@@ -24,10 +24,11 @@ of points so its temporaries stay small.  It sums only over the central box
 |l|_sup <= s that holds the nonzero coefficients, at cost O(P (2s + 1)^d)
 for P points; s is far below n_max for the stage maps of the KAM loop,
 whose solver zeroes every mode outside its truncation.  With real=True it
-returns only the real part, folding each mode l onto -l (Re(c_l e_l) +
-Re(c_-l e_-l) = Re((c_l + conj c_-l) e_l)) so the first axis runs over
-modes 0..s only.  The dense sum is also the oracle the FFT grid synthesis
-is tested against.
+returns only the real part in real arithmetic: each axis folds mode -b onto
+b, so the coefficients become one real (2s + 1)^d array over the basis
+cos 0..s, sin 1..s of each axis, and a point costs about (2s + 1)^d real
+multiply-adds per component, half the complex sum's.  The complex sum
+(real=False) is the oracle for it and for the FFT grid synthesis.
 
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
@@ -178,9 +179,12 @@ class FourierMap:
         largest |l|_sup of a nonzero coefficient in any component, 0 for the
         zero map): factorized per axis, cost O(P (2s + 1)^d), run over
         blocks of EVAL_BLOCK points.  With real=True the result is
-        evaluate(points).real for any coefficients, Hermitian or not, at
-        half the cost: each mode of the first axis is folded onto its
-        negative (c_l + conj c_-l), so that axis runs over modes 0..s only.
+        evaluate(points).real for any coefficients, Hermitian or not, in
+        real arithmetic at about half the multiply-adds: the coefficients
+        are folded once per call into their `_real_form` A, and each block
+        makes one real GEMM A X(y) over the second axis's `_real_basis`
+        and one contraction with the first axis's.  The regrouped sums
+        agree with the complex ones to rounding, not bit for bit.
         For values on the uniform sample grid use `grid_values`.
         """
         pts = np.asarray(points, dtype=np.float64)
@@ -195,29 +199,26 @@ class FourierMap:
         n = nonzero_radius(self)
         c = self.components
         coeffs = retruncate(self, n).coeffs
-        if real:
-            # row 0 keeps every second-axis mode (its pairs l, -l both sit
-            # in that row); rows a > 0 absorb the conjugate of row -a
-            folded = coeffs[:, n:].copy()
-            mirror = np.flip(coeffs[:, :n], axis=tuple(range(1, self.d + 1)))
-            folded[:, 1:] += np.conj(mirror)
-            coeffs = folded
-        rows = coeffs.shape[1]
-        first_axis = _phase_rows if real else _phase_matrix
         out = np.empty((c, pts.shape[0]),
                        dtype=np.float64 if real else np.complex128)
+        if real:
+            coeffs = _real_form(coeffs, n)
+            basis = _real_basis
+        else:
+            basis = _phase_matrix
+        rows = coeffs.shape[1]
         for start in range(0, pts.shape[0], EVAL_BLOCK):
             block = pts[start:start + EVAL_BLOCK]
-            phase0 = first_axis(block[:, 0], n)
+            phase0 = basis(block[:, 0], n)
             if self.d == 1:
                 vals = coeffs @ phase0
             else:
                 # (c a, b) @ (b, p) is one BLAS call; then contract axis a
                 # against the first-axis phases without a (c, a, p) product
                 tmp = (coeffs.reshape(c * rows, -1)
-                       @ _phase_matrix(block[:, 1], n)).reshape(c, rows, -1)
+                       @ basis(block[:, 1], n)).reshape(c, rows, -1)
                 vals = np.einsum("cap,ap->cp", tmp, phase0)
-            out[:, start:start + EVAL_BLOCK] = vals.real if real else vals
+            out[:, start:start + EVAL_BLOCK] = vals
         return out
 
     def grid_values(self, m: int) -> np.ndarray:
@@ -273,6 +274,51 @@ def _phase_matrix(x: np.ndarray, n_max: int) -> np.ndarray:
     out = np.empty((2 * n_max + 1, x.size), dtype=np.complex128)
     out[n_max:] = rows
     np.conj(rows[:0:-1], out=out[:n_max])
+    return out
+
+
+def _real_basis(x: np.ndarray, n_max: int) -> np.ndarray:
+    """The real trigonometric basis at x: rows cos(2 pi m x_p) for
+    m = 0..n_max, then sin(2 pi m x_p) for m = 1..n_max (2 n_max + 1 rows),
+    the real and imaginary parts of `_phase_rows`."""
+    rows = _phase_rows(x, n_max)
+    out = np.empty((2 * n_max + 1, x.size), dtype=np.float64)
+    out[:n_max + 1] = rows.real
+    out[n_max + 1:] = rows.imag[1:]
+    return out
+
+
+def _real_form(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Real coefficients A of Re sum_l c_l e_l(x) in the `_real_basis` of
+    each axis, for the box |l|_sup <= n: shape (c, 2n + 1) for d = 1 and
+    (c, 2n + 1, 2n + 1) for d = 2, so that Re f(x) = A . X(x) or
+    X(x)^T A X(y) per component.
+
+    Each axis folds mode -b onto b.  Along the first axis
+    Re(c_l e_l) + Re(c_-l e_-l) = Re((c_l + conj c_-l) e_l) leaves
+    F[a, .] for a = 0..n, with F[0, .] the unfolded row 0 (its pairs l, -l
+    both sit in that row).  Along the second axis
+    F[a, b] e_b + F[a, -b] e_-b = P cos_b + i Q sin_b with
+    P = F[a, b] + F[a, -b] and Q = F[a, b] - F[a, -b] for b = 1..n, and
+    P = F[a, 0] for b = 0, whose sine row vanishes.  Then
+    Re(T_a e_a) = Re T_a cos_a - Im T_a sin_a with
+    T_a = sum_b P cos_b + i Q sin_b gives the cos_a row
+    [Re P, -Im Q] and, for a >= 1, the sin_a row -[Im P, Re Q].
+    """
+    folded = coeffs[:, n:].copy()
+    mirror = np.flip(coeffs[:, :n], axis=tuple(range(1, coeffs.ndim)))
+    folded[:, 1:] += np.conj(mirror)
+    if coeffs.ndim == 2:
+        return np.concatenate([folded.real, -folded.imag[:, 1:]], axis=1)
+    c = coeffs.shape[0]
+    ahead, behind = folded[:, :, n + 1:], np.flip(folded[:, :, :n], axis=2)
+    plus = np.concatenate([folded[:, :, n:n + 1], ahead + behind], axis=2)
+    minus = ahead - behind
+    out = np.empty((c, 2 * n + 1, 2 * n + 1), dtype=np.float64)
+    out[:, :n + 1, :n + 1] = plus.real
+    out[:, :n + 1, n + 1:] = -minus.imag
+    out[:, n + 1:, :n + 1] = -plus.imag[:, 1:]
+    out[:, n + 1:, n + 1:] = -minus.real[:, 1:]
     return out
 
 

@@ -6,9 +6,10 @@ conjugating with H = id + h, where h solves the cohomological equation
     h o R_alpha - h = T_N (Delta f) - mean(Delta f)
 
 diagonally in Fourier modes: h_hat(l) = df_hat(l) / (e^(2 pi i alpha.l) - 1).
-The conjugated perturbation is assembled from its structural pieces (the
-constant term, the truncation tail, the shift difference of Delta f, the
-shift difference of h, and the inversion correction g of H^(-1)).  Every
+The conjugated perturbation is assembled pointwise from its four live
+terms: with v = x + alpha + h(x) + Delta f(x + h(x)) and
+H^(-1)(v) = v - h(v) + g(v) (g the inversion correction),
+H^(-1)(v) - x - alpha = h(x) + Delta f(x + h(x)) - h(v) + g(v).  Every
 stage is gated: the solved band must meet the cohomological equation, and
 the new map f_k = R_alpha + Delta f_k must satisfy the stage identity
 H o f_k = f_(k-1) o H at the grid points, each within a derived rounding
@@ -316,20 +317,21 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h, and the
     stage identity that checks it; returns (map, info).
 
-    The map is assembled pointwise on the (4 n_max)^d grid from the
-    structural pieces and re-expanded by FFT.  The check evaluates both
-    sides of H o f_k = f_(k-1) o H at the grid points x:
+    The map is assembled pointwise on the (4 n_max)^d grid from its four
+    live terms, H^(-1)(v) - x - alpha = h(x) + df(x + h(x)) - h(v) + g(v)
+    at v = x + alpha + h(x) + df(x + h(x)), and re-expanded by FFT.  The
+    check evaluates both sides of H o f_k = f_(k-1) o H at the grid
+    points x:
 
         lhs = y + h(y),  y = x + alpha + df_k(x)
         rhs = x + h(x) + alpha + df(x + h(x))
 
     df_k(x) comes from the re-expanded output, so the check sees the
     inversion correction g, the truncation and the re-expansion.  It does
-    not see the solved band h o R_alpha - h: the assembly takes it from
-    `translate` on both of its sides, where it cancels, and the band is
-    checked by the cohomological residual instead.  info["mismatch"] is
-    sup |lhs - rhs|, info["bound"] its `_identity_bound`, info["terms"]
-    the bound's inputs.
+    not see the solved band h o R_alpha - h, which neither side uses: the
+    band is checked by the cohomological residual instead.
+    info["mismatch"] is sup |lhs - rhs|, info["bound"] its
+    `_identity_bound`, info["terms"] the bound's inputs.
     """
     g = invert_near_identity(h)
     m = _grid_size(df.n_max)
@@ -338,26 +340,18 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
 
     h_at = h.grid_values(m).real.T
     df_shift = df.evaluate(pts + h_at, real=True).T    # df(x + h(x))
-    df_at = df.grid_values(m).real.T
-    inner = pts + alpha_row + h_at + df_shift          # argument of h and g
-    h_inner = h.evaluate(inner, real=True).T
-    h_rot = translate(h, alpha_row[0]).grid_values(m).real.T
-    g_inner = g.evaluate(inner, real=True).T
-
-    mean = df.mean().real[None, :]
-    # tail values R_N df = df - (T_N df - mean) - mean, with the solved band
-    # T_N df - mean = h o R_alpha - h taken from the cohomological identity,
-    # so the assembly consumes exactly what the solver removed
-    tail_vals = df_at - (h_rot - h_at) - mean
-    assembled = (mean + tail_vals + (df_shift - df_at)
-                 + (h_rot - h_inner) + g_inner)
+    inner = pts + alpha_row + h_at + df_shift          # v = (R_alpha + df) o H
+    # H^(-1)(v) - x - alpha with H^(-1)(v) = v - h(v) + g(v)
+    assembled = (h_at + df_shift - h.evaluate(inner, real=True).T
+                 + g.evaluate(inner, real=True).T)
+    del inner
 
     out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
                            df.d, m, df.n_max, df.components)
     assembled_sup = float(np.abs(assembled).max())
     # the identity needs none of the assembly's arrays: release them before
     # its grid synthesis and evaluation, which would otherwise set the peak
-    del df_at, inner, h_inner, h_rot, g_inner, tail_vals, assembled
+    del assembled
 
     y = pts + alpha_row + out.grid_values(m).real.T
     lhs = y + h.evaluate(y, real=True).T
@@ -426,17 +420,42 @@ def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
 
     With v the computed `inner` point, the exact identity is H(G(v)) = v.
     The computed y is G(v) - e_v + delta, with e_v the rounding of v (3
-    additions, <= 3 u M): the assembly cancels algebraically to
-    v - h(v) + g(v) - x - alpha.  rhs is v with its additions reordered,
-    so lhs - rhs = [H(y) - v + e_v] + [h~(y) - h(y)] + e_lhs - e_rhs and
+    additions, <= 3 u M): the assembly h(x) + df(x + h(x)) - h(v) + g(v)
+    equals v - h(v) + g(v) - x - alpha - e_v.  rhs is v with its additions
+    reordered, so lhs - rhs = [H(y) - v + e_v] + [h~(y) - h(y)] + e_lhs -
+    e_rhs and
 
         |lhs - rhs| <= (1 + L) |delta| + 3 L u M + E_h + u M + 3 u M,
 
-    where E_h = u (1.5 (M + 1) L + (4.5 s + 10) |h|) bounds a dense
-    evaluation of h (`FourierMap.evaluate`: one fold rounding, phase rows
-    with argument error 3 pi |x| u + 3 u and one complex product per row,
-    then sums of 2s + 1 and s + 1 terms); E_g is the same for g with its
-    radius n and L_g <= 2 pi d n |g|.  delta collects:
+    where E_h = u (1.5 (M + 1) L + (6 s + 10) |h|) bounds a dense
+    evaluation of h, E_g the same for g with its radius n and
+    L_g <= 2 pi d n |g|.  `FourierMap.evaluate(real=True)` computes
+    X(x)^T A X(y) per component (A X(x) for d = 1), X the real basis
+    (cos 0..s, sin 1..s) of an axis and A the `_real_form` of the
+    coefficients:
+
+    * phases: phase row m, a cumulative product, is off by at most
+      m (3 pi M u + 3 u) (argument error 3 pi |x| u + 3 u, one complex
+      product per row); the cos and sin rows are its exact real and
+      imaginary parts, so the value is Re sum_l c_l e_l with perturbed
+      phases, off by at most sum_l |c_l| |l|_1 (3 pi M + 3) u
+      <= 1.5 (M + 1) L u.
+    * the two folds: the first (F = c_l + conj c_-l) rounds each part
+      once, at most u sum |F| <= u |h|; the second (P, Q = F_b +- F_-b)
+      rounds each entry of A once, at most u S_A with
+      S_A = sum_jk |A_jk| |X_j(x)| |X_k(y)|.
+    * products and sums: the dgemm sums 2s + 1 real products per entry and
+      the contraction 2s + 1 more, at most gamma_(4s + 2) S_A in any
+      summation order (Higham, §3.1), so blocking does not matter.
+    * S_A <= sqrt 2 |h|: the four entries of a pair (a, b >= 1),
+      Re P, -Im Q, -Im P, -Re Q, carry the weights |cos_a cos_b|,
+      |cos_a sin_b|, |sin_a cos_b|, |sin_a sin_b| of unit l2 norm, so by
+      Cauchy-Schwarz they add at most (|P|^2 + |Q|^2)^(1/2)
+      = (2 |F_b|^2 + 2 |F_-b|^2)^(1/2) <= sqrt 2 (|F_b| + |F_-b|); a
+      column b = 0 adds at most |F_0|.
+
+    The arithmetic is thus at most u |h| (1 + sqrt 2 (4s + 3)) <=
+    u |h| (6 s + 10), writing 1.5 for sqrt 2.  delta collects:
 
     * spill: the output's re-expansion drops the band counted in its spill
       (the line |l|_sup = m/2 = 2n is taken to be below the rounding), and
@@ -451,16 +470,17 @@ def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
       sweep's evaluation (E_h), h on the target grid by inverse FFT
       ((rho + 2u) |h| root mean square), the two additions forming g
       (3 u P) and g's forward FFT (coefficients off by (rho + u) P in l2).
-    * E_g and E_h for g(v) and h(v); the assembly's 9 additions on partial
-      sums at most 5 P (45 u P); the re-expansion and the inverse FFT of
-      the output (an error of l2 norm over the grid, hence of sup, at most
-      2 (rho + 2u) sqrt(N) S); the 2 additions forming y (2 u M).
+    * E_g and E_h for g(v) and h(v); the assembly's 3 additions on partial
+      sums at most P, 2 P and 2 P (5 u P); the re-expansion and the
+      inverse FFT of the output (an error of l2 norm over the grid, hence
+      of sup, at most 2 (rho + 2u) sqrt(N) S); the 2 additions forming y
+      (2 u M).
 
     Summed:
 
         B = (1 + L) (spill + theta r_inv
                      + theta (2 u M + E_h) + iota (u M + E_h + (2 rho + 6 u) P)
-                     + E_g + E_h + 45 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
+                     + E_g + E_h + 5 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
             + 3 L u M + E_h + 4 u M
     """
     u = UNIT_ROUNDOFF
@@ -475,12 +495,12 @@ def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
     k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
     rho = k / (1 - k)
     iota = (2 * n + 1) ** (d / 2)
-    e_h = u * (1.5 * (M + 1) * lip + (4.5 * s + 10) * h_norm)
-    e_g = u * (1.5 * (M + 1) * TWO_PI * d * n + 4.5 * n + 10) * g_norm
+    e_h = u * (1.5 * (M + 1) * lip + (6 * s + 10) * h_norm)
+    e_g = u * (1.5 * (M + 1) * TWO_PI * d * n + 6 * n + 10) * g_norm
     delta = (spill + theta * r_inv
              + theta * (2 * u * M + e_h)
              + iota * (u * M + e_h + (2 * rho + 6 * u) * P)
-             + e_g + e_h + 45 * u * P
+             + e_g + e_h + 5 * u * P
              + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
              + 2 * u * M)
     bound = (1 + lip) * delta + 3 * lip * u * M + e_h + 4 * u * M

@@ -68,22 +68,29 @@ def test_grid_values_refuse_aliasing_grid():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_evaluate_real_matches_real_part(d):
+    # s = 0 has no sine rows, s = 1 one pair per axis; s = 48 is the
+    # largest radius of the benchmark runs
     rng = np.random.default_rng(7 + d)
-    f = dense_random_map(rng, d, 6)
-    assert f.hermitian_defect() > 0.1
-    tol = 1e-15 * max(f.l1_norm(), 1)
-    for P in (1, fr.EVAL_BLOCK, fr.EVAL_BLOCK + 1):
-        pts = rng.random((P, d))
-        real = f.evaluate(pts, real=True)
-        assert real.dtype == np.float64 and real.shape == (2, P)
-        assert np.abs(real - f.evaluate(pts).real).max() <= tol
-    point = rng.random(d)
-    assert np.abs(f.evaluate(point, real=True)
-                  - f.evaluate(point).real).max() <= tol
-    # the real first axis takes the m >= 0 rows of the full phase matrix
+    for s in (6, 0, 1, 48):
+        f = dense_random_map(rng, d, s)
+        assert f.hermitian_defect() > 0.1 or s == 0
+        tol = 1e-15 * max(f.l1_norm(), 1)
+        for P in (1, fr.EVAL_BLOCK, fr.EVAL_BLOCK + 1):
+            pts = rng.random((P, d))
+            real = f.evaluate(pts, real=True)
+            assert real.dtype == np.float64 and real.shape == (2, P)
+            assert np.abs(real - f.evaluate(pts).real).max() <= tol
+        point = rng.random(d)
+        assert np.abs(f.evaluate(point, real=True)
+                      - f.evaluate(point).real).max() <= tol
+    # the real first axis takes the m >= 0 rows of the full phase matrix,
+    # and the real basis their real and imaginary parts
     x = rng.random(fr.EVAL_BLOCK)
-    assert np.array_equal(fr._phase_rows(x, 6).view(np.int64),
+    rows = fr._phase_rows(x, 6)
+    assert np.array_equal(rows.view(np.int64),
                           fr._phase_matrix(x, 6)[6:].view(np.int64))
+    basis = fr._real_basis(x, 6)
+    assert np.array_equal(basis, np.concatenate([rows.real, rows.imag[1:]]))
 
 
 def _phase_rows_loop(x, n_max):
@@ -130,14 +137,16 @@ def _evaluate_untrimmed(f, points, real=False):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("s", [0, 1, 7, 16])
+@pytest.mark.parametrize("s", [0, 1, 7, 16, 48])
 def test_evaluate_trimmed_to_nonzero_radius(d, s):
-    n_max = 16
+    # s = 16 fills the stored box; s = 48 is trimmed from a larger one
+    n_max = 16 if s <= 16 else s + 4
     rng = np.random.default_rng(1000 + 10 * d + s)
     f = fr.pad_truncation(dense_random_map(rng, d, s), n_max)
     assert f.hermitian_defect() > 0.1 or s == 0
     tol = 1e-15 * max(f.l1_norm(), 1)
-    for pts in (rng.random(d), rng.random((fr.EVAL_BLOCK + 1, d))):
+    for pts in (rng.random(d), rng.random((fr.EVAL_BLOCK + 1, d)),
+                rng.random((1, d)), rng.random((fr.EVAL_BLOCK, d))):
         for real in (False, True):
             got = f.evaluate(pts, real=real)
             assert np.abs(got - _evaluate_untrimmed(f, pts, real)).max() <= tol

@@ -257,9 +257,9 @@ def test_gate_ledger_holds_the_finished_stages(monkeypatch):
 
 
 def test_gate_catches_wrong_solved_band(monkeypatch):
-    # a wrong translate corrupts the band h o R_alpha - h; the assembly takes
-    # it from translate on both of its sides, where it cancels, so the stage
-    # identity stays at rounding level and the residual gate must fire
+    # a wrong translate corrupts the band h o R_alpha - h; translate is used
+    # by the cohomological residual only, so the stage identity stays at
+    # rounding level and the residual gate must fire
     state = _manufactured_state()
     right = fr.translate
     monkeypatch.setattr(kam, "translate", lambda f, v: right(f, -np.asarray(v)))
