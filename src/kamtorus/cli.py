@@ -245,9 +245,8 @@ def cmd_analyze(args) -> int:
     rows = []
     partial = mpmath.mpf(0)
     for k, rec in enumerate(records, start=1):
-        term = mpmath.log(1 / rec.value_mpf()) / (1 << k)
-        partial += term
-        rows.append((k, 1 << k, repr(float(rec.value_mpf())),
+        partial += rec.bryuno_term()
+        rows.append((k, rec.N, repr(float(rec.value_mpf())),
                      repr(float(partial))))
     out = args.out_dir
     _write_csv(out / "analyze.csv", ("k", "scale", "omega", "partial_sum"), rows)

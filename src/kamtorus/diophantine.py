@@ -172,9 +172,34 @@ class SmallDivisorRecord:
     def value_mpf(self):
         return to_mpf(self.value)
 
+    def bryuno_term(self):
+        """log(1/value) / N, this scale's term of the dyadic Bryuno sum
+        (mpf; dividing by a power of two N is exact)."""
+        return mpmath.log(1 / self.value_mpf()) / self.N
+
 
 def _resonance_eps():
     return mpmath.ldexp(1, -(mp.prec - 16))
+
+
+def resonance_threshold(alpha: Sequence):
+    """The resonance policy: ||alpha . l|| below this is resonant.
+
+    The threshold follows the kind of input, as DivisorOracle's route does:
+
+    * Fraction/int entries: 0, since only an exact zero is resonant;
+    * entries that are all plain floats: 1e-13, about 450 ulps of 1;
+    * any other input (mpf at the working precision): 2^-(prec - 16).
+
+    Every scan and oracle of ||alpha . l|| reads it.  The one other guard,
+    |e^(2 pi i alpha.l) - 1| < 1e-13 in kam.solve_cohomological, bounds the
+    complex divisor of the double-precision solve, a different quantity.
+    """
+    if all(isinstance(a, (Fraction, int)) for a in alpha):
+        return 0
+    if all(isinstance(a, float) for a in alpha):
+        return 1e-13
+    return _resonance_eps()
 
 
 #: Rows per float64 filter block: bounds the scan's memory at any radius.
@@ -216,7 +241,7 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
     nearest_int_distance(fsum(l_i alpha_i)) at the working precision.
     `skip_parallel_to` drops every l parallel to that nonzero vector.
     Unless `raise_resonance` is false, the first l in lexicographic order
-    with value 0 (exact) or below _resonance_eps() (mpf) raises
+    with value 0 (exact) or below resonance_threshold(alpha) raises
     ResonanceDetected.
 
     Filter then certify (Shewchuk, Discrete Comput. Geom. 18, 1997):
@@ -258,19 +283,19 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
     """
     d = len(alpha)
     exact = all(isinstance(a, (Fraction, int)) for a in alpha)
+    eps = resonance_threshold(alpha)
     if exact:
         fracs = [Fraction(a) for a in alpha]
         den = math.lcm(*(f.denominator for f in fracs))
         nums = [f.numerator * (den // f.denominator) for f in fracs]
         af = np.array([n % den / den for n in nums])
-        eps = mpf_error = 0.0
+        mpf_error = 0.0
     else:
         alphas = [to_mpf(a) for a in alpha]
         af = np.array([float(a - mpmath.floor(a)) for a in alphas])
-        eps = float(_resonance_eps())
         mpf_error = 2.0 ** (2 - mp.prec) * (N * float(mpmath.fsum(alphas, absolute=True)) + 1)
     margin = (d + 3) * 2.0 ** -53 * (N * float(af.sum()) + 1) + mpf_error
-    slack = 2 * margin + eps
+    slack = 2 * margin + float(eps)
 
     ray = None
     if skip_parallel_to is not None:
@@ -308,8 +333,8 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
             dist = nearest_int_distance(mpmath.fsum(c * a for c, a in zip(l, alphas)))
             if dist < eps and raise_resonance:
                 raise ResonanceDetected(
-                    f"||alpha . {l}|| = {mpmath.nstr(dist, 8)} underflows "
-                    f"{mp.prec}-bit working precision", lattice_vector=l)
+                    f"||alpha . {l}|| = {mpmath.nstr(dist, 8)} is below the "
+                    f"resonance threshold", lattice_vector=l)
         if best is None or dist < best:
             best, best_arg = dist, l
     return (Fraction(best, den) if exact else best), best_arg
@@ -322,9 +347,9 @@ def omega_min(alpha: Sequence, N: int, lower: int = 1,
     `lower` restricts the scan to lower <= |l|_sup <= N, and `seed` supplies
     a record already covering |l| < lower, which enables incremental dyadic
     scans.  Exact rational alpha is certified in integer arithmetic;
-    otherwise mpf at working precision, raising ResonanceDetected when a
-    divisor underflows the precision.  The result equals an exhaustive
-    scan's (see _divisor_min).
+    otherwise mpf at working precision.  A divisor below
+    resonance_threshold(alpha) raises ResonanceDetected.  The result equals
+    an exhaustive scan's (see _divisor_min).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -372,9 +397,10 @@ def omega_min_1d(alpha, N: int) -> SmallDivisorRecord:
                                     lattice_vector=(best_q,))
     else:
         dist = nearest_int_distance(to_mpf(x) * best_q)
-        if dist < _resonance_eps():
+        if dist < resonance_threshold((x,)):
             raise ResonanceDetected(
-                f"||{best_q} * alpha|| underflows working precision",
+                f"||{best_q} * alpha|| = {mpmath.nstr(dist, 8)} is below "
+                f"the resonance threshold",
                 lattice_vector=(best_q,))
     return SmallDivisorRecord(N=N, value=dist, argmin=(best_q,),
                               precision_bits=mp.prec)
@@ -415,7 +441,7 @@ def bryuno_partial_sum(alpha: Sequence, K: int, records: list | None = None):
     for k in range(1, K + 1):
         lower = (1 << (k - 1)) + 1 if k > 1 else 1
         record = omega_min(alpha, 1 << k, lower=lower, seed=record)
-        total += mpmath.log(1 / record.value_mpf()) / (1 << k)
+        total += record.bryuno_term()
         if records is not None:
             records.append(record)
     return total

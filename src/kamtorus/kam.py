@@ -52,8 +52,8 @@ from .fourier import (
 from .schedule import (
     DeltaSchedule,
     DirectionGrid,
-    WeightSequence,
     delta_schedule,
+    dyadic_weight_recipe,
     epsilon_ledger,
 )
 
@@ -173,40 +173,14 @@ class KamState:
 
 
 def _default_schedule(alpha, params: KamParams) -> DeltaSchedule:
-    """Dyadic-recipe schedule for the run's alpha (float divisor scans)."""
+    """Dyadic-recipe schedule for the run's alpha, taken as doubles."""
     alpha_f = tuple(float(a) for a in alpha)
-    d = len(alpha_f)
-    n_weights = params.schedule_stages + 2
-    c = []
-    for n in range(n_weights):
-        omega = _float_omega(alpha_f, 1 << n)
-        c.append(TWO_PI * math.log(1.0 / omega) / (1 << n))
-    weights = WeightSequence(c=tuple(c), N=params.flat_stages,
-                             gothic_d=params.delta0)
-    grid = DirectionGrid.pair() if d == 1 else DirectionGrid.circle(params.grid_count)
+    weights = dyadic_weight_recipe(alpha_f, params.schedule_stages,
+                                   gothic_d=params.delta0,
+                                   N=params.flat_stages)
+    grid = (DirectionGrid.pair() if len(alpha_f) == 1
+            else DirectionGrid.circle(params.grid_count))
     return delta_schedule(alpha_f, grid, weights, params.schedule_stages)
-
-
-def _float_omega(alpha, N: int) -> float:
-    """Vectorized min ||alpha.l|| over 0 < |l|_sup <= N (double precision)."""
-    d = len(alpha)
-    rng = np.arange(-N, N + 1)
-    if d == 1:
-        dots = rng * alpha[0]
-        sup = np.abs(rng)
-    else:
-        dots = rng[:, None] * alpha[0] + rng[None, :] * alpha[1]
-        sup = np.maximum(np.abs(rng)[:, None], np.abs(rng)[None, :])
-    frac = dots - np.round(dots)
-    dist = np.abs(frac)
-    dist = np.where(sup > 0, dist, np.inf)
-    omega = float(dist.min())
-    if omega < 1e-14:
-        loc = np.argwhere(dist == dist.min())[0]
-        l = tuple(int(i) - N for i in np.atleast_1d(loc))
-        raise ResonanceDetected("resonant frequency vector inside the scan",
-                                lattice_vector=l)
-    return omega
 
 
 def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,

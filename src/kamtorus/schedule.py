@@ -27,14 +27,12 @@ every other step is the same elementwise IEEE operation in the same order.
 The divisors come from `DivisorOracle`, which computes each mode's
 log(1/||alpha.l||) once, on integer residues for rational alpha.
 
-Resonance thresholds (a divisor below its threshold raises
-ResonanceDetected with the offending lattice vector):
-
-* rational alpha (`DivisorOracle`, `omega_min`): exact zero;
-* float alpha (`DivisorOracle`): ||alpha.l|| < 1e-13, and in
-  `kam.solve_cohomological` |e^(2 pi i alpha.l) - 1| < 1e-13;
-* mpf alpha (`DivisorOracle`, `omega_min`): ||alpha.l|| < 2^-(prec - 16);
-* `kam._float_omega`, the KAM default schedule's scan: min < 1e-14.
+Resonance follows one policy, `diophantine.resonance_threshold`, read by
+every scan and oracle of ||alpha.l||: a divisor that is exactly zero
+(rational alpha), below 1e-13 (all-float alpha) or below 2^-(prec - 16)
+(mpf alpha) raises ResonanceDetected with the offending lattice vector.
+`kam.solve_cohomological` guards a different quantity,
+|e^(2 pi i alpha.l) - 1| < 1e-13.
 
 The continuous sphere is a finite grid: the neighborhood minimum always
 includes the immediate grid ring, and the first stage whose true radius
@@ -60,8 +58,8 @@ import numpy as np
 from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
                           mpf_neg, mpf_sub, mpf_sum, to_float)
 
-from .diophantine import (_box_blocks, _resonance_eps, omega_min, omega_min_1d,
-                          sup_norm)
+from .diophantine import (_box_blocks, bryuno_partial_sum, omega_min,
+                          omega_min_1d, resonance_threshold, sup_norm)
 from .errors import GridTooCoarse, ResonanceDetected, ZeroVector
 from .precision import to_mpf
 from .reports import VerificationReport
@@ -215,6 +213,8 @@ class DivisorOracle:
             self._den = math.lcm(*(a.denominator for a in self.alpha))
             self._nums = tuple(a.numerator * (self._den // a.denominator)
                                for a in self.alpha)
+        elif self.float_mode:
+            self._float_eps = resonance_threshold(self.alpha)
         # ((prec, rounding), raw mpf alpha, resonance threshold)
         self._mpf_alpha = (None, None, None)
         self._cache = {}                    # distance per mode
@@ -232,7 +232,7 @@ class DivisorOracle:
     def _float_distance(self, key) -> float:
         s = math.fsum(a * c for a, c in zip(self.alpha, key))
         dist = abs(s - round(s))
-        if dist < 1e-13:
+        if dist < self._float_eps:
             raise _vanishing(key, "double precision")
         return dist
 
@@ -243,7 +243,7 @@ class DivisorOracle:
         at, raw, eps = self._mpf_alpha
         if at != (prec, rnd):
             raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
-            eps = _resonance_eps()._mpf_
+            eps = resonance_threshold(self.alpha)._mpf_
             self._mpf_alpha = ((prec, rnd), raw, eps)
         s = mpf_sum([mpf_mul_int(a, c, prec, rnd) for a, c in zip(raw, key)],
                     prec, rnd)
@@ -273,7 +273,7 @@ class DivisorOracle:
             m = self._residue(key)
             g = math.gcd(m, self._den)
             # the reduced fraction's terms, as Fraction(m, q) would hold them
-            return (_log10_int(self._den // g) - _log10_int(m // g)) * math.log(10)
+            return _log_inv_ratio(m // g, self._den // g)
         if self.float_mode:
             return -math.log(self._float_distance(key))
         prec, rnd = mpmath.mp._prec_rounding
@@ -297,6 +297,11 @@ def _log10_int(n: int) -> float:
     """log10 of a positive integer, safe for million-bit values."""
     shift = max(n.bit_length() - 64, 0)
     return math.log10(n >> shift) + shift * math.log10(2)
+
+
+def _log_inv_ratio(num: int, den: int) -> float:
+    """log(den / num) = log(1 / (num / den)) for positive integers."""
+    return (_log10_int(den) - _log10_int(num)) * math.log(10)
 
 
 def _stage_blocks(dimension: int, n: int, variant: str, rows: int):
@@ -557,15 +562,10 @@ def dyadic_weight_recipe(alpha, n_max: int, records: list | None = None,
     """c_n = 2 pi 2^-n log(1/Omega(2^n)): the damping that turns the
     dyadic small-divisor profile of alpha into inner-mode harmlessness."""
     recs = []
-    from .diophantine import bryuno_partial_sum
-    bryuno_partial_sum(alpha, n_max + 2, records=recs)
-    c = []
-    for n in range(n_max + 2):
-        rec = recs[n - 1] if n >= 1 else None
-        if rec is None:
-            # stage 0 uses the unit ball
-            rec = omega_min(alpha, 1)
-        c.append(float(TWO_PI * mpmath.log(1 / rec.value_mpf()) / (1 << n)))
+    # c_n for n = 1..n_max + 1 reads Omega(2^n); stage 0 uses the unit ball
+    bryuno_partial_sum(alpha, n_max + 1, records=recs)
+    c = [float(TWO_PI * rec.bryuno_term())
+         for rec in [omega_min(alpha, 1)] + recs]
     if records is not None:
         records.extend(recs)
     return WeightSequence(c=tuple(c), N=N, gothic_d=gothic_d)
@@ -611,8 +611,7 @@ def construction_weights(state, n_max: int, C: float = 1.0,
             k_min, _ = _exact_scan(alpha, min(scale, scan_cap),
                                    skip_parallel_to=nu)
             if k_min is not None and k_min > 0:
-                log_inv = (_log10_int(k_min.denominator)
-                           - _log10_int(k_min.numerator)) * math.log(10)
+                log_inv = _log_inv_ratio(k_min.numerator, k_min.denominator)
                 term += max(log_inv, 0.0) / scale
         else:
             rec = omega_min(alpha, min(scale, scan_cap))
@@ -715,11 +714,9 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
 
     budgets = []
     for n in range(depth):
-        scan = records[n]                       # Omega(2^(n+1)) record
-        budget = mpmath.log(1 / scan.value_mpf()) / (1 << (n + 1))
+        budget = records[n].bryuno_term()       # Omega(2^(n+1)) record
         budgets.append(budget)
-        fast = omega_min_1d(alpha, 1 << (n + 1))
-        fast_budget = mpmath.log(1 / fast.value_mpf()) / (1 << (n + 1))
+        fast_budget = omega_min_1d(alpha, 1 << (n + 1)).bryuno_term()
         rel = abs(budget - fast_budget) / budget if budget != 0 else mpmath.mpf(0)
         rep.add("budget_dual_path", f"stage {n}", bool(rel <= 1e-12),
                 margin=mpmath.nstr(rel, 4))
@@ -809,16 +806,15 @@ def classify(alpha, depth: int = 8, weights: WeightSequence | None = None,
     records = []
     if weights is None:
         weights = dyadic_weight_recipe(alpha, depth, records=records)
-    else:
-        from .diophantine import bryuno_partial_sum
-        bryuno_partial_sum(alpha, depth + 2, records=records)
+    elif depth > 0:
+        bryuno_partial_sum(alpha, depth, records=records)
     if grid is None:
         grid = DirectionGrid.pair() if d == 1 else DirectionGrid.circle(64)
     sched = delta_schedule(alpha, grid, weights, depth, variant=variant, c1=c1)
     terms = []
     total = mpmath.mpf(0)
-    for k, rec in enumerate(records[:depth], start=1):
-        term = mpmath.log(1 / rec.value_mpf()) / (1 << k)
+    for rec in records[:depth]:
+        term = rec.bryuno_term()
         total += term
         terms.append(float(term))
     consistent = None

@@ -510,6 +510,8 @@ def test_resonance_threshold_exact_zero():
 def test_resonance_threshold_float_oracle():
     assert _oracle_both_paths((1e-13,)) == (False, False)
     assert _oracle_both_paths((math.nextafter(1e-13, 0),)) == (True, True)
+    assert _oracle_both_paths((-1e-13,)) == (False, False)
+    assert _oracle_both_paths((-math.nextafter(1e-13, 0),)) == (True, True)
 
 
 def test_resonance_threshold_mpf_oracle():
@@ -539,10 +541,46 @@ def test_resonance_threshold_solve_cohomological():
     assert exc.value.lattice_vector == (-1,)
 
 
-def test_resonance_threshold_float_omega():
-    assert kam._float_omega((1e-14,), 1) == 1e-14
-    with pytest.raises(ResonanceDetected):
-        kam._float_omega((math.nextafter(1e-14, 0),), 1)
+def test_resonance_threshold_by_input_kind():
+    assert dio.resonance_threshold((Fraction(1, 3), 2)) == 0
+    assert dio.resonance_threshold((0.25, 0.5)) == 1e-13
+    assert dio.resonance_threshold((0.25, mpmath.mpf(0.5))) == dio._resonance_eps()
+
+
+@pytest.mark.parametrize("path", [
+    lambda alpha: dio.omega_min(alpha, 1),
+    lambda alpha: dio.omega_min_1d(alpha, 1),
+    lambda alpha: kam.initial_state(FourierMap.zeros(1, 4), alpha),
+], ids=["omega_min", "omega_min_1d", "kam_initial_state"])
+def test_resonance_threshold_float_boundary(path):
+    # 1e-13 itself passes, the next double below it is resonant
+    path((1e-13,))
+    with pytest.raises(ResonanceDetected) as exc:
+        path((math.nextafter(1e-13, 0),))
+    assert exc.value.lattice_vector == (1,)
+
+
+def test_weight_scans_stop_at_the_largest_radius_read(monkeypatch):
+    radii = []
+    scan = dio.omega_min
+
+    def recording(alpha, N, *args, **kwargs):
+        radii.append(N)
+        return scan(alpha, N, *args, **kwargs)
+
+    monkeypatch.setattr(dio, "omega_min", recording)
+    monkeypatch.setattr(sch, "omega_min", recording)
+    alpha = pair_alpha()
+    # c_0..c_5 read Omega(1), ..., Omega(2^5)
+    w = sch.dyadic_weight_recipe(alpha, 4)
+    assert len(w.c) == 6 and max(radii) == 1 << 5
+    # the Bryuno terms k = 1..4 read Omega(2^1), ..., Omega(2^4)
+    radii.clear()
+    rep = sch.classify(alpha, depth=4, weights=w)
+    assert len(rep.bryuno_terms) == 4 and max(radii) == 1 << 4
+    radii.clear()
+    assert sch.classify(alpha, depth=0, weights=w).bryuno_terms == []
+    assert radii == []
 
 
 # -- weight adjustment --------------------------------------------------------
