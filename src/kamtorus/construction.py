@@ -46,6 +46,7 @@ from .diophantine import _divisor_min, l1_norm, nearest_int_distance, sup_norm
 from .errors import ExponentOverflow, ScanTooLarge
 from .precision import (
     DEFAULT_DIGIT_BUDGET,
+    _LN10,
     as_fraction,
     big_gcd,
     floor_exp,
@@ -55,8 +56,6 @@ from .precision import (
     to_mpf,
 )
 from .reports import VerificationReport
-
-_LN10 = 2.302585092994046
 
 START_GAP_NOTE = "levels l <= t_0 = 2 use the n = 0 bracket with unit gap"
 
@@ -115,15 +114,6 @@ def extend_twist(twist: TwistSequence, min_top: int) -> TwistSequence:
         t = values[-1]
         values.append(t + _floor_int_power(t, twist.theta_bar))
     return TwistSequence(theta_bar=twist.theta_bar, values=tuple(values))
-
-
-def twist_phi(l: int, twist: TwistSequence):
-    """Twist factor 2 t_n^(tb/2) / (l - t_n) - 1 at the working precision."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    n, t_n, gap = twist.bracket(l)
-    half = to_mpf(twist.theta_bar) / 2
-    return 2 * mpmath.power(t_n, half) / gap - 1
 
 
 def _floor_twist_scaled(q_bar: int, q: int, gap: int, t: int,

@@ -51,10 +51,6 @@ class ExponentOverflow(KamTorusError):
         return d
 
 
-class ZeroVector(KamTorusError):
-    """A lattice operation received the zero vector."""
-
-
 class GridTooCoarse(KamTorusError):
     """The direction-grid spacing exceeds a required neighborhood radius."""
 

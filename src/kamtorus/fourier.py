@@ -370,16 +370,6 @@ class SlicedDomain:
     def min_radius(self) -> float:
         return min(self.radii)
 
-    def weight(self, l) -> float:
-        """w(l) = sup over the domain's directions of delta_beta |beta . l|."""
-        if self.constant_radius is not None:
-            return self.constant_radius * math.hypot(*(float(c) for c in l))
-        best = 0.0
-        for r, d in zip(self.radii, self.grid.directions):
-            dot = abs(math.fsum(float(b) * int(c) for b, c in zip(d, l)))
-            best = max(best, float(r) * dot)
-        return best
-
 
 @dataclass
 class NormReport:
@@ -392,8 +382,9 @@ class NormReport:
 
 def norm_xi(f: FourierMap, domain: SlicedDomain) -> NormReport:
     """Weighted coefficient norm sum_l |f_hat(l)| exp(2 pi w(l)), with
-    w(l) = `SlicedDomain.weight(l)` vectorized over the mode box; the
-    report's value is the max over components.
+    w(l) the max over the domain's directions of delta_beta |beta . l|
+    (delta |l|_2 at a constant radius), evaluated over the whole mode box;
+    the report's value is the max over components.
     """
     idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
     if domain.constant_radius is not None:
@@ -807,58 +798,3 @@ def remainder_split_check(f: FourierMap, domain: SlicedDomain,
                 margin=f"lhs = {lhs:.6g}, rhs = {rhs:.6g}",
                 note="" if ok_pre else "precondition |delta - db| < delta/4 not met")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-MAP_FORMAT = "kamtorus.fourier_map.v1"
-
-
-def map_to_jsonable(f: FourierMap) -> dict:
-    """Canonical JSON form: (l, re, im) triples per component, modes sorted
-    by (|l|_sup, lexicographic); floats as repr for byte-stable round trips."""
-    modes = []
-    for l, vec in f.modes():
-        modes.append([list(l),
-                      [[float(v.real), float(v.imag)] for v in vec]])
-    return {
-        "format": MAP_FORMAT,
-        "d": f.d,
-        "n_max": f.n_max,
-        "components": f.components,
-        "modes": modes,
-    }
-
-
-def map_from_jsonable(data: dict) -> FourierMap:
-    from .errors import SchemaMismatch
-
-    if data.get("format") != MAP_FORMAT:
-        raise SchemaMismatch(
-            f"expected format {MAP_FORMAT!r}, got {data.get('format')!r}")
-    out = FourierMap.zeros(int(data["d"]), int(data["n_max"]),
-                           int(data["components"]))
-    for l, vec in data["modes"]:
-        idx = tuple(int(c) + out.n_max for c in l)
-        out.coeffs[(slice(None),) + idx] = [complex(re, im) for re, im in vec]
-    return out
-
-
-def norm_detail_csv(f: FourierMap, domain: SlicedDomain) -> str:
-    """CSV of the per-mode norm contributions: one row per stored mode with
-    its weight exponent and per-component magnitudes."""
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mode", "weight", "factor"]
-                    + [f"abs_component_{j}" for j in range(f.components)])
-    for l, vec in f.modes():
-        w = domain.weight(l)
-        writer.writerow([" ".join(str(c) for c in l), repr(w),
-                         repr(math.exp(TWO_PI * w))]
-                        + [repr(float(abs(v))) for v in vec])
-    return buf.getvalue()

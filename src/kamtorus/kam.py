@@ -21,11 +21,10 @@ rotation-vector hypothesis to shrink it (manufactured inputs guarantee that
 hypothesis by construction).  Divergence is a first-class outcome: a stage
 that grows the perturbation raises StepDiverged carrying the ledger.
 
-Stage truncations follow the dyadic ladder 2^k, entering at a configurable
-first truncation (default: N_max/4) and capping at N_max; each stage may
-re-solve at the same truncation a configurable number of times before the
-truncation doubles, which crushes the truncated band without burning
-analyticity radius.
+Stage truncations follow the dyadic ladder 2^k, entering at N_max/4 (at
+least 2) and capping at N_max; each stage may re-solve at the same
+truncation a configurable number of times before the truncation doubles,
+which crushes the truncated band without burning analyticity radius.
 """
 
 from __future__ import annotations
@@ -109,22 +108,23 @@ def cohomological_residual(h: FourierMap, df: FourierMap, alpha, N: int) -> floa
 # ---------------------------------------------------------------------------
 # configuration and state
 
+# run_linearize refuses inputs whose l1 norm exceeds this
+SMALLNESS_THRESHOLD = 1e-2
+
 
 @dataclass(frozen=True)
 class KamParams:
     n_max: int = 32
     max_stages: int = 10
-    first_truncation: int | None = None     # default n_max // 4
     repeats: int = 1
     target_defect: float = 1e-9
-    smallness_threshold: float = 1e-2
     delta0: float = 0.05
     grid_count: int = 8
     schedule_stages: int = 6
     flat_stages: int = 2
 
     def truncation(self, stage: int) -> int:
-        first = self.first_truncation or max(self.n_max // 4, 2)
+        first = max(self.n_max // 4, 2)
         return min(first * 2 ** stage, self.n_max)
 
 
@@ -529,10 +529,10 @@ def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,
     """
     params = params or KamParams(n_max=delta_f.n_max)
     initial = delta_f.l1_norm()
-    if initial > params.smallness_threshold:
+    if initial > SMALLNESS_THRESHOLD:
         raise ValueError(
             f"perturbation norm {initial:.3g} exceeds the smallness "
-            f"threshold {params.smallness_threshold:.3g}; the iteration "
+            f"threshold {SMALLNESS_THRESHOLD:.3g}; the iteration "
             f"guards (cohomological divisors, inversion contraction) are "
             f"calibrated below that size")
     state = initial_state(delta_f, alpha, params, schedule)
@@ -612,21 +612,3 @@ def manufacture_test_map(h_star: FourierMap, alpha) -> FourierMap:
     out = u + moved
     out.info["spill"] = moved.info.get("spill", 0.0)
     return out
-
-
-def rotation_vector_estimate(delta_f: FourierMap, alpha, x0, iterations: int):
-    """Birkhoff average (f^m(x0) - x0)/m of the lift of f = R_alpha + df.
-
-    Error decays like O(1/m) (ergodic average of the zero-mean part); the
-    caller sees the raw estimate, m, and the crude 1/m error scale.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    x = np.asarray(x0, dtype=np.float64).reshape(1, delta_f.d)
-    lift = x.copy()
-    alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
-    for _ in range(iterations):
-        step = alpha_row + delta_f.evaluate(lift % 1.0, real=True).T
-        lift = lift + step
-    estimate = (lift - x)[0] / iterations
-    return estimate, 1.0 / iterations

@@ -189,10 +189,6 @@ def floor_int_pow(t: int, exponent: Fraction) -> int:
     return int_nth_root(t ** p, q)
 
 
-def _budget_bits(digit_budget: int) -> int:
-    return int(digit_budget * _LN10 / _LN2) + 8
-
-
 def floor_exp(x: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
     """Exact floor(e ** x) for rational x >= 0, within the digit budget.
 

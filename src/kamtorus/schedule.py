@@ -60,7 +60,7 @@ from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
 
 from .diophantine import (_box_blocks, bryuno_partial_sum, omega_min,
                           omega_min_1d, resonance_threshold, sup_norm)
-from .errors import GridTooCoarse, ResonanceDetected, ZeroVector
+from .errors import GridTooCoarse, ResonanceDetected
 from .precision import to_mpf
 from .reports import VerificationReport
 
@@ -146,39 +146,11 @@ class WeightSequence:
         if self.N < 0 or self.gothic_d <= 0:
             raise ValueError("need N >= 0 and gothic_d > 0")
 
-    def partial_sum(self):
-        return mpmath.fsum(self.c)
 
-
-def cutoff_weight(weights: WeightSequence, n: int, l) -> float:
-    """Scale cutoff: 1 on the annulus 2^n < |l| <= 2^(n+1), exp(-2^n c_n)
-    for 0 < |l| <= 2^n, 0 beyond."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    norm = sup_norm(l)
-    if norm == 0:
-        raise ZeroVector("cutoff weight is undefined at l = 0")
-    if norm > 1 << (n + 1):
-        return 0.0
-    if norm > 1 << n:
-        return 1.0
-    return mpmath.exp(-(1 << n) * to_mpf(weights.c[n]))
-
-
-def phi_weight(l, beta, delta):
-    """Mode growth factor exp(2 pi |beta.l| delta).
-
-    Uses the plain inner product |beta.l|, not its distance to the nearest
-    integer: the two readings coexist upstream, and the solver manipulates
-    exp(2 pi delta |l|_2 cos(angle)) which requires the former.  Every
-    report header states this choice.
-    """
-    if min(len(l), len(beta)) != max(len(l), len(beta)):
-        raise ValueError("dimension mismatch")
-    dot = abs(math.fsum(float(b) * int(c) for b, c in zip(beta, l)))
-    return mpmath.exp(TWO_PI * dot * to_mpf(delta))
-
-
+# The mode growth factor exp(2 pi |beta.l| delta) uses the plain inner product
+# |beta.l|, not its distance to the nearest integer: the two readings coexist
+# upstream, and the solver manipulates exp(2 pi delta |l|_2 cos(angle)), which
+# requires the former.  Every report header states this choice.
 PHI_NOTE = "phi uses |beta.l| (plain inner product), not nearest-integer distance"
 
 
@@ -475,40 +447,7 @@ def advance_stage(oracle: DivisorOracle, grid: DirectionGrid,
 
 
 # ---------------------------------------------------------------------------
-# weight adjustment and the epsilon ledger
-
-
-def adjust_weights(weights: WeightSequence, C1: float, d: int):
-    """Absorb a per-stage geometric factor C1 * 2^(nd) into the weights.
-
-    Returns (adjusted, report): adjusted_c[n] = c[n] + 2^-n log(C1 2^(2nd)).
-    The report records the first stage N1 from which C1 2^(nd) e^(-2^n c'_n)
-    < e^(-2^n c_n) holds through the stored range, and both partial sums
-    (the adjustment preserves summability: the added tail is geometric).
-    """
-    if C1 <= 0:
-        raise ValueError("C1 must be positive")
-    adj = tuple(float(c) + math.log(C1 * 2.0 ** (2 * n * d)) / (1 << n)
-                for n, c in enumerate(weights.c))
-    adjusted = WeightSequence(c=adj, C=weights.C, N=weights.N,
-                              gothic_d=weights.gothic_d)
-    rep = VerificationReport("weight adjustment", {
-        "C1": C1, "dimension": d, "stages": len(adj)})
-    holds_from = None
-    for n in range(len(adj)):
-        lhs = C1 * 2.0 ** (n * d) * math.exp(-(1 << n) * adj[n])
-        rhs = math.exp(-(1 << n) * float(weights.c[n]))
-        if lhs < rhs:
-            if holds_from is None:
-                holds_from = n
-        else:
-            holds_from = None
-    rep.add("dominates_from", "stored range", holds_from is not None,
-            margin=f"N1 = {holds_from}")
-    rep.add("summable", "stored range", None,
-            margin=f"sum c = {mpmath.nstr(weights.partial_sum(), 8)}, "
-                   f"sum adjusted = {mpmath.nstr(adjusted.partial_sum(), 8)}")
-    return adjusted, rep
+# the epsilon ledger
 
 
 @dataclass(frozen=True)
@@ -763,68 +702,3 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
         "cumulative_budget": float(mpmath.fsum(budgets)),
     }
     return rep, details
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-@dataclass
-class ClassificationReport:
-    dimension: int
-    depth: int
-    bryuno_partial_sum: float
-    bryuno_terms: list
-    headline: dict
-    dimension_one_consistent: bool | None
-    label: str = "finite-depth evidence, not a proof"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "depth": self.depth,
-            "bryuno_partial_sum": self.bryuno_partial_sum,
-            "bryuno_terms": self.bryuno_terms,
-            "schedule": self.headline,
-            "dimension_one_consistent": self.dimension_one_consistent,
-            "label": self.label,
-        }
-
-
-def classify(alpha, depth: int = 8, weights: WeightSequence | None = None,
-             grid: DirectionGrid | None = None, variant: str = "full_range",
-             c1: float = 1.0) -> ClassificationReport:
-    """Finite-depth arithmetic profile of a frequency vector.
-
-    Combines the dyadic Bryuno partial sum with a schedule run; for d = 1
-    the one-dimensional consistency flag compares the two verdicts (both are
-    evidence at depth, never a proof).  Propagates ResonanceDetected and,
-    in strict grid mode, GridTooCoarse.
-    """
-    alpha = tuple(alpha)
-    d = len(alpha)
-    records = []
-    if weights is None:
-        weights = dyadic_weight_recipe(alpha, depth, records=records)
-    elif depth > 0:
-        bryuno_partial_sum(alpha, depth, records=records)
-    if grid is None:
-        grid = DirectionGrid.pair() if d == 1 else DirectionGrid.circle(64)
-    sched = delta_schedule(alpha, grid, weights, depth, variant=variant, c1=c1)
-    terms = []
-    total = mpmath.mpf(0)
-    for rec in records[:depth]:
-        term = rec.bryuno_term()
-        total += term
-        terms.append(float(term))
-    consistent = None
-    if d == 1:
-        consistent = bool(sched.inf_delta() > 0)
-    return ClassificationReport(
-        dimension=d,
-        depth=depth,
-        bryuno_partial_sum=float(total),
-        bryuno_terms=terms,
-        headline=sched.headline(),
-        dimension_one_consistent=consistent,
-    )

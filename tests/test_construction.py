@@ -7,7 +7,7 @@ import pytest
 
 from kamtorus import construction as con
 from kamtorus.errors import ExponentOverflow, ScanTooLarge
-from kamtorus.precision import working_precision
+from kamtorus.precision import to_mpf, working_precision
 from kamtorus.serialize import canonical_dumps
 
 
@@ -54,14 +54,24 @@ def test_t_sequence_validation():
 
 # -- twist factor ------------------------------------------------------------
 
+def twist_phi(l: int, twist: con.TwistSequence):
+    """Twist factor 2 t_n^(tb/2) / (l - t_n) - 1 at the working precision:
+    the mpf reference for the exact integer floor `_floor_twist_scaled`."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    _, t_n, gap = twist.bracket(l)
+    half = to_mpf(twist.theta_bar) / 2
+    return 2 * mpmath.power(t_n, half) / gap - 1
+
+
 def test_twist_phi_start_extension_and_example():
     ts = con.t_sequence("0.4", 8)
     # l = 3 sits in (t_0, t_1]: value 2*2^0.2 - 1
     expected = 2 * mpmath.power(2, mpmath.mpf("0.2")) - 1
-    assert abs(con.twist_phi(3, ts) - expected) < 1e-70
-    assert abs(float(con.twist_phi(3, ts)) - 1.29740) < 1e-5
+    assert abs(twist_phi(3, ts) - expected) < 1e-70
+    assert abs(float(twist_phi(3, ts)) - 1.29740) < 1e-5
     # extension below t_0 equals the unit-gap value
-    assert con.twist_phi(0, ts) == con.twist_phi(1, ts) == con.twist_phi(2, ts)
+    assert twist_phi(0, ts) == twist_phi(1, ts) == twist_phi(2, ts)
 
 
 def test_twist_phi_unit_gap_events():
@@ -69,7 +79,7 @@ def test_twist_phi_unit_gap_events():
     for n in range(2, 5):
         t_n = ts.values[n]
         expected = 2 * mpmath.power(t_n, mpmath.mpf("0.2")) - 1
-        assert abs(con.twist_phi(t_n + 1, ts) - expected) < 1e-70
+        assert abs(twist_phi(t_n + 1, ts) - expected) < 1e-70
 
 
 def test_twist_phi_decreasing_within_bracket():
@@ -77,7 +87,7 @@ def test_twist_phi_decreasing_within_bracket():
     # pick a bracket with a wide gap
     n = len(ts.values) - 2
     t_n, t_next = ts.values[n], ts.values[n + 1]
-    vals = [con.twist_phi(l, ts) for l in range(t_n + 1, t_next + 1)]
+    vals = [twist_phi(l, ts) for l in range(t_n + 1, t_next + 1)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     floor_val = 2 * mpmath.power(t_n, mpmath.mpf("0.225")) / (t_next - t_n) - 1
     assert vals[-1] >= floor_val - mpmath.mpf("1e-60")
@@ -157,7 +167,7 @@ def test_direction_floor_is_exact():
     for l in range(3):
         d = st.direction(l)
         with working_precision(4 * max(64, st.c[l].bit_length() + 64)):
-            phi = con.twist_phi(l, st.twist)
+            phi = twist_phi(l, st.twist)
             val = mpmath.mpf(st.q_bar[2 * l]) / st.q[2 * l] * phi
             assert mpmath.floor(val) == st.c[l]
 

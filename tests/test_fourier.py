@@ -514,30 +514,3 @@ def test_remainder_split_empty_tail():
     rep = fr.remainder_split_check(f, dom, shrunk, 4)
     assert rep.all_passed()
     assert all("lhs = 0" in e.margin for e in rep.entries)
-
-
-# -- serialization -----------------------------------------------------------------
-
-def test_map_json_round_trip():
-    rng = np.random.default_rng(71)
-    f = random_map(rng, n_max=5, max_modes=6)
-    clone = fr.map_from_jsonable(fr.map_to_jsonable(f))
-    assert clone.d == f.d and clone.n_max == f.n_max
-    assert np.array_equal(clone.coeffs, f.coeffs)
-    # canonical form is stable under round trip
-    assert fr.map_to_jsonable(clone) == fr.map_to_jsonable(f)
-
-
-def test_map_json_format_guard():
-    from kamtorus.errors import SchemaMismatch
-    with pytest.raises(SchemaMismatch):
-        fr.map_from_jsonable({"format": "nope"})
-
-
-def test_norm_detail_csv():
-    f = fr.FourierMap.from_modes(2, 3, {(1, 0): [0.5, 0.25]}, hermitian=False)
-    text = fr.norm_detail_csv(f, fr.SlicedDomain.constant(2, 0.1))
-    lines = text.splitlines()
-    assert lines[0].startswith("mode,weight,factor,abs_component_0")
-    assert len(lines) == 2
-    assert lines[1].split(",")[0] == "1 0"

@@ -87,27 +87,6 @@ def test_manufacture_first_order():
     assert np.abs(lead - expected).max() <= 10 * eps ** 2
 
 
-def test_manufacture_rotation_vector():
-    f = kam.manufacture_test_map(small_h_star(n_max=8), ALPHA)
-    est, err_scale = kam.rotation_vector_estimate(f, ALPHA, (0.2, 0.7), 10_000)
-    assert np.abs(est - np.array(ALPHA)).max() < 1e-3
-    assert err_scale == 1e-4
-
-
-def test_rotation_vector_of_pure_rotation():
-    zero = fr.FourierMap.zeros(2, 4)
-    est, _ = kam.rotation_vector_estimate(zero, ALPHA, (0.11, 0.37), 7)
-    assert np.abs(est - np.array(ALPHA)).max() < 1e-15
-
-
-def test_rotation_vector_single_iteration():
-    f = kam.manufacture_test_map(small_h_star(n_max=8), ALPHA)
-    x0 = np.array([0.3, 0.9])
-    est, _ = kam.rotation_vector_estimate(f, ALPHA, x0, 1)
-    expected = np.array(ALPHA) + f.evaluate(x0[None, :]).real.T[0]
-    assert np.abs(est - expected).max() < 1e-14
-
-
 # -- single step ------------------------------------------------------------------
 
 def test_step_on_zero_perturbation():

@@ -1,4 +1,4 @@
-"""Tests for direction grids, cutoff weights and the delta-schedule solver."""
+"""Tests for direction grids, weight recipes and the delta-schedule solver."""
 
 import math
 from fractions import Fraction
@@ -6,13 +6,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from kamtorus import construction as con
 from kamtorus import diophantine as dio
 from kamtorus import kam
 from kamtorus import schedule as sch
-from kamtorus.errors import GridTooCoarse, ResonanceDetected, ZeroVector
+from kamtorus.errors import GridTooCoarse, ResonanceDetected
 from kamtorus.fourier import FourierMap
 from kamtorus.precision import to_mpf, working_precision
 
@@ -44,40 +43,6 @@ def test_grid_neighbors_include_ring():
     g = sch.DirectionGrid.circle(16)
     js = g.neighbors(0, radius=1e-9)
     assert {15, 0, 1} <= set(js)
-
-
-# -- cutoff and mode weights --------------------------------------------------
-
-def test_cutoff_weight_cases():
-    w = flat_weights(0.3)
-    assert sch.cutoff_weight(w, 1, (3,)) == 1.0
-    assert abs(sch.cutoff_weight(w, 1, (2,)) - mpmath.exp(-2 * 0.3)) < 1e-15
-    assert sch.cutoff_weight(w, 1, (5,)) == 0.0
-    with pytest.raises(ZeroVector):
-        sch.cutoff_weight(w, 1, (0, 0))
-
-
-@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=200))
-def test_cutoff_weight_trichotomy(n, ell):
-    w = flat_weights(0.11, count=10)
-    val = sch.cutoff_weight(w, n, (ell,))
-    if ell > 1 << (n + 1):
-        assert val == 0.0
-    elif ell > 1 << n:
-        assert val == 1.0
-    else:
-        assert 0 < val < 1
-
-
-def test_phi_weight_examples():
-    assert sch.phi_weight((1, 0), (0.0, 1.0), 0.5) == 1.0
-    assert abs(sch.phi_weight((1, 0), (1.0, 0.0), 0.1)
-               - mpmath.exp(0.2 * mpmath.pi)) < 1e-12
-    assert abs(float(sch.phi_weight((1, 0), (1.0, 0.0), 0.1)) - 1.87446) < 1e-5
-    # d = 1 parity
-    for ell in ((3,), (-7,)):
-        assert sch.phi_weight(ell, (1.0,), 0.2) == sch.phi_weight(ell, (-1.0,), 0.2)
-    assert sch.phi_weight((4,), (1.0,), 0.0) == 1.0
 
 
 # -- the schedule -------------------------------------------------------------
@@ -576,39 +541,9 @@ def test_weight_scans_stop_at_the_largest_radius_read(monkeypatch):
     assert len(w.c) == 6 and max(radii) == 1 << 5
     # the Bryuno terms k = 1..4 read Omega(2^1), ..., Omega(2^4)
     radii.clear()
-    rep = sch.classify(alpha, depth=4, weights=w)
-    assert len(rep.bryuno_terms) == 4 and max(radii) == 1 << 4
-    radii.clear()
-    assert sch.classify(alpha, depth=0, weights=w).bryuno_terms == []
-    assert radii == []
-
-
-# -- weight adjustment --------------------------------------------------------
-
-def test_adjust_weights_zero_sequence():
-    w = sch.WeightSequence(c=(0.0,) * 10, gothic_d=1.0)
-    adjusted, rep = sch.adjust_weights(w, C1=1.0, d=2)
-    for n in range(10):
-        expected = 4 * n * math.log(2) / (1 << n)
-        assert abs(adjusted.c[n] - expected) < 1e-15
-    assert rep.all_passed()
-
-
-def test_adjust_weights_cancellation_identity():
-    w = flat_weights(0.07, count=9)
-    adjusted, _ = sch.adjust_weights(w, C1=3.0, d=2)
-    for n in range(1, 9):
-        lhs = 3.0 * 2.0 ** (2 * n) * math.exp(-(1 << n) * adjusted.c[n])
-        rhs = math.exp(-(1 << n) * w.c[n])
-        assert lhs / rhs == pytest.approx(2.0 ** (-2 * n), rel=1e-9)
-
-
-def test_adjust_weights_summable():
-    import random
-    rng = random.Random(7)
-    c = tuple(rng.random() / (n + 1) ** 2 for n in range(12))
-    adjusted, rep = sch.adjust_weights(sch.WeightSequence(c=c), C1=2.0, d=3)
-    assert float(adjusted.partial_sum()) < float(sch.WeightSequence(c=c).partial_sum()) + 10
+    records = []
+    dio.bryuno_partial_sum(alpha, 4, records=records)
+    assert len(records) == 4 and max(radii) == 1 << 4
 
 
 # -- epsilon ledger -----------------------------------------------------------
@@ -649,7 +584,7 @@ def test_epsilon_ledger_dominance_in_contracting_regime():
     assert led.first_dominance_failure is None
 
 
-# -- recipes, classification, 1-D checks -------------------------------------
+# -- recipes and 1-D checks --------------------------------------------------
 
 def test_dimension_one_check_golden_all_green(golden):
     rep, details = sch.dimension_one_check([golden], 12)
@@ -672,41 +607,6 @@ def test_dimension_one_check_liouville_divergence():
     assert details["inf_delta"] < 0
     deltas = [row[0] for row in details["schedule"].values]
     assert all(b <= a for a, b in zip(deltas, deltas[1:]))
-
-
-def test_classify_golden_1d(golden):
-    rep = sch.classify([golden], depth=10)
-    assert rep.dimension == 1
-    assert rep.bryuno_partial_sum > 0 and math.isfinite(rep.bryuno_partial_sum)
-    assert rep.headline["inf_delta"] > 0
-    assert rep.dimension_one_consistent is True
-    assert rep.label == "finite-depth evidence, not a proof"
-
-
-def test_classify_liouville_1d():
-    liou = dio.synthetic_liouville(4)
-    rep = sch.classify([liou], depth=15, weights=sch.dyadic_weight_recipe([liou], 15, gothic_d=0.75))
-    assert rep.headline["inf_delta"] < 0.1
-    assert rep.dimension_one_consistent is False or rep.headline["inf_delta"] < 0.75
-
-
-def test_classify_pair_d2():
-    w = sch.dyadic_weight_recipe(pair_alpha(), 4, gothic_d=0.4, N=2)
-    rep = sch.classify(pair_alpha(), depth=4, weights=w,
-                       grid=sch.DirectionGrid.circle(16))
-    assert rep.dimension == 2
-    assert rep.headline["stages"] >= 4
-    assert rep.dimension_one_consistent is None
-
-
-def test_classify_constructed_vector_toy():
-    st = con.build(levels=3, mode="toy",
-                   schedule=con.GrowthSchedule(mode="toy", base=2, exponent_scale="1"))
-    alpha = con.alpha_approx(st)
-    w = sch.construction_weights(st, n_max=6)
-    rep = sch.classify(alpha, depth=6, weights=w, grid=sch.DirectionGrid.circle(16))
-    assert rep.bryuno_partial_sum > 0
-    assert "inf_delta" in rep.headline
 
 
 def test_construction_weights_dominate_offdirection_divisors():
