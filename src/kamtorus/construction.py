@@ -50,6 +50,7 @@ from .precision import (
     as_fraction,
     big_gcd,
     floor_exp,
+    floor_int_pow,
     floor_rational_pow,
     int_nth_root,
     resolve_floor,
@@ -58,6 +59,10 @@ from .precision import (
 from .reports import VerificationReport
 
 START_GAP_NOTE = "levels l <= t_0 = 2 use the n = 0 bracket with unit gap"
+
+#: Largest scan radius of the exact full-ball divisor scans; a larger one
+#: raises ScanTooLarge.
+SCAN_GUARD = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +100,13 @@ def t_sequence(theta_bar, count: int) -> TwistSequence:
         raise ValueError("count must be >= 1")
     values = [2]
     for _ in range(count):
-        t = values[-1]
-        values.append(t + _floor_int_power(t, tb))
+        values.append(_twist_step(values[-1], tb))
     return TwistSequence(theta_bar=tb, values=tuple(values))
 
 
-def _floor_int_power(t: int, exponent: Fraction) -> int:
-    p, q = exponent.numerator, exponent.denominator
-    return int_nth_root(t ** p, q)
+def _twist_step(t: int, theta_bar: Fraction) -> int:
+    """t_{n+1} = t_n + floor(t_n ** theta_bar), in integers."""
+    return t + floor_int_pow(t, theta_bar)
 
 
 def extend_twist(twist: TwistSequence, min_top: int) -> TwistSequence:
@@ -111,8 +115,7 @@ def extend_twist(twist: TwistSequence, min_top: int) -> TwistSequence:
         return twist
     values = list(twist.values)
     while values[-1] < min_top:
-        t = values[-1]
-        values.append(t + _floor_int_power(t, twist.theta_bar))
+        values.append(_twist_step(values[-1], twist.theta_bar))
     return TwistSequence(theta_bar=twist.theta_bar, values=tuple(values))
 
 
@@ -294,17 +297,17 @@ class ConstructionState:
 
     @classmethod
     def seed(cls, theta_bar="0.4", q0: int = 100, q0_bar: int = 101,
-             p0: int = 1, p0_bar: int = 1, mode: str = "paper",
-             twist_count: int = 16) -> "ConstructionState":
+             mode: str = "paper") -> "ConstructionState":
+        """Level 0: alpha_0 = (1/q0, 1/q0_bar) and 16 twist steps."""
         tb = as_fraction(theta_bar)
         if q0 < 1 or q0_bar < 1:
             raise ValueError("seed denominators must be positive")
         return cls(
             theta_bar=tb,
-            twist=t_sequence(tb, twist_count),
+            twist=t_sequence(tb, 16),
             mode=mode,
             level=0,
-            p=(p0,), q=(q0,), p_bar=(p0_bar,), q_bar=(q0_bar,),
+            p=(1,), q=(q0,), p_bar=(1,), q_bar=(q0_bar,),
             a=(), c=(), nu_tilde=(), nu=(), q_tilde=(),
         )
 
@@ -604,14 +607,22 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
     return rep
 
 
-def _exact_scan(alpha_pair, radius: int, skip_parallel_to=None):
-    """Min of ||alpha . l|| over canonical 0 < |l|_sup <= radius, exact.
-
-    Returns (value: Fraction, argmin), value 0 at a resonance.
-    skip_parallel_to excludes the ray of a given direction vector.
-    """
-    return _divisor_min(alpha_pair, radius, skip_parallel_to=skip_parallel_to,
-                        raise_resonance=False)
+def offdirection_divisor(state: ConstructionState, alpha, scale: int,
+                         radius: int):
+    """(l(n), least ||alpha . k|| over 0 < |k|_sup <= radius with k not
+    parallel to nu(l(n))), l(n) the deepest level with q_tilde <= scale;
+    (None, None) if there is none.  The divisor is exact (0 at a resonance,
+    None for an empty ball).  alpha is `alpha_approx(state)`: shallower
+    approximants can be resonant inside the radius."""
+    l_of_n = None
+    for l in range(state.level):
+        if state.q_tilde[l] <= scale:
+            l_of_n = l
+    if l_of_n is None:
+        return None, None
+    value, _ = _divisor_min(alpha, radius, skip_parallel_to=state.nu[l_of_n],
+                            raise_resonance=False)
+    return l_of_n, value
 
 
 def _log_inv(x: Fraction):
@@ -628,9 +639,8 @@ def _scan_alpha(state: ConstructionState, level: int):
     return state.alpha_pair_at(2 * (level + 1))
 
 
-def verify_divisor_bounds(state: ConstructionState, level: int,
-                          scan_guard: int = 10 ** 5,
-                          ray_cap: int = 64) -> VerificationReport:
+def verify_divisor_bounds(state: ConstructionState,
+                          level: int) -> VerificationReport:
     """Small-divisor structure at one level, from an exact full-ball scan.
 
     Scans the full ball |l|_sup <= q_tilde(level) on the level's even exact
@@ -638,15 +648,16 @@ def verify_divisor_bounds(state: ConstructionState, level: int,
     respect the exact lower bound 1/(2 (a_{2l+2} qbar_{2l+1} q_{2l+1} + 1)).
     Ray (parallel) multiples get the two-sided per-|m| bounds; non-parallel
     annulus vectors get the exact divisor floor 1/(2 a_{2l+1} q_{2l} qbar_{2l}
-    c(l)).  ScanTooLarge if q_tilde(level) exceeds the guard.
+    c(l)).  ScanTooLarge if q_tilde(level) exceeds SCAN_GUARD; the ray
+    entries check the first 64 multiples at most.
     """
     if level >= state.level:
         raise ValueError("divisor bounds need the level's growth factors; "
                          f"advance the state beyond level {level}")
     data = state.direction(level)
-    if data.q_tilde > scan_guard:
+    if data.q_tilde > SCAN_GUARD:
         raise ScanTooLarge(
-            f"q_tilde({level}) = {data.q_tilde} exceeds the scan guard {scan_guard}")
+            f"q_tilde({level}) = {data.q_tilde} exceeds the scan guard {SCAN_GUARD}")
     rep = VerificationReport(
         f"divisor bounds at level {level}",
         _report_header(state, scan_radius=data.q_tilde,
@@ -659,7 +670,7 @@ def verify_divisor_bounds(state: ConstructionState, level: int,
     # cannot reach; toy entries are measurements, not assertions
     assertable = not toy
 
-    omega, argmin = _exact_scan(alpha, data.q_tilde)
+    omega, argmin = _divisor_min(alpha, data.q_tilde, raise_resonance=False)
     canonical_nu = data.nu if data.nu[0] > 0 else (-data.nu[0], -data.nu[1])
     rep.add("argmin_is_direction", f"level {level}",
             (argmin == canonical_nu) if assertable else None,
@@ -681,7 +692,8 @@ def verify_divisor_bounds(state: ConstructionState, level: int,
                  + ("; toy-scale" if toy else ""))
 
     # non-parallel floor over the same ball (exact)
-    off_min, off_arg = _exact_scan(alpha, data.q_tilde, skip_parallel_to=data.nu)
+    off_min, off_arg = _divisor_min(alpha, data.q_tilde, skip_parallel_to=data.nu,
+                                    raise_resonance=False)
     if off_min is not None:
         q2l, qb2l = state.q[2 * level], state.q_bar[2 * level]
         floor_np = Fraction(1, 2 * a_odd * q2l * qb2l * data.c)
@@ -699,7 +711,7 @@ def verify_divisor_bounds(state: ConstructionState, level: int,
                     off_min.denominator * omega.numerator),
                 note="" if assertable else "toy-scale measurement")
 
-    _ray_entries(rep, state, level, ray_cap)
+    _ray_entries(rep, state, level, 64)
     return rep
 
 
@@ -751,8 +763,8 @@ def _ray_entries(rep: VerificationReport, state: ConstructionState, level: int,
                 note="no in-range multiples (sqrt(q_tilde(l+1)) < 2 q_tilde)")
 
 
-def verify_criteria(state: ConstructionState, max_scale: int = 128,
-                    scan_guard: int = 10 ** 5) -> VerificationReport:
+def verify_criteria(state: ConstructionState,
+                    max_scale: int = 128) -> VerificationReport:
     """Finite-scale checks of the scale-separation criteria.
 
     1. q_tilde(l+1) > 4 q_tilde(l), exactly.
@@ -763,10 +775,10 @@ def verify_criteria(state: ConstructionState, max_scale: int = 128,
     3. Direction angles within a twist bracket are separated; the measured
        constant theta * t_n^(tb/2) is reported.
     4. Partial sums over non-direction divisors stay summable-looking at the
-       scanned scales (k_n from the exact scan up to max_scale).
+       scanned scales (k_n from `offdirection_divisor` up to max_scale).
     5. Ray bounds are delegated to verify_divisor_bounds/_ray_entries.
     """
-    if max_scale > 10 ** 5:
+    if max_scale > SCAN_GUARD:
         raise ScanTooLarge(f"max_scale {max_scale} exceeds 1e5")
     rep = VerificationReport("scale-separation criteria",
                              _report_header(state, max_scale=max_scale))
@@ -827,25 +839,16 @@ def verify_criteria(state: ConstructionState, max_scale: int = 128,
 
     # condition 4: non-direction divisors at dyadic scales
     k_total = mp.mpf(0)
-    n = 1
-    while (1 << n) <= max_scale:
+    scan_vec = alpha_approx(state)
+    for n in range(1, max_scale.bit_length()):
         scale = 1 << n
-        l_of_n = None
-        for l in range(levels):
-            if state.q_tilde[l] <= scale:
-                l_of_n = l
+        l_of_n, k_min = offdirection_divisor(state, scan_vec, scale, scale)
         if l_of_n is None:
-            n += 1
             continue
-        nu = state.nu[l_of_n]
-        # deepest approximant: shallow ones can be resonant inside the scan
-        # radius once their reduced denominators fall below 2^n
-        scan_vec = alpha_approx(state)
-        k_min, _ = _exact_scan(scan_vec, scale, skip_parallel_to=nu)
         if k_min is None or k_min == 0:
             rep.add("offdirection_sum", f"scale 2^{n}", False, note="degenerate scan")
-            n += 1
             continue
+        nu = state.nu[l_of_n]
         base = nearest_int_distance(scan_vec[0] * nu[0] + scan_vec[1] * nu[1])
         rep.add("offdirection_dominates", f"scale 2^{n}",
                 bool(k_min > base) if (scale >= state.q_tilde[l_of_n] and not toy) else None,
@@ -853,7 +856,6 @@ def verify_criteria(state: ConstructionState, max_scale: int = 128,
                     k_min.numerator * base.denominator,
                     k_min.denominator * base.numerator))
         k_total += _log_inv(k_min) / scale
-        n += 1
     rep.add("offdirection_sum", f"scales <= {max_scale}", None,
             margin=mpmath.nstr(k_total, 8),
             note="finite-depth partial sum; summability is asymptotic")

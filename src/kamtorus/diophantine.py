@@ -76,10 +76,6 @@ class ContinuedFraction:
     depth: int
     precision_bits: int
 
-    def convergent(self, k: int) -> Fraction:
-        """p_k/q_k as an exact rational, k = 1..depth."""
-        return Fraction(self.numerators[k - 1], self.denominators[k - 1])
-
 
 def continued_fraction(x, depth: int) -> ContinuedFraction:
     """Expand x to `depth` partial quotients.

@@ -8,6 +8,10 @@ f_hat(l) over the centered box |l|_sup <= n_max, representing
 Real-valued maps satisfy f_hat(-l) = conj(f_hat(l)); all operations preserve
 that symmetry up to a few ulp and `hermitian_defect` measures it.
 
+The stored box's sup and l1 norms, the phase e^(2 pi i l . v) and the
+direction products |beta . l| are built here only, so the KAM solver and
+`translate` share one phase.
+
 Norms follow the sliced-domain convention: each lattice mode carries the
 weight exp(2 pi w(l)) with w(l) = max over directions beta of
 delta_beta |beta . l|.  With constant radii this equals the classical
@@ -41,6 +45,7 @@ against the telescoping difference series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +59,8 @@ TWO_PI = 2 * math.pi
 # points per block of the dense evaluation: bounds its (components, 2 n_max
 # + 1, block) temporaries to a few MB at any point count
 EVAL_BLOCK = 1024
+# relative l1 size of the term at which the series oracles stop summing
+SERIES_TOL = 1e-16
 
 
 class FourierMap:
@@ -61,12 +68,13 @@ class FourierMap:
 
     coeffs has shape (components,) + (2 n_max + 1,) * d with axis index i
     holding mode i - n_max.  Instances are immutable by convention; `info`
-    carries producer metadata (composition spill, inversion residuals).
+    carries producer metadata (composition spill, inversion residuals),
+    which the producers fill in after construction.
     """
 
     __slots__ = ("d", "n_max", "coeffs", "info")
 
-    def __init__(self, d: int, n_max: int, coeffs: np.ndarray, info=None):
+    def __init__(self, d: int, n_max: int, coeffs: np.ndarray):
         expected = (2 * n_max + 1,) * d
         if coeffs.ndim != d + 1 or coeffs.shape[1:] != expected:
             raise ValueError(f"coefficient shape {coeffs.shape} does not match "
@@ -74,7 +82,7 @@ class FourierMap:
         self.d = d
         self.n_max = n_max
         self.coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        self.info = dict(info) if info else {}
+        self.info = {}
 
     # -- construction ------------------------------------------------------
 
@@ -128,15 +136,6 @@ class FourierMap:
     def component(self, j: int) -> "FourierMap":
         return FourierMap(self.d, self.n_max, self.coeffs[j:j + 1])
 
-    def modes(self):
-        """(lattice vector, coefficient vector) over nonzero modes, sorted by
-        (|l|_sup, lexicographic) for reproducible summation."""
-        nz = np.argwhere(np.any(self.coeffs != 0, axis=0))
-        entries = [tuple(int(i) - self.n_max for i in idx) for idx in nz]
-        entries.sort(key=lambda l: (max(abs(c) for c in l), l))
-        for l in entries:
-            yield l, self.mode(l)
-
     # -- arithmetic --------------------------------------------------------
 
     def _binary(self, other, op):
@@ -145,8 +144,8 @@ class FourierMap:
         if (self.d, self.components) != (other.d, other.components):
             raise ValueError("incompatible maps")
         n = max(self.n_max, other.n_max)
-        a = pad_truncation(self, n).coeffs
-        b = pad_truncation(other, n).coeffs
+        a = retruncate(self, n).coeffs
+        b = retruncate(other, n).coeffs
         return FourierMap(self.d, n, op(a, b))
 
     def __add__(self, other):
@@ -169,6 +168,12 @@ class FourierMap:
         for ax in range(1, self.d + 1):
             flipped = np.flip(flipped, axis=ax)
         return float(np.abs(self.coeffs - np.conj(flipped)).max())
+
+    def is_real(self) -> bool:
+        """Whether the coefficients represent a real-valued map: Hermitian
+        up to 1e-9 of the l1 norm (or of 1 for small maps), far above the
+        few ulp that the operations leave."""
+        return self.hermitian_defect() <= 1e-9 * max(self.l1_norm(), 1.0)
 
     def evaluate(self, points: np.ndarray, real: bool = False) -> np.ndarray:
         """Values at arbitrary points by the dense trigonometric sum; shape
@@ -248,11 +253,13 @@ def retruncate(f: FourierMap, n_max: int) -> FourierMap:
     modes (an exact head extraction when shrinking)."""
     if n_max == f.n_max:
         return f
-    if n_max > f.n_max:
-        return pad_truncation(f, n_max)
-    offset = f.n_max - n_max
-    sl = (slice(None),) + (slice(offset, offset + 2 * n_max + 1),) * f.d
-    return FourierMap(f.d, n_max, f.coeffs[sl])
+    small, big = sorted((n_max, f.n_max))
+    inner = (slice(None),) + (slice(big - small, big + small + 1),) * f.d
+    if n_max < f.n_max:
+        return FourierMap(f.d, n_max, f.coeffs[inner])
+    out = FourierMap.zeros(f.d, n_max, f.components)
+    out.coeffs[inner] = f.coeffs
+    return out
 
 
 def _phase_rows(x: np.ndarray, n_max: int) -> np.ndarray:
@@ -322,19 +329,6 @@ def _real_form(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def pad_truncation(f: FourierMap, n_max: int) -> FourierMap:
-    """Same map viewed at a larger truncation (zero padding)."""
-    if n_max == f.n_max:
-        return f
-    if n_max < f.n_max:
-        raise ValueError("use truncate_split to shrink the truncation")
-    out = FourierMap.zeros(f.d, n_max, f.components)
-    offset = n_max - f.n_max
-    sl = (slice(None),) + (slice(offset, offset + 2 * f.n_max + 1),) * f.d
-    out.coeffs[sl] = f.coeffs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sliced domains and norms
 
@@ -386,27 +380,18 @@ def norm_xi(f: FourierMap, domain: SlicedDomain) -> NormReport:
     (delta |l|_2 at a constant radius), evaluated over the whole mode box;
     the report's value is the max over components.
     """
-    idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
     if domain.constant_radius is not None:
+        idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
         if f.d == 1:
             w = np.abs(idx) * domain.constant_radius
         else:
             w = np.hypot(idx[:, None], idx[None, :]) * domain.constant_radius
     else:
-        dirs = np.asarray(domain.grid.directions, dtype=np.float64)
+        dots = _direction_dots(domain.grid.directions, f.n_max)
         radii = np.asarray(domain.radii, dtype=np.float64)
-        if f.d == 1:
-            dots = np.abs(dirs[:, :1] * idx[None, :])       # (G, M)
-            w = (radii[:, None] * dots).max(axis=0)
-        else:
-            lx = np.repeat(idx, idx.size)
-            ly = np.tile(idx, idx.size)
-            dots = np.abs(dirs @ np.vstack([lx, ly]))       # (G, M*M)
-            w = (radii[:, None] * dots).max(axis=0).reshape(idx.size, idx.size)
-    weights = np.exp(TWO_PI * w)
-    per = tuple(float((np.abs(f.coeffs[j]) * weights).sum())
-                for j in range(f.components))
-    return NormReport(value=max(per) if per else 0.0, per_component=per)
+        w = (radii.reshape((-1,) + (1,) * f.d) * dots).max(axis=0)
+    per = _weighted_sums(f, w)
+    return NormReport(value=max(per), per_component=per)
 
 
 def seminorm_beta(f: FourierMap, beta, delta_bar) -> float:
@@ -414,15 +399,16 @@ def seminorm_beta(f: FourierMap, beta, delta_bar) -> float:
     max over components."""
     if delta_bar < 0:
         raise ValueError("delta_bar must be >= 0")
-    totals = [[] for _ in range(f.components)]
-    for l, vec in f.modes():
-        dot = abs(math.fsum(float(b) * int(c) for b, c in zip(beta, l)))
-        factor = math.exp(TWO_PI * float(delta_bar) * dot)
-        mags = np.abs(vec)
-        for j in range(f.components):
-            if mags[j] != 0:
-                totals[j].append(mags[j] * factor)
-    return max((math.fsum(t) for t in totals), default=0.0)
+    dots = _direction_dots([beta], f.n_max)[0]
+    return max(_weighted_sums(f, float(delta_bar) * dots))
+
+
+def _weighted_sums(f: FourierMap, w: np.ndarray) -> tuple:
+    """sum_l |f_hat_j(l)| exp(2 pi w(l)) per component j, w given over the
+    stored mode box: the one weighting of `norm_xi` and `seminorm_beta`."""
+    weights = np.exp(TWO_PI * w)
+    return tuple(float((np.abs(f.coeffs[j]) * weights).sum())
+                 for j in range(f.components))
 
 
 def truncate_split(f: FourierMap, N: int):
@@ -431,24 +417,50 @@ def truncate_split(f: FourierMap, N: int):
         raise ValueError("N exceeds the stored truncation")
     if N < 0:
         raise ValueError("N must be >= 0")
-    mask = _ball_mask(f.d, f.n_max, N)
+    mask = (_sup_norms(f.d, f.n_max) <= N)[None]
     head = FourierMap(f.d, f.n_max, np.where(mask, f.coeffs, 0))
     tail = FourierMap(f.d, f.n_max, np.where(mask, 0, f.coeffs))
     return head, tail
 
 
-def _ball_mask(d: int, n_max: int, N: int) -> np.ndarray:
-    return (_sup_norms(d, n_max) <= N)[None]
+# ---------------------------------------------------------------------------
+# the mode lattice: functions of l over the stored box, shape
+# (2 n_max + 1,) * d with axis index i holding mode i - n_max
 
 
 def _sup_norms(d: int, n_max: int) -> np.ndarray:
-    """|l|_sup over the stored mode box, shape (2 n_max + 1,) * d."""
+    """|l|_sup over the stored mode box."""
     idx = np.abs(np.arange(-n_max, n_max + 1))
-    if d == 1:
-        return idx
-    if d == 2:
-        return np.maximum(idx[:, None], idx[None, :])
-    raise NotImplementedError
+    return functools.reduce(np.maximum.outer, [idx] * d)
+
+
+def _l1_norms(d: int, n_max: int) -> np.ndarray:
+    """|l|_1 over the stored mode box."""
+    idx = np.abs(np.arange(-n_max, n_max + 1))
+    return functools.reduce(np.add.outer, [idx] * d)
+
+
+def _phase(d: int, n_max: int, v: np.ndarray) -> np.ndarray:
+    """e^(2 pi i l . v) over the stored mode box, l . v rounded before it
+    meets 2 pi i: the one phase that `translate` multiplies by and
+    `kam.solve_cohomological` divides by (minus one), so its rounding drops
+    out of the cohomological residual (see `kam._residual_bound`)."""
+    idx = np.arange(-n_max, n_max + 1)
+    dots = functools.reduce(np.add.outer, [idx * v[k] for k in range(d)])
+    return np.exp(2j * np.pi * dots)
+
+
+def _direction_dots(directions, n_max: int) -> np.ndarray:
+    """|beta . l| for each direction beta of `directions` (G vectors of
+    length d) over the stored mode box, shape (G,) + (2 n_max + 1,) * d."""
+    dirs = np.asarray(directions, dtype=np.float64)
+    idx = np.arange(-n_max, n_max + 1, dtype=np.float64)
+    if dirs.shape[1] == 1:
+        return np.abs(dirs * idx[None, :])
+    lx = np.repeat(idx, idx.size)
+    ly = np.tile(idx, idx.size)
+    dots = np.abs(dirs @ np.vstack([lx, ly]))
+    return dots.reshape(len(dirs), idx.size, idx.size)
 
 
 def multiply(f: FourierMap, g: FourierMap) -> FourierMap:
@@ -539,8 +551,9 @@ def _sample_points(d: int, m: int) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _grid_size(n_max: int, oversample: int = 4) -> int:
-    return max(oversample * n_max, 8)
+def _grid_size(n_max: int) -> int:
+    """Points per axis of the sampling grid: 4 n_max, at least 8."""
+    return max(4 * n_max, 8)
 
 
 def _reexpand(values: np.ndarray, d: int, m: int, n_max: int,
@@ -575,8 +588,7 @@ def _reexpand(values: np.ndarray, d: int, m: int, n_max: int,
     return out, spill
 
 
-def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
-                  series_tol: float = 1e-16, max_order: int = 40) -> FourierMap:
+def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> FourierMap:
     """x -> f(x + h(x)), re-expanded to f's truncation.
 
     method "grid": sample h on the (4 n_max)^d uniform grid by inverse FFT,
@@ -588,7 +600,7 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
     if f.d != h.d or h.components != f.d:
         raise ValueError("shift must be a d-component map on the same torus")
     if method == "series":
-        return _compose_series(f, h, series_tol, max_order)
+        return _compose_series(f, h)
     if method != "grid":
         raise ValueError(f"unknown method {method!r}")
     m = _grid_size(max(f.n_max, h.n_max))
@@ -596,9 +608,7 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
     shift = h.grid_values(m)
     shift_imag = float(np.abs(shift.imag).max())
     shifted = pts + shift.real.T
-    herm = (f.hermitian_defect() <= 1e-9 * max(f.l1_norm(), 1.0)
-            and h.hermitian_defect() <= 1e-9 * max(h.l1_norm(), 1.0))
-    vals = f.evaluate(shifted, real=herm)
+    vals = f.evaluate(shifted, real=f.is_real() and h.is_real())
     out, spill = _reexpand(np.asarray(vals, dtype=np.complex128),
                                 f.d, m, f.n_max, f.components)
     out.info["spill"] = spill
@@ -607,8 +617,9 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid",
     return out
 
 
-def _compose_series(f: FourierMap, h: FourierMap, tol: float,
-                    max_order: int) -> FourierMap:
+def _compose_series(f: FourierMap, h: FourierMap) -> FourierMap:
+    """The Taylor oracle of `compose_shift`, summed order by order until an
+    order adds less than SERIES_TOL of |f|; OracleDivergence after 40."""
     # translations are exact and do not count against the radius
     h0 = h.mean()
     if np.abs(h0).max() > 0:
@@ -620,7 +631,7 @@ def _compose_series(f: FourierMap, h: FourierMap, tol: float,
             f"series composition needs 2 pi n_max ||h|| < 1, got {radius:.3g}")
     scale = max(f.l1_norm(), 1e-300)
     n_work = f.n_max + 6 * max(1, h.n_max)
-    total = pad_truncation(f, n_work)
+    total = retruncate(f, n_work)
     frontier = {(0,) * f.d: f}
     # memoized powers of the shift components, already capped at n_work
     pow_cache = {(ax, 0): None for ax in range(f.d)}
@@ -635,7 +646,7 @@ def _compose_series(f: FourierMap, h: FourierMap, tol: float,
             pow_cache[key] = nxt
         return pow_cache[key]
 
-    for order in range(1, max_order + 1):
+    for order in range(1, 41):
         new_frontier = {}
         for t, base in frontier.items():
             for ax in range(f.d):
@@ -656,11 +667,11 @@ def _compose_series(f: FourierMap, h: FourierMap, tol: float,
             total = total + piece
             contribution += piece.l1_norm()
         frontier = new_frontier
-        if contribution < tol * scale:
+        if contribution < SERIES_TOL * scale:
             break
     else:
         raise OracleDivergence(
-            f"series composition did not converge within {max_order} orders")
+            "series composition did not converge within 40 orders")
     out = retruncate(total, f.n_max)
     out.info["path"] = "series"
     return out
@@ -682,16 +693,10 @@ def _vector_times_scalar(vec_map: FourierMap, scalar_map: FourierMap) -> Fourier
 def translate(f: FourierMap, v) -> FourierMap:
     """f(x + v) for a constant shift: coefficients pick up e^(2 pi i l . v)."""
     v = np.asarray(v, dtype=np.float64).reshape(f.d)
-    idx = np.arange(-f.n_max, f.n_max + 1)
-    if f.d == 1:
-        phase = np.exp(2j * np.pi * idx * v[0])[None]
-    else:
-        phase = np.exp(2j * np.pi * (idx[:, None] * v[0] + idx[None, :] * v[1]))[None]
-    return FourierMap(f.d, f.n_max, f.coeffs * phase)
+    return FourierMap(f.d, f.n_max, f.coeffs * _phase(f.d, f.n_max, v)[None])
 
 
-def invert_near_identity(h: FourierMap, tol: float = 1e-14,
-                         max_sweeps: int = 80) -> FourierMap:
+def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
     """Correction g with (id - h + g) o (id + h) = id.
 
     g is defined on the *target* side: (id + h)^(-1)(w) = w - h(w) + g(w),
@@ -700,12 +705,12 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
     every grid point w by the damped-free fixed-point sweep y <- w - h(y)
     (all points vectorized, h(y) by the real dense sum), then re-expand g by
     FFT.  Requires the contraction guard 2 pi n_max ||h||_l1 < 1/2 and each
-    sweep to cut the residual in half.
+    sweep to cut the residual in half; stops below tol or after 80 sweeps.
 
     info carries the final residual, sweep count and re-expansion spill.
     The series oracle is `invert_series`.
     """
-    if h.hermitian_defect() > 1e-9 * max(h.l1_norm(), 1.0):
+    if not h.is_real():
         raise ValueError("inversion expects a real-representing shift")
     guard = TWO_PI * h.n_max * (h - FourierMap.constant(
         h.d, h.n_max, h.mean(), components=h.components)).l1_norm()
@@ -717,7 +722,7 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
     h_w = h.grid_values(m).real.T
     y = w - h_w                         # first sweep from y0 = w
     residual = None
-    for sweep in range(max_sweeps):
+    for sweep in range(80):
         hy = h.evaluate(y, real=True).T
         res = np.abs(y + hy - w).max()
         if residual is not None and res > 0.5 * residual and res > tol:
@@ -736,23 +741,24 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14,
     return out
 
 
-def invert_series(h: FourierMap, tol: float = 1e-16,
-                  max_terms: int = 60) -> FourierMap:
+def invert_series(h: FourierMap) -> FourierMap:
     """Series oracle for the inversion correction.
 
     With w_0 = h o (id + h) - h and w_k = w_{k-1} o (id + h) - w_{k-1},
     the defining identity g(z + h(z)) = w_0(z) unrolls to the alternating
     sum g = sum_k (-1)^k w_k: each unroll step rewrites w_k(z) as
     w_k(w) - w_{k+1}(z) at the target point w = z + h(z).  Compositions use
-    the Taylor path, so this route never touches the sampling grid.
+    the Taylor path, so this route never touches the sampling grid.  The sum
+    stops once a term falls below SERIES_TOL of |h|; OracleDivergence after
+    60 terms.
     """
-    w_k = _compose_series(h, h, tol, 40) - h
+    w_k = _compose_series(h, h) - h
     total = w_k
     sign = 1.0
-    for _ in range(max_terms):
-        if w_k.l1_norm() < tol * max(h.l1_norm(), 1e-300):
+    for _ in range(60):
+        if w_k.l1_norm() < SERIES_TOL * max(h.l1_norm(), 1e-300):
             break
-        w_k = _compose_series(w_k, h, tol, 40) - w_k
+        w_k = _compose_series(w_k, h) - w_k
         sign = -sign
         total = total + w_k.scaled(sign)
     else:

@@ -39,12 +39,15 @@ from .fourier import (
     FourierMap,
     SlicedDomain,
     _grid_size,
+    _l1_norms,
+    _phase,
     _reexpand,
     _sample_points,
+    _sup_norms,
     invert_near_identity,
     nonzero_radius,
     norm_xi,
-    pad_truncation,
+    retruncate,
     translate,
     truncate_split,
 )
@@ -74,14 +77,8 @@ def solve_cohomological(df: FourierMap, alpha, N: int) -> FourierMap:
         raise ValueError("alpha dimension mismatch")
     if N > df.n_max:
         raise ValueError("truncation exceeds the stored coefficients")
-    idx = np.arange(-df.n_max, df.n_max + 1)
-    if df.d == 1:
-        dots = idx * alpha[0]
-        sup = np.abs(idx)
-    else:
-        dots = idx[:, None] * alpha[0] + idx[None, :] * alpha[1]
-        sup = np.maximum(np.abs(idx)[:, None], np.abs(idx)[None, :])
-    divisor = np.exp(2j * np.pi * dots) - 1.0
+    sup = _sup_norms(df.d, df.n_max)
+    divisor = _phase(df.d, df.n_max, alpha) - 1.0
     solve_mask = (sup > 0) & (sup <= N)
     bad = solve_mask & (np.abs(divisor) < 1e-13)
     if bad.any():
@@ -186,8 +183,10 @@ def _default_schedule(alpha, params: KamParams) -> DeltaSchedule:
 def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
                   schedule: DeltaSchedule | None = None) -> KamState:
     params = params or KamParams(n_max=delta_f.n_max)
-    if delta_f.n_max != params.n_max:
-        delta_f = pad_truncation(delta_f, params.n_max)
+    if delta_f.n_max > params.n_max:
+        raise ValueError(f"the perturbation's n_max {delta_f.n_max} exceeds "
+                         f"the run's n_max {params.n_max}")
+    delta_f = retruncate(delta_f, params.n_max)
     if schedule is None:
         schedule = _default_schedule(alpha, params)
     eps0 = delta_f.l1_norm()
@@ -345,10 +344,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 def _lipschitz(f: FourierMap) -> float:
     """2 pi max_j sum_l |l|_1 |f_hat_j(l)|: a Lipschitz constant of f in
     the sup norm, |f(y) - f(z)|_sup <= L |y - z|_sup."""
-    idx = np.abs(np.arange(-f.n_max, f.n_max + 1))
-    l1 = idx if f.d == 1 else idx[:, None] + idx[None, :]
     axes = tuple(range(1, f.d + 1))
-    return TWO_PI * float((np.abs(f.coeffs) * l1).sum(axis=axes).max())
+    return TWO_PI * float((np.abs(f.coeffs) * _l1_norms(f.d, f.n_max))
+                          .sum(axis=axes).max())
 
 
 def _residual_bound(df: FourierMap, h: FourierMap) -> float:
@@ -357,8 +355,8 @@ def _residual_bound(df: FourierMap, h: FourierMap) -> float:
 
     Per solved mode l, h_l = fl(df_l / D) with D = fl(E - 1), and the
     residual forms fl(fl(h_l E) - h_l) - df_l with the same double E:
-    `translate` and the solver compute the phase by the same expression, so
-    the error of E itself drops out and no small divisor amplifies
+    `translate` and the solver both take the phase from `fourier._phase`,
+    so the error of E itself drops out and no small divisor amplifies
     anything.  First order in u: D is off by u |D| (one real subtraction),
     which moves h_l (E - 1) by u |df_l|; the quotient is off by at most
     30 u |h_l| (Smith's division as numpy does it: at most 7 roundings per

@@ -12,6 +12,8 @@ import math
 WIDTH = 800
 HEIGHT = 500
 MARGIN = 60
+# decay curves plot only the values above this floor
+FLOOR = 1e-300
 
 
 def _fmt(x: float) -> str:
@@ -40,7 +42,7 @@ def _header(title: str) -> list:
     ]
 
 
-def schedule_heatmap(rows, title: str = "delta schedule") -> str:
+def schedule_heatmap(rows) -> str:
     """SVG heatmap of delta over (stage, direction angle).
 
     rows: iterable of (stage: int, beta_angle: float, delta: float).
@@ -55,7 +57,7 @@ def schedule_heatmap(rows, title: str = "delta schedule") -> str:
     span = (hi - lo) or 1.0
     cell_w = (WIDTH - 2 * MARGIN) / len(stages)
     cell_h = (HEIGHT - 2 * MARGIN) / len(angles)
-    out = _header(title)
+    out = _header("delta schedule")
     lookup = {(s, a): v for s, a, v in data}
     for i, s in enumerate(stages):
         for j, a in enumerate(angles):
@@ -84,14 +86,14 @@ def schedule_heatmap(rows, title: str = "delta schedule") -> str:
     return "\n".join(out) + "\n"
 
 
-def decay_curves(series, title: str = "decay", floor: float = 1e-300) -> str:
+def decay_curves(series, title: str = "decay") -> str:
     """SVG log-scale decay curves.
 
     series: list of (label, [(x, y), ...]) with y > 0 plotted on log10 scale.
     """
     series = [(str(label), [(float(x), float(y)) for x, y in pts])
               for label, pts in series]
-    pts_all = [(x, y) for _, pts in series for x, y in pts if y > floor]
+    pts_all = [(x, y) for _, pts in series for x, y in pts if y > FLOOR]
     if not pts_all:
         raise ValueError("no positive points to plot")
     xs = [x for x, _ in pts_all]
@@ -120,8 +122,8 @@ def decay_curves(series, title: str = "decay", floor: float = 1e-300) -> str:
     for i, (label, pts) in enumerate(series):
         color = palette[i % len(palette)]
         path = " ".join(
-            f"{_fmt(sx(x))},{_fmt(sy(math.log10(max(y, floor))))}"
-            for x, y in pts if y > floor)
+            f"{_fmt(sx(x))},{_fmt(sy(math.log10(y)))}"
+            for x, y in pts if y > FLOOR)
         if path:
             out.append(f'<polyline points="{path}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')

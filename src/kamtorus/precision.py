@@ -242,21 +242,19 @@ def floor_rational_pow(base: int, exponent: Fraction,
 
 
 def resolve_floor(interval_expr: Callable[[], "iv.mpf"],
-                  exact: Callable[[], int] | None = None,
-                  start_bits: int | None = None,
-                  max_bits: int = 1 << 23) -> int:
+                  start_bits: int | None = None) -> int:
     """Floor of a real expression via interval arithmetic with escalation.
 
-    `interval_expr` is re-evaluated under increasing interval precision until
-    both endpoints agree on the floor.  If the cap is reached (which for our
-    expressions can only happen when the value is exactly an integer),
-    `exact` is consulted; without one, a RuntimeError is raised.
+    `interval_expr` is re-evaluated under doubling interval precision until
+    both endpoints agree on the floor.  Past 2^23 bits (which for our
+    expressions can only happen when the value is exactly an integer) a
+    RuntimeError is raised.
     """
     bits = start_bits if start_bits is not None else mp.prec
     bits = max(bits, MIN_PRECISION)
     old = iv.prec
     try:
-        while bits <= max_bits:
+        while bits <= 1 << 23:
             iv.prec = bits
             value = interval_expr()
             lo = mpmath.floor(value.a)
@@ -266,8 +264,6 @@ def resolve_floor(interval_expr: Callable[[], "iv.mpf"],
             bits *= 2
     finally:
         iv.prec = old
-    if exact is not None:
-        return exact()
     raise RuntimeError(
         "could not resolve an exact floor by interval escalation; "
         "the value may be exactly an integer"

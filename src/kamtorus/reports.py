@@ -43,9 +43,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(e.passed is not False for e in self.entries)
 
-    def failures(self) -> list:
-        return [e for e in self.entries if e.passed is False]
-
     def counts(self) -> dict:
         return {
             "pass": sum(1 for e in self.entries if e.passed is True),

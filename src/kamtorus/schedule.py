@@ -115,15 +115,12 @@ class DirectionGrid:
                          for a in self.directions])
 
     def neighborhoods(self, radius: float) -> np.ndarray:
-        """Boolean (G, G) mask whose row i marks neighbors(i, radius)."""
+        """Boolean (G, G) mask whose row i marks the grid directions within
+        chord distance < radius of direction i; a row always holds i itself
+        and its immediate ring."""
         mask = self._chords < max(radius, self.spacing * 1.0000001)
         np.fill_diagonal(mask, True)
         return mask
-
-    def neighbors(self, index: int, radius: float) -> list:
-        """Grid indices within chord distance < radius of directions[index];
-        always contains the index itself and its immediate ring."""
-        return np.flatnonzero(self.neighborhoods(radius)[index]).tolist()
 
 
 @dataclass(frozen=True)
@@ -303,9 +300,6 @@ class DeltaSchedule:
 
     def stages(self) -> int:
         return len(self.values)
-
-    def delta(self, beta_index: int, n: int) -> float:
-        return self.values[n][beta_index]
 
     def inf_delta(self) -> float:
         return min(min(row) for row in self.values)
@@ -510,53 +504,49 @@ def dyadic_weight_recipe(alpha, n_max: int, records: list | None = None,
     return WeightSequence(c=tuple(c), N=N, gothic_d=gothic_d)
 
 
-def construction_weights(state, n_max: int, C: float = 1.0,
-                         scan_cap: int = 256,
+def construction_weights(state, n_max: int,
                          gothic_d: float = 1.0) -> WeightSequence:
     """Three-term stage weights tailored to a constructed vector.
 
-    c_n = C / (t_k (4n - log qt)^2) + C / (t_k (|4n - log qt_next| + 1)^2)
+    c_n = 1 / (t_k (4n - log qt)^2) + 1 / (t_k (|4n - log qt_next| + 1)^2)
           + 2^-n log(1/k_n),
 
     where qt = q_tilde(l(n)) for the deepest level with q_tilde <= 2^n,
     t_k is that level's twist bracket value, and k_n is the smallest
     divisor among modes |l| <= 2^n not parallel to nu(l(n)) (scanned on the
-    deepest approximant, radius capped at scan_cap).  Stages below the
-    first scale carry only the k_n term.
+    deepest approximant, radius capped at 256): the state's
+    `construction.offdirection_divisor`.  Stages below the first scale
+    carry only the k_n term, the least divisor over the capped ball.
     """
-    from .construction import _exact_scan, alpha_approx
+    from .construction import alpha_approx, offdirection_divisor
 
     alpha = alpha_approx(state)
     c = []
     for n in range(n_max + 2):
         scale = 1 << n
-        l_of_n = None
-        for l in range(state.level):
-            if state.q_tilde[l] <= scale:
-                l_of_n = l
+        radius = min(scale, 256)
+        l_of_n, k_min = offdirection_divisor(state, alpha, scale, radius)
         term = 0.0
         if l_of_n is not None:
             data = state.direction(l_of_n)
             log_qt = _log10_int(data.q_tilde) * math.log(10)
-            term += float(C) / (data.t_n * (4 * n - log_qt) ** 2)
-            if l_of_n + 1 <= state.level - 1 or l_of_n + 1 <= state.level:
-                try:
-                    nxt = state.direction(l_of_n + 1)
-                    log_next = _log10_int(nxt.q_tilde) * math.log(10)
-                    term += float(C) / (data.t_n * (abs(4 * n - log_next) + 1) ** 2)
-                except ValueError:
-                    pass
-            nu = data.nu
-            k_min, _ = _exact_scan(alpha, min(scale, scan_cap),
-                                   skip_parallel_to=nu)
+            term += 1.0 / (data.t_n * (4 * n - log_qt) ** 2)
+            # l(n) < level, so level l(n) + 1 has direction data unless its
+            # twist factor c falls below 1 (ValueError): then no term
+            try:
+                nxt = state.direction(l_of_n + 1)
+                log_next = _log10_int(nxt.q_tilde) * math.log(10)
+                term += 1.0 / (data.t_n * (abs(4 * n - log_next) + 1) ** 2)
+            except ValueError:
+                pass
             if k_min is not None and k_min > 0:
                 log_inv = _log_inv_ratio(k_min.numerator, k_min.denominator)
                 term += max(log_inv, 0.0) / scale
         else:
-            rec = omega_min(alpha, min(scale, scan_cap))
+            rec = omega_min(alpha, radius)
             term += max(float(mpmath.log(1 / rec.value_mpf())), 0.0) / scale
         c.append(term)
-    return WeightSequence(c=tuple(c), C=float(C), N=0, gothic_d=gothic_d)
+    return WeightSequence(c=tuple(c), gothic_d=gothic_d)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +582,10 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
 
 
 def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
-                     hi: float, lo: float = -64.0) -> float:
-    """Largest delta <= hi with exp(2 pi dot delta) g / dist <= M, found by
-    bisection on the raw inequality (mpf exponentials, no log inversion)."""
+                     hi: float) -> float:
+    """Largest delta in [-64, hi] with exp(2 pi dot delta) g / dist <= M,
+    found by bisection on the raw inequality (mpf exponentials, no log
+    inversion)."""
     dist = to_mpf(dist) if not isinstance(dist, Fraction) else \
         mpmath.mpf(dist.numerator) / dist.denominator
     m_val = mpmath.exp(to_mpf(log_m))
@@ -603,6 +594,7 @@ def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
     def feasible(delta):
         return mpmath.exp(2 * mpmath.pi * dot * to_mpf(delta)) * g_val <= m_val * dist
 
+    lo = -64.0
     if feasible(hi):
         return hi
     if not feasible(lo):
@@ -616,8 +608,7 @@ def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
     return lo
 
 
-def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
-                   dual_path_cap: int = 12):
+def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0):
     """One-dimensional consistency suite.
 
     Runs the two-point-grid schedule with the dyadic weight recipe and
@@ -634,7 +625,7 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
     * caps_dual_path / binding_bisection: the closed-form stage caps agree
       with an independent mpf re-derivation (1e-12) and with a bisection
       solve of the binding mode's raw inequality (1e-10); these mode-loop
-      re-derivations run up to stage dual_path_cap.
+      re-derivations run for the stages n < 12.
 
     Returns (report, details) where details carries the schedule, the
     budgets, and the reference schedule that drops by exactly the budget.
@@ -672,7 +663,7 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0,
         rep.add("two_point_symmetry", f"stage {n}",
                 sched.values[n + 1][0] == sched.values[n + 1][1])
 
-        if n >= dual_path_cap:
+        if n >= 12:
             continue
         caps = _independent_stage_caps(oracle, grid, weights,
                                        sched.values[n], n, "full_range")

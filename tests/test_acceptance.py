@@ -18,6 +18,12 @@ from kamtorus import kam
 from kamtorus import schedule as sch
 from kamtorus.precision import working_precision
 
+
+def _failure_lines(rep):
+    """The lines of the failed entries of a VerificationReport."""
+    return [e.line() for e in rep.entries if e.passed is False]
+
+
 PAIR = (math.sqrt(2) - 1, math.sqrt(3) - 1)
 
 _cache = {}
@@ -59,7 +65,7 @@ def test_criterion_01_construction_exactness():
         assert int(mpmath.floor(mpmath.exp(101 / (2 * mpmath.log(2))))) == lo.a[1]
     assert len(str(lo.a[1])) == 32
     rep = con.verify_construction(lo)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     for name in ("growth_sandwich_lower", "growth_sandwich_upper",
                  "even_gcd_bound", "convergent_gcd_divides",
                  "direction_size_bound", "direction_coprime"):
@@ -78,7 +84,7 @@ def test_criterion_02_small_divisor_structure():
     lower = next(e for e in rep.entries if e.name == "omega_lower_bound")
     assert argmin.passed and "(100, -101)" in argmin.margin
     assert lower.passed
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _line(2, f"ball |l|<=101 scan: argmin = +/-(100,-101), exact lower bound "
@@ -103,7 +109,7 @@ def test_criterion_04_dimension_one_equivalence():
     t0 = time.monotonic()
     golden = (mpmath.sqrt(5) - 1) / 2
     rep, det = sch.dimension_one_check([golden], 12)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     duals = [e for e in rep.entries if e.name == "budget_dual_path"]
     assert len(duals) == 12 and all(e.passed for e in duals)
     assert det["inf_delta"] > 0
@@ -115,7 +121,7 @@ def test_criterion_04_dimension_one_equivalence():
 
     liou = dio.synthetic_liouville(4)
     rep2, det2 = sch.dimension_one_check([liou], 16, gothic_d=0.75)
-    assert rep2.all_passed(), [e.line() for e in rep2.failures()]
+    assert rep2.all_passed(), _failure_lines(rep2)
     assert det2["cumulative_budget"] > 0.75      # burns any fixed budget
     assert det2["reference"][-1] < 0
     assert det2["inf_delta"] < 0                 # realized schedule dives too

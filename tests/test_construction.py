@@ -6,9 +6,15 @@ import mpmath
 import pytest
 
 from kamtorus import construction as con
+from kamtorus.diophantine import _divisor_min
 from kamtorus.errors import ExponentOverflow, ScanTooLarge
 from kamtorus.precision import to_mpf, working_precision
 from kamtorus.serialize import canonical_dumps
+
+
+def _failure_lines(rep):
+    """The lines of the failed entries of a VerificationReport."""
+    return [e.line() for e in rep.entries if e.passed is False]
 
 
 def toy_schedule(scale="1/8"):
@@ -205,7 +211,7 @@ def test_precision_independence_of_integers():
 def test_verify_construction_paper_green():
     st = con.build(levels=1, mode="paper")
     rep = con.verify_construction(st)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     names = {e.name for e in rep.entries}
     assert {"growth_sandwich_lower", "growth_sandwich_upper", "even_gcd_bound",
             "convergent_gcd_divides", "direction_size_bound",
@@ -218,7 +224,7 @@ def test_verify_construction_toy_six_levels_coprime():
     coprime = [e for e in rep.entries if e.name == "direction_coprime"]
     assert len(coprime) == 7  # levels 0..6 (current level included)
     assert all(e.passed for e in coprime)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
 
 
 def test_verify_construction_degenerate_seed_flagged():
@@ -231,7 +237,7 @@ def test_verify_construction_degenerate_seed_flagged():
 def test_divisor_bounds_paper_level_zero():
     st = con.build(levels=1, mode="paper")
     rep = con.verify_divisor_bounds(st, 0)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     argmin = next(e for e in rep.entries if e.name == "argmin_is_direction")
     assert argmin.passed
 
@@ -249,7 +255,7 @@ def test_divisor_bounds_toy_level_zero_and_rays():
     # measurements; the exact lower bound and the band entries still assert
     st = con.build(levels=3, mode="toy", schedule=toy_schedule("1"))
     rep = con.verify_divisor_bounds(st, 0)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     lower = next(e for e in rep.entries if e.name == "omega_lower_bound")
     assert lower.passed is True
     measured = [e for e in rep.entries
@@ -265,8 +271,8 @@ def test_argmin_stable_between_consecutive_even_approximants():
     # the divisor landscape at scale q_tilde(0) settles once the level-0
     # factors are in: consecutive even approximants share the minimizer
     st = con.build(levels=2, mode="toy", schedule=toy_schedule("1"))
-    omega2, arg2 = con._exact_scan(st.alpha_pair_at(2), 101)
-    omega4, arg4 = con._exact_scan(st.alpha_pair_at(4), 101)
+    omega2, arg2 = _divisor_min(st.alpha_pair_at(2), 101, raise_resonance=False)
+    omega4, arg4 = _divisor_min(st.alpha_pair_at(4), 101, raise_resonance=False)
     assert arg2 == arg4
     diff = abs(omega2 - omega4)
     assert diff <= Fraction(4 * 101, st.a[2])
@@ -283,7 +289,7 @@ def test_odd_approximant_resonant_by_construction():
 def test_verify_criteria_toy():
     st = con.build(levels=4, mode="toy", schedule=toy_schedule("1"))
     rep = con.verify_criteria(st, max_scale=128)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
     growth = [e for e in rep.entries if e.name == "scale_growth"]
     assert len(growth) == 3 and all(e.passed for e in growth)
     bands = [e for e in rep.entries if e.name == "loss_rate_band"]

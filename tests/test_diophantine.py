@@ -309,7 +309,7 @@ def test_resonance_vector_and_exact_scan_zero():
     alpha = [Fraction(1, 3), Fraction(2, 3)]
     assert _kernel(alpha, 3) == ("resonant", (0, 3)) == _oracle(alpha, 3)
     # the construction scans measure resonance instead of raising
-    assert con._exact_scan(alpha, 3) == (0, (0, 3))
+    assert dio._divisor_min(alpha, 3, raise_resonance=False) == (0, (0, 3))
     dyadic = [mpmath.mpf(0.5), mpmath.mpf(0.25)]
     assert _kernel(dyadic, 5) == ("resonant", (0, 4)) == _oracle(dyadic, 5)
 
@@ -362,8 +362,8 @@ def test_constructed_state_scans_match_oracle():
     alpha = paper.alpha_pair_at(2)
     value, arg = _oracle(alpha, 101)
     assert arg == (100, -101) and value < Fraction(1, 2 ** 90)
-    assert con._exact_scan(alpha, 101) == (value, arg)
-    assert con._exact_scan(alpha, 60, skip_parallel_to=paper.nu[0]) == \
+    assert dio._divisor_min(alpha, 101, raise_resonance=False) == (value, arg)
+    assert _kernel(alpha, 60, skip_parallel_to=paper.nu[0]) == \
         _oracle(alpha, 60, skip_parallel_to=paper.nu[0])
     # toy mode: denominators of 600+ bits, skipping a deep and a shallow ray
     toy = con.build(levels=3, mode="toy",
@@ -371,7 +371,7 @@ def test_constructed_state_scans_match_oracle():
     alpha = con.alpha_approx(toy)
     assert min(a.denominator.bit_length() for a in alpha) > 600
     for N, nu in ((64, None), (64, toy.nu[-1]), (40, toy.nu[0])):
-        assert con._exact_scan(alpha, N, skip_parallel_to=nu) == \
+        assert _kernel(alpha, N, skip_parallel_to=nu) == \
             _oracle(alpha, N, skip_parallel_to=nu)
 
 

@@ -11,6 +11,11 @@ from kamtorus.errors import ContractionFailure, OracleDivergence
 from kamtorus.schedule import DirectionGrid
 
 
+def _failure_lines(rep):
+    """The lines of the failed entries of a VerificationReport."""
+    return [e.line() for e in rep.entries if e.passed is False]
+
+
 def random_map(rng, d=2, n_max=6, components=None, amp=1.0, decay=0.5,
                max_modes=5, span=None):
     """Seeded random real-representing map with geometric coefficient decay.
@@ -142,7 +147,7 @@ def test_evaluate_trimmed_to_nonzero_radius(d, s):
     # s = 16 fills the stored box; s = 48 is trimmed from a larger one
     n_max = 16 if s <= 16 else s + 4
     rng = np.random.default_rng(1000 + 10 * d + s)
-    f = fr.pad_truncation(dense_random_map(rng, d, s), n_max)
+    f = fr.retruncate(dense_random_map(rng, d, s), n_max)
     assert f.hermitian_defect() > 0.1 or s == 0
     tol = 1e-15 * max(f.l1_norm(), 1)
     for pts in (rng.random(d), rng.random((fr.EVAL_BLOCK + 1, d)),
@@ -165,16 +170,23 @@ def test_evaluate_zero_map(d):
 @pytest.mark.parametrize("s", [0, 3, 6])
 def test_evaluate_unchanged_by_zero_padding(d, s):
     rng = np.random.default_rng(50 + 10 * d + s)
-    f = fr.pad_truncation(dense_random_map(rng, d, s), 6)
+    f = fr.retruncate(dense_random_map(rng, d, s), 6)
     pts = rng.random((fr.EVAL_BLOCK + 1, d))
     for real in (False, True):
         want = f.evaluate(pts, real=real)
         for N in (7, 20):
-            got = fr.pad_truncation(f, N).evaluate(pts, real=real)
+            got = fr.retruncate(f, N).evaluate(pts, real=real)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- norms ---------------------------------------------------------------------
+
+def _nonzero_modes(f):
+    """(lattice vector, coefficient vector) over the nonzero modes of f."""
+    for idx in np.argwhere(np.any(f.coeffs != 0, axis=0)):
+        l = tuple(int(i) - f.n_max for i in idx)
+        yield l, f.mode(l)
+
 
 def test_norm_single_mode_strip():
     f = fr.FourierMap.from_modes(2, 4, {(1, 0): [1.0, 0.0]}, hermitian=False)
@@ -195,7 +207,7 @@ def test_norm_matches_direct_sum():
     f = random_map(rng, n_max=5, max_modes=5)
     delta = 0.07
     direct = [0.0, 0.0]
-    for l, vec in f.modes():
+    for l, vec in _nonzero_modes(f):
         w = math.exp(2 * math.pi * delta * math.hypot(*l))
         for j in range(2):
             direct[j] += abs(vec[j]) * w
@@ -233,7 +245,14 @@ def test_seminorm_below_norm():
     dom = const_domain(0.12)
     full = fr.norm_xi(f, dom).value
     for beta in dom.grid.directions[:8]:
-        assert fr.seminorm_beta(f, beta, 0.12) <= full * (1 + 1e-12)
+        got = fr.seminorm_beta(f, beta, 0.12)
+        assert got <= full * (1 + 1e-12)
+        # the mode-by-mode sum with exactly rounded dot products and sums
+        direct = max(math.fsum(
+            abs(vec[j]) * math.exp(2 * math.pi * 0.12 * abs(math.fsum(
+                b * c for b, c in zip(beta, l))))
+            for l, vec in _nonzero_modes(f)) for j in range(f.components))
+        assert got == pytest.approx(direct, rel=1e-14)
 
 
 # -- truncation ----------------------------------------------------------------
@@ -324,7 +343,7 @@ def test_convolve2d_bit_identical_to_dense_loop():
         (2, 1): crit.standard_normal(2) * 0.05})
     h0 = fr.FourierMap.from_modes(2, 10, {
         (1, 0): [2e-4, 1e-4j], (0, 1): [-1.3e-4, 2.1e-4], (1, 1): [7e-5, -5e-5]})
-    cases += [(fr.pad_truncation(fr.derivative(f, 1), 16).coeffs[0],
+    cases += [(fr.retruncate(fr.derivative(f, 1), 16).coeffs[0],
                h0.coeffs[1])]
     for a, b in cases:
         got, want = fr._convolve2d(a, b), _convolve2d_dense(a, b)
@@ -495,7 +514,7 @@ def test_remainder_split_single_far_mode():
     f = fr.FourierMap.from_modes(2, 6, {(5, 0): [1e-6, 0.0]}, hermitian=False)
     dom, shrunk = _domains()
     rep = fr.remainder_split_check(f, dom, shrunk, N)
-    assert rep.all_passed(), [e.line() for e in rep.failures()]
+    assert rep.all_passed(), _failure_lines(rep)
 
 
 def test_remainder_split_random_tails():
@@ -504,7 +523,7 @@ def test_remainder_split_random_tails():
     for _ in range(20):
         f = random_map(rng, n_max=6, amp=0.3, decay=0.35, max_modes=6)
         rep = fr.remainder_split_check(f, dom, shrunk, 3)
-        assert rep.all_passed(), [e.line() for e in rep.failures()]
+        assert rep.all_passed(), _failure_lines(rep)
 
 
 def test_remainder_split_empty_tail():

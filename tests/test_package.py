@@ -1,10 +1,12 @@
-"""Package hygiene: every top-level function and class in `kamtorus` is used
-by the package itself.
+"""Package hygiene: every top-level function and class in `kamtorus`, and
+every method of its classes, is used by the package itself.
 
-A definition counts as used when some `Name`, `Attribute` or import alias
-anywhere in `src/kamtorus` names it; a mention inside a docstring or comment
-does not.  Code that only its own tests read is dead code: delete it, or move
-it into the tests as a named oracle.
+A top-level definition counts as used when some `Name`, `Attribute` or
+import alias anywhere in `src/kamtorus` names it; a non-dunder method when
+some `Attribute` there names it (of any receiver: `ast` gives no types).  A
+mention inside a docstring or comment does not count.  Code that only its
+own tests read is dead code: delete it, or move it into the tests as a named
+oracle.
 """
 
 import ast
@@ -62,3 +64,19 @@ def test_every_top_level_definition_is_used_by_the_package():
         + ", ".join(unused))
     stale = sorted(set(ALLOWED_UNUSED) - set(defined))
     assert not stale, "allow-list entries with no definition: " + ", ".join(stale)
+
+
+def test_every_method_is_used_by_the_package():
+    trees = _trees()
+    attributes = {node.attr for tree in trees.values()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes)
+    assert not unused, (
+        "methods that no attribute in src/kamtorus names: " + ", ".join(unused))
