@@ -284,7 +284,8 @@ def _build_weights(args, alpha):
     if spec.startswith("construction:"):
         state = con.state_from_jsonable(read_json(spec.split(":", 1)[1]))
         return sch.construction_weights(state, args.stages,
-                                        gothic_d=args.gothic_d)
+                                        gothic_d=args.gothic_d,
+                                        N=args.flat_stages)
     raise SchemaMismatch(f"unknown weight recipe {spec!r}")
 
 
@@ -457,6 +458,11 @@ def _write_diagnostic(args, exc: Exception) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # artifacts convert exact integers through `serialize`, which needs no
+    # lift; the CLI owns its process and lifts CPython's int/str digit
+    # limit (0 = none) for any message that prints a huge integer directly
+    if 0 < sys.get_int_max_str_digits() < 2_100_000:
+        sys.set_int_max_str_digits(2_100_000)
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)

@@ -52,11 +52,13 @@ from .precision import (
     floor_exp,
     floor_int_pow,
     floor_rational_pow,
+    int_divmod,
     int_nth_root,
     resolve_floor,
     to_mpf,
 )
 from .reports import VerificationReport
+from .serialize import fraction_str, int_str, parse_fraction, parse_int
 
 START_GAP_NOTE = "levels l <= t_0 = 2 use the n = 0 bracket with unit gap"
 
@@ -142,7 +144,7 @@ def _floor_twist_scaled(q_bar: int, q: int, gap: int, t: int,
     while True:
         scaled = int_nth_root(power << (rd * bits), rd)
         den = q * gap << bits
-        flo, rem = divmod(q_bar * (2 * scaled - (gap << bits)), den)
+        flo, rem = int_divmod(q_bar * (2 * scaled - (gap << bits)), den)
         fhi = flo + (rem + 2 * q_bar) // den
         if flo == fhi:
             return flo
@@ -419,8 +421,6 @@ STATE_FORMAT = "kamtorus.construction_state.v1"
 
 def state_to_jsonable(state: ConstructionState) -> dict:
     """Canonical JSON form: every integer as a decimal string, bit-exact."""
-    from .serialize import fraction_str, int_str
-
     return {
         "format": STATE_FORMAT,
         "theta_bar": fraction_str(state.theta_bar),
@@ -442,7 +442,6 @@ def state_to_jsonable(state: ConstructionState) -> dict:
 
 def state_from_jsonable(data: dict) -> ConstructionState:
     from .errors import SchemaMismatch
-    from .serialize import parse_fraction, parse_int
 
     if data.get("format") != STATE_FORMAT:
         raise SchemaMismatch(
@@ -535,7 +534,8 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
                 margin=_fraction_ratio_str(q * qbp ** 4, qb),
                 note="toy-scale, not paper-rate" if toy and not hi_ok else "")
         g = big_gcd(q, qb)
-        rep.add("even_gcd_bound", f"level {l}", g <= qbp, margin=f"gcd = {g}")
+        rep.add("even_gcd_bound", f"level {l}", g <= qbp,
+                margin=f"gcd = {int_str(g)}")
 
     for k in range(1, 2 * state.level + 1):
         g1 = big_gcd(state.q[k], state.p[k])
@@ -544,9 +544,10 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
         # the square of the previous denominator; the linear bound gcd <=
         # q_{k-1} does not survive the unit-fraction increments and is
         # reported as a measurement only.
-        ok = (state.q[k - 1] ** 2 % g1 == 0) and (state.q_bar[k - 1] ** 2 % g2 == 0)
+        ok = (int_divmod(state.q[k - 1] ** 2, g1)[1] == 0
+              and int_divmod(state.q_bar[k - 1] ** 2, g2)[1] == 0)
         rep.add("convergent_gcd_divides", f"index {k}", ok,
-                margin=f"gcd = {g1}, gcd_bar = {g2}")
+                margin=f"gcd = {int_str(g1)}, gcd_bar = {int_str(g2)}")
         rep.add("convergent_gcd_linear", f"index {k}", None,
                 margin=f"gcd/q_prev = {_fraction_ratio_str(g1, state.q[k - 1])}, "
                        f"gcd_bar/q_bar_prev = {_fraction_ratio_str(g2, state.q_bar[k - 1])}")

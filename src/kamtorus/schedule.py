@@ -504,8 +504,8 @@ def dyadic_weight_recipe(alpha, n_max: int, records: list | None = None,
     return WeightSequence(c=tuple(c), N=N, gothic_d=gothic_d)
 
 
-def construction_weights(state, n_max: int,
-                         gothic_d: float = 1.0) -> WeightSequence:
+def construction_weights(state, n_max: int, gothic_d: float = 1.0,
+                         N: int = 0) -> WeightSequence:
     """Three-term stage weights tailored to a constructed vector.
 
     c_n = 1 / (t_k (4n - log qt)^2) + 1 / (t_k (|4n - log qt_next| + 1)^2)
@@ -516,7 +516,8 @@ def construction_weights(state, n_max: int,
     divisor among modes |l| <= 2^n not parallel to nu(l(n)) (scanned on the
     deepest approximant, radius capped at 256): the state's
     `construction.offdirection_divisor`.  Stages below the first scale
-    carry only the k_n term, the least divisor over the capped ball.
+    carry only the k_n term, the least divisor over the capped ball.  The
+    first N stages are held flat, as in `dyadic_weight_recipe`.
     """
     from .construction import alpha_approx, offdirection_divisor
 
@@ -546,7 +547,7 @@ def construction_weights(state, n_max: int,
             rec = omega_min(alpha, radius)
             term += max(float(mpmath.log(1 / rec.value_mpf())), 0.0) / scale
         c.append(term)
-    return WeightSequence(c=tuple(c), gothic_d=gothic_d)
+    return WeightSequence(c=tuple(c), N=N, gothic_d=gothic_d)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ def test_schedule_and_report_deterministic(tmp_path):
     assert svg.startswith("<svg ")
 
 
+def test_construction_weights_read_flat_stages(tmp_path):
+    # --flat-stages 0 keeps the bytes this recipe wrote when it ignored the
+    # flag; a positive count holds the first stages flat
+    assert run("--out-dir", tmp_path, "construct", "--mode", "toy",
+               "--levels", "4") == 0
+    state = tmp_path / "state.json"
+    digests = {}
+    for flat in (0, 3):
+        out = tmp_path / f"flat{flat}"
+        assert run("--out-dir", out, "schedule", "--alpha", f"constructed:{state}",
+                   "--stages", "3", "--grid-count", "8",
+                   "--weights", f"construction:{state}",
+                   "--flat-stages", flat) == 0
+        digests[flat] = hashlib.sha256((out / "schedule.csv").read_bytes()).hexdigest()
+    assert digests[0] == "142754df38d946f4c65b60f714ff219a6fce6d45425f2ab62dae39d11d30368b"
+    assert digests[3] != digests[0]
+
+
 def test_linearize_artifacts(tmp_path):
     assert run("--out-dir", tmp_path, "linearize", "--n-max", "12",
                "--stages", "6", "--epsilon", "1e-3", "--svg") == 0

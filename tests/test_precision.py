@@ -158,3 +158,73 @@ def test_floor_twist_scaled_near_integer_needs_more_bits(monkeypatch):
         assert con._floor_twist_scaled(q_bar, q, 1, 2, Fraction(2, 5)) == m
         assert _fraction_twist_scaled(q_bar, q, 1, 2, Fraction(2, 5)) == m
         assert len(calls) >= 3  # the perfect-power probe and two or more scales
+
+
+# -- exact division ----------------------------------------------------------
+
+_DIV_BITS = precision._BZ_DIVISOR_BITS
+_QUO_BITS = precision._BZ_QUOTIENT_BITS
+# sizes that straddle both cut-overs and reach the recursion's deep levels
+_STRADDLE = (1, 64, _QUO_BITS, _DIV_BITS, 2 * _DIV_BITS, 100_000, 750_000,
+             1_400_000)
+# bound on bits(b) * bits(q), the cost of the builtin divmod oracle
+_ORACLE_WORK = 2 * 10 ** 10
+
+
+@st.composite
+def _divmod_operands(draw):
+    """(a, b): a up to about 1.5M bits of either sign, b > 0 random, a
+    power of two, larger than |a|, or an exact divisor of a."""
+    jitter = st.integers(-2, 2)
+    b_bits = max(1, draw(st.sampled_from(_STRADDLE[:-1])) + draw(jitter))
+    q_cap = min(1_500_000 - b_bits, _ORACLE_WORK // b_bits)
+    q_bits = draw(st.sampled_from([x for x in _STRADDLE if x <= q_cap]))
+    q_bits = max(0, min(q_cap, q_bits + draw(jitter)))
+    kind = draw(st.sampled_from(("random", "power of two", "b > a", "multiple")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+    if kind == "power of two":
+        b = 1 << (b_bits - 1)
+    a = rng.getrandbits(b_bits + q_bits)
+    if kind == "b > a":
+        a >>= q_bits + 1
+    elif kind == "multiple":
+        a = b * (rng.getrandbits(q_bits) | 1 << q_bits)
+    return draw(st.sampled_from((a, -a))), b
+
+
+@settings(max_examples=120)
+@given(_divmod_operands())
+def test_int_divmod_matches_builtin(operands):
+    a, b = operands
+    assert precision.int_divmod(a, b) == divmod(a, b)
+
+
+def test_int_divmod_deep_recursion_and_signs():
+    # balanced and unbalanced shapes well above the cut-overs, all four
+    # sign combinations
+    rng = random.Random(13)
+    for b_bits, q_bits in ((9_001, 4_501), (30_011, 30_011), (200_000, 50_000),
+                           (10_000, 1_400_000), (558_000, 139_500)):
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        a = rng.getrandbits(b_bits + q_bits)
+        for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            assert precision.int_divmod(sa * a, sb * b) == divmod(sa * a, sb * b)
+    # a quotient of all ones puts every partial remainder's top half equal
+    # to the divisor's: the capped digit estimate 2^half - 1 is then exact
+    for b_bits in (9_001, 40_000):
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        for r in (0, 1, b - 1, rng.randrange(b)):
+            a = ((1 << b_bits) - 1) * b + r
+            assert precision.int_divmod(a, b) == ((1 << b_bits) - 1, r)
+    with pytest.raises(ZeroDivisionError):
+        precision.int_divmod(1 << 20000, 0)
+
+
+def test_int_divmod_toy_six_newton_step():
+    # the full-size Newton step n // x^4 of the 697,753-bit fifth root that
+    # the twist factor of level 6 of `construct --mode toy --levels 6` takes
+    n = 5 << 5 * 139550
+    x = precision.int_nth_root(n, 5) + 3
+    q, r = precision.int_divmod(n, x ** 4)
+    assert 0 <= r < x ** 4 and q * x ** 4 + r == n
