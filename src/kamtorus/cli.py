@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "linearization on the torus")
     parser.add_argument("--config", type=Path,
                         help="JSON config; keys mirror long flag names, flags win")
-    parser.add_argument("--precision", type=int,
-                        default=int(os.environ.get("KAMTORUS_PRECISION", 256)),
-                        help="working precision in bits (env KAMTORUS_PRECISION)")
+    parser.add_argument("--precision", type=int, default=256,
+                        help="working precision in bits")
     parser.add_argument("--out-dir", type=Path, default=Path("artifacts"))
     parser.add_argument("--seed", type=int, default=2026,
                         help="seed for randomized inputs; recorded in artifacts")

@@ -266,11 +266,9 @@ class DirectionData:
     level: int
     bracket_n: int
     t_n: int
-    gap: int
     c: int
     nu_tilde: tuple
     nu: tuple
-    gcd: int
     q_tilde: int
 
 
@@ -316,10 +314,9 @@ class ConstructionState:
     def direction(self, l: int) -> DirectionData:
         """Direction data at level l <= self.level (current level computed)."""
         if l < self.level:
-            n, t_n, gap = self.twist.bracket(l)
-            return DirectionData(l, n, t_n, gap, self.c[l], self.nu_tilde[l],
-                                 self.nu[l], big_gcd(*self.nu_tilde[l]),
-                                 self.q_tilde[l])
+            n, t_n, _ = self.twist.bracket(l)
+            return DirectionData(l, n, t_n, self.c[l], self.nu_tilde[l],
+                                 self.nu[l], self.q_tilde[l])
         if l == self.level:
             return level_direction_data(self)
         raise ValueError(f"level {l} beyond computed state (level {self.level})")
@@ -344,7 +341,7 @@ def level_direction_data(state: ConstructionState) -> DirectionData:
     nu_tilde = (q * c, -q_bar)
     g = big_gcd(*nu_tilde)
     nu = (nu_tilde[0] // g, nu_tilde[1] // g)
-    return DirectionData(l, n, t_n, gap, c, nu_tilde, nu, g, sup_norm(nu))
+    return DirectionData(l, n, t_n, c, nu_tilde, nu, sup_norm(nu))
 
 
 def construct_step(state: ConstructionState,

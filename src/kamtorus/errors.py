@@ -9,10 +9,37 @@ from __future__ import annotations
 
 
 class KamTorusError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A subclass names its context in `fields`, a map from field name to the
+    conversion that makes the value JSON-ready (None: as it is).  Each field
+    is a keyword argument of the constructor (default None), an attribute,
+    and a key of `diagnostic()` after "error" and "message", in the order of
+    `fields`.  A None field is left out of the diagnostic unless `always`
+    names it.
+    """
+
+    fields: dict = {}
+    always: tuple = ()
+
+    def __init__(self, message, **context):
+        unknown = set(context) - set(self.fields)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field "
+                            f"{', '.join(sorted(unknown))}")
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, context.get(name))
 
     def diagnostic(self) -> dict:
-        return {"error": type(self).__name__, "message": str(self)}
+        d = {"error": type(self).__name__, "message": str(self)}
+        for name, convert in self.fields.items():
+            value = getattr(self, name)
+            if value is not None:
+                d[name] = value if convert is None else convert(value)
+            elif name in self.always:
+                d[name] = None
+        return d
 
 
 class RationalTruncation(KamTorusError):
@@ -22,15 +49,7 @@ class RationalTruncation(KamTorusError):
 class ResonanceDetected(KamTorusError):
     """Some small divisor underflowed the working precision."""
 
-    def __init__(self, message, lattice_vector=None):
-        super().__init__(message)
-        self.lattice_vector = lattice_vector
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        if self.lattice_vector is not None:
-            d["lattice_vector"] = list(self.lattice_vector)
-        return d
+    fields = {"lattice_vector": list}
 
 
 class ScanTooLarge(KamTorusError):
@@ -40,28 +59,14 @@ class ScanTooLarge(KamTorusError):
 class ExponentOverflow(KamTorusError):
     """An exact floor of base**x would exceed the digit budget."""
 
-    def __init__(self, message, exponent=None):
-        super().__init__(message)
-        self.exponent = exponent
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        if self.exponent is not None:
-            d["exponent"] = str(self.exponent)
-        return d
+    fields = {"exponent": str}
 
 
 class GridTooCoarse(KamTorusError):
     """The direction-grid spacing exceeds a required neighborhood radius."""
 
-    def __init__(self, message, last_reliable_stage=None):
-        super().__init__(message)
-        self.last_reliable_stage = last_reliable_stage
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        d["last_reliable_stage"] = self.last_reliable_stage
-        return d
+    fields = {"last_reliable_stage": None}
+    always = ("last_reliable_stage",)
 
 
 class OracleDivergence(KamTorusError):
@@ -75,35 +80,15 @@ class ContractionFailure(KamTorusError):
 class StepDiverged(KamTorusError):
     """A KAM step increased the perturbation norm."""
 
-    def __init__(self, message, ledger=None):
-        super().__init__(message)
-        self.ledger = ledger
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        if self.ledger is not None:
-            d["ledger"] = self.ledger
-        return d
+    fields = {"ledger": None}
 
 
 class StageDefect(KamTorusError):
     """A KAM stage broke its conjugacy identity H o f_k = f_(k-1) o H by
     more than the stage's error bound."""
 
-    def __init__(self, message, stage=None, ledger=None, terms=None):
-        super().__init__(message)
-        self.stage = stage
-        self.ledger = ledger
-        self.terms = terms
-
-    def diagnostic(self) -> dict:
-        d = super().diagnostic()
-        d["stage"] = self.stage
-        if self.ledger is not None:
-            d["ledger"] = self.ledger
-        if self.terms is not None:
-            d["terms"] = self.terms
-        return d
+    fields = {"stage": None, "ledger": None, "terms": None}
+    always = ("stage",)
 
 
 class SchemaMismatch(KamTorusError):

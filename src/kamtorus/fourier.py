@@ -5,8 +5,10 @@ f_hat(l) over the centered box |l|_sup <= n_max, representing
 
     f(x) = sum_l f_hat(l) exp(2 pi i l . x),      x in T^d.
 
-Real-valued maps satisfy f_hat(-l) = conj(f_hat(l)); all operations preserve
-that symmetry up to a few ulp and `hermitian_defect` measures it.
+The maps of the KAM scheme are real-valued: f_hat(-l) = conj(f_hat(l)).
+All operations preserve that symmetry up to a few ulp and
+`hermitian_defect` measures it; only the coefficients are complex, and
+every value the layer returns is real.
 
 The stored box's sup and l1 norms, the phase e^(2 pi i l . v) and the
 direction products |beta . l| are built here only, so the KAM solver and
@@ -18,21 +20,20 @@ delta_beta |beta . l|.  With constant radii this equals the classical
 analytic norm sum |f_hat(l)| exp(2 pi delta |l|_2) exactly (the maximizing
 direction is l/|l|_2, so the implementation uses the closed form rather than
 a literal grid augmentation).  Vector-valued maps report the max over
-components, with per-component values retained.
+components.
 
-Values on the uniform grid of m^d points come from an inverse FFT of the
-zero-padded coefficients (`grid_values`, the exact inverse of the FFT
-re-expansion).  Values at arbitrary points come from the dense
-trigonometric sum `evaluate`, factorized per axis and run over fixed blocks
-of points so its temporaries stay small.  It sums only over the central box
-|l|_sup <= s that holds the nonzero coefficients, at cost O(P (2s + 1)^d)
-for P points; s is far below n_max for the stage maps of the KAM loop,
-whose solver zeroes every mode outside its truncation.  With real=True it
-returns only the real part in real arithmetic: each axis folds mode -b onto
-b, so the coefficients become one real (2s + 1)^d array over the basis
-cos 0..s, sin 1..s of each axis, and a point costs about (2s + 1)^d real
-multiply-adds per component, half the complex sum's.  The complex sum
-(real=False) is the oracle for it and for the FFT grid synthesis.
+Values on the uniform grid of m^d points are the real part of an inverse
+FFT of the zero-padded coefficients (`grid_values`, the exact inverse of
+the FFT re-expansion).  Values at arbitrary points are the real part of the
+dense trigonometric sum, `evaluate`, in real arithmetic: each axis folds
+mode -b onto b, so the coefficients become one real (2s + 1)^d array over
+the basis cos 0..s, sin 1..s of each axis (`_real_form`, `_real_basis`).
+It sums only over the central box |l|_sup <= s that holds the nonzero
+coefficients, at cost O(P (2s + 1)^d) real multiply-adds per component for
+P points, half a complex sum's, and runs over fixed blocks of points so its
+temporaries stay small; s is far below n_max for the stage maps of the KAM
+loop, whose solver zeroes every mode outside its truncation.  The complex
+sum that it replaces is an oracle of the tests.
 
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
@@ -175,22 +176,19 @@ class FourierMap:
         few ulp that the operations leave."""
         return self.hermitian_defect() <= 1e-9 * max(self.l1_norm(), 1.0)
 
-    def evaluate(self, points: np.ndarray, real: bool = False) -> np.ndarray:
-        """Values at arbitrary points by the dense trigonometric sum; shape
-        (components, P).
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Real part of the dense trigonometric sum at arbitrary points,
+        float64 of shape (components, P), for any coefficients, Hermitian or
+        not.
 
         points: (P, d) or a single point (d,).  The sum runs over the
         central box |l|_sup <= s only, s being the nonzero radius (the
         largest |l|_sup of a nonzero coefficient in any component, 0 for the
-        zero map): factorized per axis, cost O(P (2s + 1)^d), run over
-        blocks of EVAL_BLOCK points.  With real=True the result is
-        evaluate(points).real for any coefficients, Hermitian or not, in
-        real arithmetic at about half the multiply-adds: the coefficients
-        are folded once per call into their `_real_form` A, and each block
-        makes one real GEMM A X(y) over the second axis's `_real_basis`
-        and one contraction with the first axis's.  The regrouped sums
-        agree with the complex ones to rounding, not bit for bit.
-        For values on the uniform sample grid use `grid_values`.
+        zero map), in real arithmetic: the coefficients are folded once per
+        call into their `_real_form` A, and each block of EVAL_BLOCK points
+        makes one real GEMM A X(y) over the second axis's `_real_basis` and
+        one contraction with the first axis's, cost O(P (2s + 1)^d).  For
+        values on the uniform sample grid use `grid_values`.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
@@ -203,32 +201,27 @@ class FourierMap:
         # zeros and the phase rows |m| <= s are the same cumulative products
         n = nonzero_radius(self)
         c = self.components
-        coeffs = retruncate(self, n).coeffs
-        out = np.empty((c, pts.shape[0]),
-                       dtype=np.float64 if real else np.complex128)
-        if real:
-            coeffs = _real_form(coeffs, n)
-            basis = _real_basis
-        else:
-            basis = _phase_matrix
+        coeffs = _real_form(retruncate(self, n).coeffs, n)
+        out = np.empty((c, pts.shape[0]), dtype=np.float64)
         rows = coeffs.shape[1]
         for start in range(0, pts.shape[0], EVAL_BLOCK):
             block = pts[start:start + EVAL_BLOCK]
-            phase0 = basis(block[:, 0], n)
+            phase0 = _real_basis(block[:, 0], n)
             if self.d == 1:
                 vals = coeffs @ phase0
             else:
                 # (c a, b) @ (b, p) is one BLAS call; then contract axis a
-                # against the first-axis phases without a (c, a, p) product
+                # against the first-axis basis without a (c, a, p) product
                 tmp = (coeffs.reshape(c * rows, -1)
-                       @ basis(block[:, 1], n)).reshape(c, rows, -1)
+                       @ _real_basis(block[:, 1], n)).reshape(c, rows, -1)
                 vals = np.einsum("cap,ap->cp", tmp, phase0)
             out[:, start:start + EVAL_BLOCK] = vals
         return out
 
     def grid_values(self, m: int) -> np.ndarray:
-        """Values at `_sample_points(d, m)`, shape (components, m^d), by an
-        inverse FFT of the zero-padded coefficients: the exact inverse of
+        """Values at `_sample_points(d, m)`, float64 of shape
+        (components, m^d): the real part, a view with no copy, of an
+        inverse FFT of the zero-padded coefficients, the exact inverse of
         `_reexpand`.  Needs m >= 2 n_max + 1 so that no two modes alias."""
         if m < 2 * self.n_max + 1:
             raise ValueError(f"grid of {m} points per axis aliases modes "
@@ -238,7 +231,7 @@ class FourierMap:
         padded[(slice(None),) + np.ix_(*([idx] * self.d))] = self.coeffs
         axes = tuple(range(1, self.d + 1))
         vals = np.fft.ifftn(padded, axes=axes) * m ** self.d
-        return vals.reshape(self.components, -1)
+        return vals.reshape(self.components, -1).real
 
 
 def nonzero_radius(f: FourierMap) -> int:
@@ -271,16 +264,6 @@ def _phase_rows(x: np.ndarray, n_max: int) -> np.ndarray:
     out[0] = 1.0
     for m in range(1, n_max + 1):
         np.multiply(out[m - 1], base, out=out[m])
-    return out
-
-
-def _phase_matrix(x: np.ndarray, n_max: int) -> np.ndarray:
-    """exp(2 pi i m x_p) for m = -n_max..n_max: `_phase_rows` and, for
-    m < 0, their conjugate mirror."""
-    rows = _phase_rows(x, n_max)
-    out = np.empty((2 * n_max + 1, x.size), dtype=np.complex128)
-    out[n_max:] = rows
-    np.conj(rows[:0:-1], out=out[:n_max])
     return out
 
 
@@ -365,20 +348,11 @@ class SlicedDomain:
         return min(self.radii)
 
 
-@dataclass
-class NormReport:
-    value: float
-    per_component: tuple
-
-    def __float__(self):
-        return float(self.value)
-
-
-def norm_xi(f: FourierMap, domain: SlicedDomain) -> NormReport:
+def norm_xi(f: FourierMap, domain: SlicedDomain) -> float:
     """Weighted coefficient norm sum_l |f_hat(l)| exp(2 pi w(l)), with
     w(l) the max over the domain's directions of delta_beta |beta . l|
     (delta |l|_2 at a constant radius), evaluated over the whole mode box;
-    the report's value is the max over components.
+    max over components.
     """
     if domain.constant_radius is not None:
         idx = np.arange(-f.n_max, f.n_max + 1, dtype=np.float64)
@@ -390,8 +364,7 @@ def norm_xi(f: FourierMap, domain: SlicedDomain) -> NormReport:
         dots = _direction_dots(domain.grid.directions, f.n_max)
         radii = np.asarray(domain.radii, dtype=np.float64)
         w = (radii.reshape((-1,) + (1,) * f.d) * dots).max(axis=0)
-    per = _weighted_sums(f, w)
-    return NormReport(value=max(per), per_component=per)
+    return max(_weighted_sums(f, w))
 
 
 def seminorm_beta(f: FourierMap, beta, delta_bar) -> float:
@@ -594,8 +567,11 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> Fourier
     method "grid": sample h on the (4 n_max)^d uniform grid by inverse FFT,
     evaluate f at the shifted points exactly (dense trig sum), FFT back; the
     coefficient mass beyond the truncation is reported in info["spill"].
+    Its values are real, so it refuses an f or h that is not `is_real` with
+    ValueError.
     method "series": the Taylor oracle sum_t d^t f h^t / t!, independent of
-    the grid path; raises OracleDivergence outside |2 pi n_max| ||h||_l1 < 1.
+    the grid path, for any coefficients; raises OracleDivergence outside
+    |2 pi n_max| ||h||_l1 < 1.
     """
     if f.d != h.d or h.components != f.d:
         raise ValueError("shift must be a d-component map on the same torus")
@@ -603,17 +579,13 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> Fourier
         return _compose_series(f, h)
     if method != "grid":
         raise ValueError(f"unknown method {method!r}")
+    if not (f.is_real() and h.is_real()):
+        raise ValueError("grid composition expects real-representing maps")
     m = _grid_size(max(f.n_max, h.n_max))
-    pts = _sample_points(f.d, m)
-    shift = h.grid_values(m)
-    shift_imag = float(np.abs(shift.imag).max())
-    shifted = pts + shift.real.T
-    vals = f.evaluate(shifted, real=f.is_real() and h.is_real())
-    out, spill = _reexpand(np.asarray(vals, dtype=np.complex128),
-                                f.d, m, f.n_max, f.components)
+    shifted = _sample_points(f.d, m) + h.grid_values(m).T
+    out, spill = _reexpand(np.asarray(f.evaluate(shifted), dtype=np.complex128),
+                           f.d, m, f.n_max, f.components)
     out.info["spill"] = spill
-    out.info["shift_imag"] = shift_imag
-    out.info["path"] = "grid"
     return out
 
 
@@ -672,9 +644,7 @@ def _compose_series(f: FourierMap, h: FourierMap) -> FourierMap:
     else:
         raise OracleDivergence(
             "series composition did not converge within 40 orders")
-    out = retruncate(total, f.n_max)
-    out.info["path"] = "series"
-    return out
+    return retruncate(total, f.n_max)
 
 
 def _vector_times_scalar(vec_map: FourierMap, scalar_map: FourierMap) -> FourierMap:
@@ -719,11 +689,11 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
             f"inversion guard 2 pi n_max ||h - mean|| = {guard:.3g} >= 1/2")
     m = _grid_size(h.n_max)
     w = _sample_points(h.d, m)          # target points
-    h_w = h.grid_values(m).real.T
+    h_w = h.grid_values(m).T
     y = w - h_w                         # first sweep from y0 = w
     residual = None
     for sweep in range(80):
-        hy = h.evaluate(y, real=True).T
+        hy = h.evaluate(y).T
         res = np.abs(y + hy - w).max()
         if residual is not None and res > 0.5 * residual and res > tol:
             raise ContractionFailure(
@@ -735,9 +705,8 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
         y = w - hy
     g_vals = (y - w + h_w).T
     out, spill = _reexpand(np.asarray(g_vals, dtype=np.complex128),
-                                h.d, m, h.n_max, h.components)
-    out.info.update(residual=float(residual), sweeps=sweep + 1, spill=spill,
-                    path="grid")
+                           h.d, m, h.n_max, h.components)
+    out.info.update(residual=float(residual), sweeps=sweep + 1, spill=spill)
     return out
 
 
@@ -763,7 +732,6 @@ def invert_series(h: FourierMap) -> FourierMap:
         total = total + w_k.scaled(sign)
     else:
         raise OracleDivergence("inversion series did not converge")
-    total.info["path"] = "series"
     return total
 
 
@@ -792,7 +760,7 @@ def remainder_split_check(f: FourierMap, domain: SlicedDomain,
         "N": N, "delta": delta, "tail_modes": int(np.count_nonzero(tail.coeffs)),
     })
     const_domain = SlicedDomain.constant(f.d, delta, grid=domain.grid)
-    tail_norm = norm_xi(tail, const_domain).value
+    tail_norm = norm_xi(tail, const_domain)
     for i, beta in enumerate(domain.grid.directions):
         db = float(shrunk.radii[i])
         dbeta = float(domain.radii[i])

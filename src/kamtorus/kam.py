@@ -283,7 +283,7 @@ def kam_step(state: KamState) -> KamState:
 
 def _stage_norms(df: FourierMap, domain: SlicedDomain, trunc: int):
     head, tail = truncate_split(df, trunc)
-    return norm_xi(head, domain).value, norm_xi(tail, domain).value
+    return norm_xi(head, domain), norm_xi(tail, domain)
 
 
 def _conjugate(df: FourierMap, h: FourierMap, alpha):
@@ -311,12 +311,11 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     pts = _sample_points(df.d, m)
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
 
-    h_at = h.grid_values(m).real.T
-    df_shift = df.evaluate(pts + h_at, real=True).T    # df(x + h(x))
+    h_at = h.grid_values(m).T
+    df_shift = df.evaluate(pts + h_at).T               # df(x + h(x))
     inner = pts + alpha_row + h_at + df_shift          # v = (R_alpha + df) o H
     # H^(-1)(v) - x - alpha with H^(-1)(v) = v - h(v) + g(v)
-    assembled = (h_at + df_shift - h.evaluate(inner, real=True).T
-                 + g.evaluate(inner, real=True).T)
+    assembled = h_at + df_shift - h.evaluate(inner).T + g.evaluate(inner).T
     del inner
 
     out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
@@ -326,8 +325,8 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     # its grid synthesis and evaluation, which would otherwise set the peak
     del assembled
 
-    y = pts + alpha_row + out.grid_values(m).real.T
-    lhs = y + h.evaluate(y, real=True).T
+    y = pts + alpha_row + out.grid_values(m).T
+    lhs = y + h.evaluate(y).T
     rhs = pts + h_at + alpha_row + df_shift
     spill += g.info.get("spill", 0.0)
     bound, terms = _identity_bound(
@@ -401,7 +400,7 @@ def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
 
     where E_h = u (1.5 (M + 1) L + (6 s + 10) |h|) bounds a dense
     evaluation of h, E_g the same for g with its radius n and
-    L_g <= 2 pi d n |g|.  `FourierMap.evaluate(real=True)` computes
+    L_g <= 2 pi d n |g|.  `FourierMap.evaluate` computes
     X(x)^T A X(y) per component (A X(x) for d = 1), X the real basis
     (cos 0..s, sin 1..s) of an axis and A the `_real_form` of the
     coefficients:
@@ -581,10 +580,10 @@ def direct_conjugacy_defect(delta_f: FourierMap, conjugacy: FourierMap,
     m = _grid_size(conjugacy.n_max)
     pts = _sample_points(conjugacy.d, m)
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
-    hx = pts + conjugacy.grid_values(m).real.T        # H(x)
-    lhs_arg = pts + alpha_row + final_delta.grid_values(m).real.T
-    lhs = lhs_arg + conjugacy.evaluate(lhs_arg, real=True).T
-    rhs = hx + alpha_row + delta_f.evaluate(hx, real=True).T
+    hx = pts + conjugacy.grid_values(m).T             # H(x)
+    lhs_arg = pts + alpha_row + final_delta.grid_values(m).T
+    lhs = lhs_arg + conjugacy.evaluate(lhs_arg).T
+    rhs = hx + alpha_row + delta_f.evaluate(hx).T
     return float(np.abs(lhs - rhs).max())
 
 

@@ -49,7 +49,7 @@ zero is exactly the divergence evidence the non-summable case produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -296,7 +296,6 @@ class DeltaSchedule:
     argmins: list                 # argmins[n][i]: binding mode or None
     first_unreliable_stage: int | None = None
     collapsed_stage: int | None = None
-    notes: dict = field(default_factory=dict)
 
     def stages(self) -> int:
         return len(self.values)

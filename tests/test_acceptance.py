@@ -177,8 +177,8 @@ def test_criterion_06_norm_algebra_and_calculus():
                     modes[l] = (rng.standard_normal() + 1j * rng.standard_normal())
             return fr.FourierMap.from_modes(2, 4, modes, components=1)
         a, b = rand_scalar(), rand_scalar()
-        lhs = fr.norm_xi(fr.multiply(a, b), fr.SlicedDomain.constant(2, 0.04)).value
-        rhs = fr.norm_xi(a, dom).value * fr.norm_xi(b, dom).value
+        lhs = fr.norm_xi(fr.multiply(a, b), fr.SlicedDomain.constant(2, 0.04))
+        rhs = fr.norm_xi(a, dom) * fr.norm_xi(b, dom)
         if lhs > rhs * (1 + 1e-10):
             violations += 1
     assert violations == 0
@@ -190,9 +190,9 @@ def test_criterion_06_norm_algebra_and_calculus():
                 modes[l] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         f = fr.FourierMap.from_modes(2, 5, modes)
         dom5 = fr.SlicedDomain.constant(2, 0.03)
-        base = fr.norm_xi(f, dom5).value
+        base = fr.norm_xi(f, dom5)
         for j in (1, 2):
-            if fr.norm_xi(fr.derivative(f, j), dom5).value > \
+            if fr.norm_xi(fr.derivative(f, j), dom5) > \
                     2 * math.pi * 5 * base * (1 + 1e-12):
                 violations += 1
     assert violations == 0
@@ -251,8 +251,8 @@ def test_criterion_08_inversion_composition_oracles():
     for k in range(6):
         h = h0.scaled(2.0 ** -k)
         g = fr.invert_near_identity(h)
-        y = pts - h.evaluate(pts).real.T + g.evaluate(pts).real.T
-        z = y + h.evaluate(y).real.T
+        y = pts - h.evaluate(pts).T + g.evaluate(pts).T
+        z = y + h.evaluate(y).T
         assert np.abs(z - pts).max() <= 1e-12
         ratios.append(g.l1_norm() / h.l1_norm() ** 2)
     assert max(ratios) <= 4 * min(ratios)

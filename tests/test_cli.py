@@ -147,6 +147,18 @@ def test_precision_flag_recorded(tmp_path):
     assert read_json(tmp_path / "analyze.json")["precision_bits"] == 320
 
 
+def test_precision_set_by_flag_or_config_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("KAMTORUS_PRECISION", "320")
+    assert run("--out-dir", tmp_path / "env", "analyze", "--alpha", "golden",
+               "--depth", "4") == 0
+    assert read_json(tmp_path / "env" / "analyze.json")["precision_bits"] == 256
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": 384}))
+    assert run("--config", cfg, "--out-dir", tmp_path / "cfg", "analyze",
+               "--alpha", "golden", "--depth", "4") == 0
+    assert read_json(tmp_path / "cfg" / "analyze.json")["precision_bits"] == 384
+
+
 def test_analyze_constructed_independent_of_location(tmp_path):
     assert run("--out-dir", tmp_path / "build", "construct", "--mode", "toy",
                "--levels", "2") == 0

@@ -53,15 +53,58 @@ def dense_random_map(rng, d, n_max, components=2, decay=0.7):
 
 # -- evaluation ------------------------------------------------------------------
 
+def _phase_matrix(x, n_max):
+    """exp(2 pi i m x_p) for m = -n_max..n_max: `_phase_rows` and, for
+    m < 0, their conjugate mirror."""
+    rows = fr._phase_rows(x, n_max)
+    out = np.empty((2 * n_max + 1, x.size), dtype=np.complex128)
+    out[n_max:] = rows
+    np.conj(rows[:0:-1], out=out[:n_max])
+    return out
+
+
+def _evaluate_complex(f, points):
+    """The complex dense sum whose real part `FourierMap.evaluate` returns,
+    over the box of the nonzero radius in blocks of EVAL_BLOCK points: the
+    oracle of the real fold and of the FFT grid synthesis."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    n = fr.nonzero_radius(f)
+    c = f.components
+    coeffs = fr.retruncate(f, n).coeffs
+    out = np.empty((c, pts.shape[0]), dtype=np.complex128)
+    rows = coeffs.shape[1]
+    for start in range(0, pts.shape[0], fr.EVAL_BLOCK):
+        block = pts[start:start + fr.EVAL_BLOCK]
+        phase0 = _phase_matrix(block[:, 0], n)
+        if f.d == 1:
+            vals = coeffs @ phase0
+        else:
+            tmp = (coeffs.reshape(c * rows, -1)
+                   @ _phase_matrix(block[:, 1], n)).reshape(c, rows, -1)
+            vals = np.einsum("cap,ap->cp", tmp, phase0)
+        out[:, start:start + fr.EVAL_BLOCK] = vals
+    return out
+
+
+def _evaluate(f, points, real):
+    """`FourierMap.evaluate` for real=True, the complex oracle otherwise."""
+    return f.evaluate(points) if real else _evaluate_complex(f, points)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n_max", [0, 5, 16])
 def test_grid_values_match_dense_evaluate(d, n_max):
     rng = np.random.default_rng(100 * d + n_max)
     f = dense_random_map(rng, d, n_max)
     for m in (2 * n_max + 1, fr._grid_size(n_max)):
-        dense = f.evaluate(fr._sample_points(d, m))
-        assert f.grid_values(m).shape == dense.shape
-        assert np.abs(f.grid_values(m) - dense).max() <= 1e-14 * max(f.l1_norm(), 1)
+        dense = _evaluate_complex(f, fr._sample_points(d, m)).real
+        vals = f.grid_values(m)
+        # the real part of the inverse FFT, taken as a view
+        assert vals.dtype == np.float64 and not vals.flags.owndata
+        assert vals.shape == dense.shape
+        assert np.abs(vals - dense).max() <= 1e-14 * max(f.l1_norm(), 1)
 
 
 def test_grid_values_refuse_aliasing_grid():
@@ -82,18 +125,18 @@ def test_evaluate_real_matches_real_part(d):
         tol = 1e-15 * max(f.l1_norm(), 1)
         for P in (1, fr.EVAL_BLOCK, fr.EVAL_BLOCK + 1):
             pts = rng.random((P, d))
-            real = f.evaluate(pts, real=True)
+            real = f.evaluate(pts)
             assert real.dtype == np.float64 and real.shape == (2, P)
-            assert np.abs(real - f.evaluate(pts).real).max() <= tol
+            assert np.abs(real - _evaluate_complex(f, pts).real).max() <= tol
         point = rng.random(d)
-        assert np.abs(f.evaluate(point, real=True)
-                      - f.evaluate(point).real).max() <= tol
+        assert np.abs(f.evaluate(point)
+                      - _evaluate_complex(f, point).real).max() <= tol
     # the real first axis takes the m >= 0 rows of the full phase matrix,
     # and the real basis their real and imaginary parts
     x = rng.random(fr.EVAL_BLOCK)
     rows = fr._phase_rows(x, 6)
     assert np.array_equal(rows.view(np.int64),
-                          fr._phase_matrix(x, 6)[6:].view(np.int64))
+                          _phase_matrix(x, 6)[6:].view(np.int64))
     basis = fr._real_basis(x, 6)
     assert np.array_equal(basis, np.concatenate([rows.real, rows.imag[1:]]))
 
@@ -131,12 +174,12 @@ def _evaluate_untrimmed(f, points, real=False):
         folded[:, 1:] += np.conj(mirror)
         coeffs = folded
     rows = coeffs.shape[1]
-    phase0 = fr._phase_matrix(pts[:, 0], n)[slice(n, None) if real else slice(None)]
+    phase0 = _phase_matrix(pts[:, 0], n)[slice(n, None) if real else slice(None)]
     if f.d == 1:
         vals = coeffs @ phase0
     else:
         tmp = (coeffs.reshape(c * rows, -1)
-               @ fr._phase_matrix(pts[:, 1], n)).reshape(c, rows, -1)
+               @ _phase_matrix(pts[:, 1], n)).reshape(c, rows, -1)
         vals = np.einsum("cap,ap->cp", tmp, phase0)
     return vals.real if real else vals
 
@@ -153,7 +196,7 @@ def test_evaluate_trimmed_to_nonzero_radius(d, s):
     for pts in (rng.random(d), rng.random((fr.EVAL_BLOCK + 1, d)),
                 rng.random((1, d)), rng.random((fr.EVAL_BLOCK, d))):
         for real in (False, True):
-            got = f.evaluate(pts, real=real)
+            got = _evaluate(f, pts, real)
             assert np.abs(got - _evaluate_untrimmed(f, pts, real)).max() <= tol
 
 
@@ -162,7 +205,7 @@ def test_evaluate_zero_map(d):
     f = fr.FourierMap.zeros(d, 5, components=2)
     pts = np.random.default_rng(d).random((fr.EVAL_BLOCK + 1, d))
     for real in (False, True):
-        vals = f.evaluate(pts, real=real)
+        vals = _evaluate(f, pts, real)
         assert vals.shape == (2, fr.EVAL_BLOCK + 1) and not vals.any()
 
 
@@ -173,10 +216,63 @@ def test_evaluate_unchanged_by_zero_padding(d, s):
     f = fr.retruncate(dense_random_map(rng, d, s), 6)
     pts = rng.random((fr.EVAL_BLOCK + 1, d))
     for real in (False, True):
-        want = f.evaluate(pts, real=real)
+        want = _evaluate(f, pts, real)
         for N in (7, 20):
-            got = fr.retruncate(f, N).evaluate(pts, real=real)
+            got = _evaluate(fr.retruncate(f, N), pts, real)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _direct_phases(x, s):
+    """exp(2 pi i m x_p) for m = -s..s, each an exp of its own argument:
+    no `_phase_rows` and no cumulative product."""
+    return np.exp(2j * np.pi * np.arange(-s, s + 1)[:, None] * x[None, :])
+
+
+def _direct_tolerance(f, M):
+    """Per-component rounding budget of |evaluate - direct| at points with
+    |coordinates| <= M, u = 2^-53, W = sum_l |c_l| |l|_1, C = sum_l |c_l|.
+
+    evaluate: phase row m is off by at most m (3 pi M + 3) u (the row
+    error of `kam._identity_bound`'s docstring), so the phases cost
+    W (3 pi M + 3) u; the two folds and the real GEMM and contraction cost
+    at most (6 s + 10) u C (the same docstring; its folds hold for any
+    coefficients, Hermitian or not).
+    direct: the argument fl(fl(2 pi m) x) carries two roundings,
+    4 pi |m| M u, and the complex exp at most u more, per axis; the
+    product of the d phases and the sums over 2s + 1 modes per axis take
+    two complex multiplications (sqrt(2) gamma_2 < 3 u each) and at most
+    4s additions per term, (4 s + 8) u C in all.
+    """
+    u = 2.0 ** -53
+    s = fr.nonzero_radius(f)
+    axes = tuple(range(1, f.d + 1))
+    mags = np.abs(f.coeffs)
+    W = (mags * fr._l1_norms(f.d, f.n_max)).sum(axis=axes)
+    C = mags.sum(axis=axes)
+    evaluate = W * (3 * np.pi * M + 3) + (6 * s + 10) * C
+    direct = W * 4 * np.pi * M + (f.d + 4 * s + 8) * C
+    return u * (evaluate + direct)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [0, 1, 7, 16, 48])
+def test_evaluate_matches_direct_phases(d, s):
+    # an oracle independent of `_phase_rows`: every phase is its own exp;
+    # the points reach |x| < 2 like the KAM loop's shifted grids
+    rng = np.random.default_rng(3000 + 10 * d + s)
+    f = fr.retruncate(dense_random_map(rng, d, s), s + 2)
+    pts = rng.random((fr.EVAL_BLOCK + 1, d)) * 3.8 - 1.9
+    coeffs = fr.retruncate(f, s).coeffs
+    c = f.components
+    if d == 1:
+        direct = coeffs @ _direct_phases(pts[:, 0], s)
+    else:
+        tmp = (coeffs.reshape(c * (2 * s + 1), -1)
+               @ _direct_phases(pts[:, 1], s)).reshape(c, 2 * s + 1, -1)
+        direct = np.einsum("cap,ap->cp", tmp, _direct_phases(pts[:, 0], s))
+    err = np.abs(f.evaluate(pts) - direct.real).max(axis=1)
+    tol = _direct_tolerance(f, float(np.abs(pts).max()))
+    assert np.all(err <= tol), (err, tol)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -190,16 +286,15 @@ def _nonzero_modes(f):
 
 def test_norm_single_mode_strip():
     f = fr.FourierMap.from_modes(2, 4, {(1, 0): [1.0, 0.0]}, hermitian=False)
-    rep = fr.norm_xi(f, const_domain(0.1))
-    assert rep.value == pytest.approx(math.exp(0.2 * math.pi), rel=1e-12)
-    assert abs(rep.value - 1.87446) < 1e-5
+    norm = fr.norm_xi(f, const_domain(0.1))
+    assert norm == pytest.approx(math.exp(0.2 * math.pi), rel=1e-12)
+    assert abs(norm - 1.87446) < 1e-5
 
 
 def test_norm_constant_map():
     f = fr.FourierMap.constant(2, 4, [3.5 - 1.0j, 0.25])
-    rep = fr.norm_xi(f, const_domain(0.3))
-    assert rep.value == pytest.approx(abs(3.5 - 1.0j), rel=1e-14)
-    assert rep.per_component[1] == pytest.approx(0.25, rel=1e-14)
+    assert fr.norm_xi(f, const_domain(0.3)) == pytest.approx(abs(3.5 - 1.0j), rel=1e-14)
+    assert fr.norm_xi(f.component(1), const_domain(0.3)) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_norm_matches_direct_sum():
@@ -211,10 +306,10 @@ def test_norm_matches_direct_sum():
         w = math.exp(2 * math.pi * delta * math.hypot(*l))
         for j in range(2):
             direct[j] += abs(vec[j]) * w
-    rep = fr.norm_xi(f, const_domain(delta))
     for j in range(2):
-        assert rep.per_component[j] == pytest.approx(direct[j], rel=1e-12)
-    assert rep.value == pytest.approx(max(direct), rel=1e-12)
+        assert fr.norm_xi(f.component(j), const_domain(delta)) == \
+            pytest.approx(direct[j], rel=1e-12)
+    assert fr.norm_xi(f, const_domain(delta)) == pytest.approx(max(direct), rel=1e-12)
 
 
 def test_norm_varying_radii_max_over_grid():
@@ -224,8 +319,8 @@ def test_norm_varying_radii_max_over_grid():
     f = fr.FourierMap.from_modes(2, 3, {(2, 1): [0.5, 0.0]}, hermitian=False)
     expected_w = max(r * abs(d[0] * 2 + d[1] * 1)
                      for r, d in zip(radii, grid.directions))
-    rep = fr.norm_xi(f, dom)
-    assert rep.value == pytest.approx(0.5 * math.exp(2 * math.pi * expected_w), rel=1e-12)
+    assert fr.norm_xi(f, dom) == pytest.approx(0.5 * math.exp(2 * math.pi * expected_w),
+                                              rel=1e-12)
 
 
 def test_seminorm_cases():
@@ -243,7 +338,7 @@ def test_seminorm_below_norm():
     rng = np.random.default_rng(3)
     f = random_map(rng)
     dom = const_domain(0.12)
-    full = fr.norm_xi(f, dom).value
+    full = fr.norm_xi(f, dom)
     for beta in dom.grid.directions[:8]:
         got = fr.seminorm_beta(f, beta, 0.12)
         assert got <= full * (1 + 1e-12)
@@ -274,9 +369,9 @@ def test_truncate_split_partition(n):
     head, tail = fr.truncate_split(f, n)
     assert np.array_equal(head.coeffs + tail.coeffs, f.coeffs)
     dom = const_domain(0.05)
-    nf = fr.norm_xi(f, dom).value
-    nh = fr.norm_xi(head, dom).value
-    nt = fr.norm_xi(tail, dom).value
+    nf = fr.norm_xi(f, dom)
+    nh = fr.norm_xi(head, dom)
+    nt = fr.norm_xi(tail, dom)
     assert nh <= nf * (1 + 1e-12) and nt <= nf * (1 + 1e-12)
     assert nh + nt >= nf * (1 - 1e-12)
 
@@ -365,8 +460,8 @@ def test_multiply_algebra_inequality_bulk():
         a = random_map(rng, n_max=4, components=1, amp=0.8, max_modes=4)
         b = random_map(rng, n_max=4, components=1, amp=0.8, max_modes=4)
         prod = fr.multiply(a, b)
-        lhs = fr.norm_xi(prod, const_domain(0.04)).value
-        rhs = fr.norm_xi(a, dom).value * fr.norm_xi(b, dom).value
+        lhs = fr.norm_xi(prod, const_domain(0.04))
+        rhs = fr.norm_xi(a, dom) * fr.norm_xi(b, dom)
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -379,8 +474,8 @@ def test_multiply_algebra_inequality_varying_radii():
     for _ in range(20):
         a = random_map(rng, n_max=4, components=1, max_modes=3)
         b = random_map(rng, n_max=4, components=1, max_modes=3)
-        lhs = fr.norm_xi(fr.multiply(a, b), dom8).value
-        rhs = fr.norm_xi(a, dom4).value * fr.norm_xi(b, dom4).value
+        lhs = fr.norm_xi(fr.multiply(a, b), dom8)
+        rhs = fr.norm_xi(a, dom4) * fr.norm_xi(b, dom4)
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -397,9 +492,9 @@ def test_derivative_norm_bound():
     dom = const_domain(0.05)
     for _ in range(25):
         f = random_map(rng, n_max=5, max_modes=6)
-        base = fr.norm_xi(f, dom).value
+        base = fr.norm_xi(f, dom)
         for j in (1, 2):
-            df = fr.norm_xi(fr.derivative(f, j), dom).value
+            df = fr.norm_xi(fr.derivative(f, j), dom)
             assert df <= 2 * math.pi * 5 * base * (1 + 1e-12)
 
 
@@ -446,6 +541,36 @@ def test_compose_dual_path_agreement():
     assert diff <= 1e-10 * max(1.0, f.l1_norm())
 
 
+@pytest.mark.parametrize("which", ["f", "h"])
+def test_compose_grid_refuses_non_real_maps(which):
+    rng = np.random.default_rng(29)
+    f = random_map(rng, n_max=6, amp=0.5, span=2)
+    h = random_map(rng, n_max=6, amp=2e-3, max_modes=3, span=2)
+    skew = dense_random_map(rng, 2, 6, decay=0.1)
+    assert not skew.is_real()
+    if which == "f":
+        f = skew
+    else:
+        h = skew.scaled(1e-4)
+    with pytest.raises(ValueError, match="real"):
+        fr.compose_shift(f, h)
+
+
+def test_compose_series_takes_any_map():
+    # composition is linear in f, so the series oracle of the non-Hermitian
+    # f1 + i f2 is the grid composition of f1 plus i times that of f2
+    rng = np.random.default_rng(37)
+    f1 = random_map(rng, n_max=6, amp=0.5, span=2)
+    f2 = random_map(rng, n_max=6, amp=0.5, span=2)
+    h = random_map(rng, n_max=6, amp=2e-3, max_modes=3, span=2)
+    f = f1 + f2.scaled(1j)
+    assert not f.is_real()
+    series = fr.compose_shift(f, h, method="series")
+    grid = fr.compose_shift(f1, h) + fr.compose_shift(f2, h).scaled(1j)
+    diff = float(np.abs(grid.coeffs - series.coeffs).sum())
+    assert diff <= 1e-10 * max(1.0, f.l1_norm())
+
+
 def test_compose_series_guard():
     f = random_map(np.random.default_rng(1), n_max=6)
     h = fr.FourierMap.from_modes(2, 6, {(1, 0): [0.2, 0.1]})
@@ -477,8 +602,8 @@ def test_invert_round_trip_and_quadratic_band():
         assert fr.invert_near_identity(h).info["spill"] < 1e-12
         g = fr.invert_near_identity(h)
         # functional check: (id + h) o (id - h + g) = id
-        y = pts - h.evaluate(pts).real.T + g.evaluate(pts).real.T
-        z = y + h.evaluate(y).real.T
+        y = pts - h.evaluate(pts).T + g.evaluate(pts).T
+        z = y + h.evaluate(y).T
         assert np.abs(z - pts).max() <= 1e-12
         ratios.append(g.l1_norm() / h.l1_norm() ** 2)
     assert max(ratios) <= 4 * min(ratios)
