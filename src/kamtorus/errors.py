@@ -91,5 +91,12 @@ class StageDefect(KamTorusError):
     always = ("stage",)
 
 
+class DomainExhausted(KamTorusError):
+    """The schedule column that a KAM stage reads as its next domain has a
+    non-positive radius."""
+
+    fields = {"stage": None, "ledger": None}
+
+
 class SchemaMismatch(KamTorusError):
     """A CSV/JSON artifact does not conform to its documented schema."""

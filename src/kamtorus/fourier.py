@@ -40,8 +40,9 @@ on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
 points by the dense sum) and re-expands by FFT, reporting the coefficient
 mass that lands beyond n_max as "spill"; the oracle path sums the Taylor
 series sum_t (d^t f) h^t / t! and refuses outside its convergence radius.
-Near-identity inversion likewise: a vectorized fixed-point sweep on the grid
-against the telescoping difference series.
+Near-identity inversion likewise: the fixed-point sweep `_preimages` on the
+grid (the KAM stage runs it at its own points) against the telescoping
+difference series.
 """
 
 from __future__ import annotations
@@ -666,19 +667,37 @@ def translate(f: FourierMap, v) -> FourierMap:
     return FourierMap(f.d, f.n_max, f.coeffs * _phase(f.d, f.n_max, v)[None])
 
 
-def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
+def invert_near_identity(h: FourierMap) -> FourierMap:
     """Correction g with (id - h + g) o (id + h) = id.
 
     g is defined on the *target* side: (id + h)^(-1)(w) = w - h(w) + g(w),
     so g(w) = y(w) - w + h(w) with y(w) the preimage of w.  Primary path:
-    take h(w) on the uniform grid once (inverse FFT), solve y + h(y) = w for
-    every grid point w by the damped-free fixed-point sweep y <- w - h(y)
-    (all points vectorized, h(y) by the real dense sum), then re-expand g by
-    FFT.  Requires the contraction guard 2 pi n_max ||h||_l1 < 1/2 and each
-    sweep to cut the residual in half; stops below tol or after 80 sweeps.
+    take h(w) on the uniform grid once (inverse FFT), solve y + h(y) = w at
+    every grid point w by `_preimages` from y = w - h(w), then re-expand g
+    by FFT.  info carries the final residual, sweep count and re-expansion
+    spill.  The series oracle is `invert_series`.
+    """
+    m = _grid_size(h.n_max)
+    w = _sample_points(h.d, m)          # target points
+    h_w = h.grid_values(m).T
+    y, _, residual, sweeps = _preimages(h, w, w - h_w)
+    g_vals = (y - w + h_w).T
+    out, spill = _reexpand(np.asarray(g_vals, dtype=np.complex128),
+                           h.d, m, h.n_max, h.components)
+    out.info.update(residual=residual, sweeps=sweeps, spill=spill)
+    return out
 
-    info carries the final residual, sweep count and re-expansion spill.
-    The series oracle is `invert_series`.
+
+def _preimages(h: FourierMap, w: np.ndarray, y: np.ndarray,
+               tol: float = 1e-14):
+    """Solve y + h(y) = w at the points w, shape (P, d), by the damped-free
+    fixed-point sweep y <- w - h(y) from the first iterate y (all points
+    vectorized, h(y) by the real dense sum); returns (y, h(y), residual
+    sup |y + h(y) - w|, sweeps).
+
+    Requires a real h, the contraction guard 2 pi n_max ||h - mean||_l1
+    < 1/2 and each sweep to cut the residual in half; stops below tol.
+    After 80 sweeps the y returned is the next iterate w - h(y).
     """
     if not h.is_real():
         raise ValueError("inversion expects a real-representing shift")
@@ -687,10 +706,6 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
     if guard >= 0.5:
         raise ContractionFailure(
             f"inversion guard 2 pi n_max ||h - mean|| = {guard:.3g} >= 1/2")
-    m = _grid_size(h.n_max)
-    w = _sample_points(h.d, m)          # target points
-    h_w = h.grid_values(m).T
-    y = w - h_w                         # first sweep from y0 = w
     residual = None
     for sweep in range(80):
         hy = h.evaluate(y).T
@@ -703,11 +718,7 @@ def invert_near_identity(h: FourierMap, tol: float = 1e-14) -> FourierMap:
         if res < tol:
             break
         y = w - hy
-    g_vals = (y - w + h_w).T
-    out, spill = _reexpand(np.asarray(g_vals, dtype=np.complex128),
-                           h.d, m, h.n_max, h.components)
-    out.info.update(residual=float(residual), sweeps=sweep + 1, spill=spill)
-    return out
+    return y, hy, float(residual), sweep + 1
 
 
 def invert_series(h: FourierMap) -> FourierMap:

@@ -6,12 +6,14 @@ conjugating with H = id + h, where h solves the cohomological equation
     h o R_alpha - h = T_N (Delta f) - mean(Delta f)
 
 diagonally in Fourier modes: h_hat(l) = df_hat(l) / (e^(2 pi i alpha.l) - 1).
-The conjugated perturbation is assembled pointwise from its four live
-terms: with v = x + alpha + h(x) + Delta f(x + h(x)) and
-H^(-1)(v) = v - h(v) + g(v) (g the inversion correction),
-H^(-1)(v) - x - alpha = h(x) + Delta f(x + h(x)) - h(v) + g(v).  Every
-stage is gated: the solved band must meet the cohomological equation, and
-the new map f_k = R_alpha + Delta f_k must satisfy the stage identity
+The conjugated perturbation is assembled pointwise: with
+v = x + alpha + h(x) + Delta f(x + h(x)) at the grid points x, the
+fixed-point sweep solves y + h(y) = v at those points, and its last
+iterate y_K = v - h(y_(K-1)) gives
+H^(-1)(v) - x - alpha = h(x) + Delta f(x + h(x)) - h(y_(K-1)), three
+perturbation-sized terms; no inversion map is built.  Every stage is
+gated: the solved band must meet the cohomological equation, and the new
+map f_k = R_alpha + Delta f_k must satisfy the stage identity
 H o f_k = f_(k-1) o H at the grid points, each within a derived rounding
 and truncation bound; a breach raises StageDefect carrying the ledger.
 
@@ -34,13 +36,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ResonanceDetected, StageDefect, StepDiverged
+from .errors import (DomainExhausted, ResonanceDetected, StageDefect,
+                     StepDiverged)
 from .fourier import (
     FourierMap,
     SlicedDomain,
     _grid_size,
     _l1_norms,
     _phase,
+    _preimages,
     _reexpand,
     _sample_points,
     _sup_norms,
@@ -163,9 +167,14 @@ class KamState:
     reports: tuple = ()
     ledger: object | None = None
 
-    def domain(self, stage: int | None = None) -> SlicedDomain:
-        n = self.stage if stage is None else stage
-        col = min(n, self.schedule.stages() - 1)
+    def domain(self, stage: int) -> SlicedDomain:
+        col = min(stage, self.schedule.stages() - 1)
+        radius = min(float(v) for v in self.schedule.values[col])
+        if not radius > 0:
+            raise DomainExhausted(
+                f"stage {self.stage}: schedule column {col} has radius "
+                f"{radius:.3g} <= 0",
+                stage=self.stage, ledger=[r.csv_row() for r in self.reports])
         return SlicedDomain.from_schedule_column(self.schedule, col)
 
 
@@ -290,23 +299,22 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h, and the
     stage identity that checks it; returns (map, info).
 
-    The map is assembled pointwise on the (4 n_max)^d grid from its four
-    live terms, H^(-1)(v) - x - alpha = h(x) + df(x + h(x)) - h(v) + g(v)
-    at v = x + alpha + h(x) + df(x + h(x)), and re-expanded by FFT.  The
-    check evaluates both sides of H o f_k = f_(k-1) o H at the grid
-    points x:
+    H^(-1) is needed only at the points v = x + alpha + h(x) + df(x + h(x))
+    over the (4 n_max)^d grid points x: `_preimages` solves y + h(y) = v
+    there from y = v, and its last iterate y_K = v - h(y_(K-1)) gives
+    y_K - x - alpha = h(x) + df(x + h(x)) - h(y_(K-1)), re-expanded by FFT.
+    The check evaluates both sides of H o f_k = f_(k-1) o H at x:
 
         lhs = y + h(y),  y = x + alpha + df_k(x)
         rhs = x + h(x) + alpha + df(x + h(x))
 
     df_k(x) comes from the re-expanded output, so the check sees the
-    inversion correction g, the truncation and the re-expansion.  It does
-    not see the solved band h o R_alpha - h, which neither side uses: the
-    band is checked by the cohomological residual instead.
+    sweep, the truncation and the re-expansion.  It does not see the
+    solved band h o R_alpha - h, which neither side uses: the band is
+    checked by the cohomological residual instead.
     info["mismatch"] is sup |lhs - rhs|, info["bound"] its
     `_identity_bound`, info["terms"] the bound's inputs.
     """
-    g = invert_near_identity(h)
     m = _grid_size(df.n_max)
     pts = _sample_points(df.d, m)
     alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
@@ -314,24 +322,23 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     h_at = h.grid_values(m).T
     df_shift = df.evaluate(pts + h_at).T               # df(x + h(x))
     inner = pts + alpha_row + h_at + df_shift          # v = (R_alpha + df) o H
-    # H^(-1)(v) - x - alpha with H^(-1)(v) = v - h(v) + g(v)
-    assembled = h_at + df_shift - h.evaluate(inner).T + g.evaluate(inner).T
+    _, h_last, r_inv, _ = _preimages(h, inner, inner)
     del inner
+    assembled = h_at + df_shift - h_last               # y_K - x - alpha
 
     out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
                            df.d, m, df.n_max, df.components)
     assembled_sup = float(np.abs(assembled).max())
     # the identity needs none of the assembly's arrays: release them before
     # its grid synthesis and evaluation, which would otherwise set the peak
-    del assembled
+    del assembled, h_last
 
     y = pts + alpha_row + out.grid_values(m).T
     lhs = y + h.evaluate(y).T
     rhs = pts + h_at + alpha_row + df_shift
-    spill += g.info.get("spill", 0.0)
     bound, terms = _identity_bound(
-        lhs, rhs, h, g, df, spill=spill,
-        r_inv=g.info.get("residual", 0.0), assembled_sup=assembled_sup, m=m)
+        lhs, rhs, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
+        m=m)
     info = {"mismatch": float(np.abs(lhs - rhs).max()), "bound": bound,
             "terms": terms, "spill": spill}
     return out, info
@@ -368,42 +375,38 @@ def _residual_bound(df: FourierMap, h: FourierMap) -> float:
     return UNIT_ROUNDOFF * (32 * df.l1_norm() + 3 * h.l1_norm())
 
 
-def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
-                    spill: float, r_inv: float, assembled_sup: float, m: int):
+def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
+                    r_inv: float, assembled_sup: float, m: int):
     """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
 
-    Notation: u = 2^-53; G = H^(-1) exactly and g* = G - id + h; n = n_max,
-    s the nonzero radius of h (at most the stage truncation), N = m^d grid
-    points; |.| the l1 coefficient norm; L = `_lipschitz`(h), below 1
-    because the inversion guard gives 2 pi n |h| < 1/2 and
-    L <= 2 pi d s |h|; theta = 1/(1 - L); M the largest |coordinate| of
-    lhs and rhs;
-    P = |df| + |h| + |g|, which bounds every perturbation-sized value;
-    S the sup of the assembled values; rho = k / (1 - k) with
+    Notation: u = 2^-53; s the nonzero radius of h (at most the stage
+    truncation), N = m^d grid points; |.| the l1 coefficient norm;
+    L = `_lipschitz`(h); M the largest |coordinate| of lhs and rhs;
+    P = |df| + |h|, which bounds every perturbation-sized value; S the sup
+    of the assembled values; rho = k / (1 - k) with
     k = log2(N) (u + gamma_4 (sqrt 2 + u)), the normwise relative error of
     a computed FFT of N values (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm. 24.2, with twiddle factors correct to u);
-    iota = (2n + 1)^(d/2): by Parseval and Cauchy-Schwarz, the stored-box
-    interpolant of a grid field has sup over the torus at most iota times
-    the field's root mean square.  Everything below is first order in u
-    and in the perturbation size (partial sums of coordinates stay within
-    O(P) of M).
+    Algorithms, 2nd ed., Thm. 24.2, with twiddle factors correct to u).
+    Everything below is first order in u and in the perturbation size
+    (partial sums of coordinates stay within O(P) of M).
 
-    With v the computed `inner` point, the exact identity is H(G(v)) = v.
-    The computed y is G(v) - e_v + delta, with e_v the rounding of v (3
-    additions, <= 3 u M): the assembly h(x) + df(x + h(x)) - h(v) + g(v)
-    equals v - h(v) + g(v) - x - alpha - e_v.  rhs is v with its additions
-    reordered, so lhs - rhs = [H(y) - v + e_v] + [h~(y) - h(y)] + e_lhs -
-    e_rhs and
+    The computed h(x) and df(x + h(x)) are shared by the assembly and rhs,
+    so their own errors cancel; let R be their exact sum with x and alpha.
+    rhs is R up to 3 roundings, and so is the sweep's target v
+    (|v - R| <= 3 u M).  The sweep stops at an iterate y' with computed
+    h~(y') = h(y') + e, |e| <= E_h, and measured residual r_inv, so
+    |v - h~(y') - y'| <= r_inv + 2 u M.  The exact assembly gives
+    Y = R - h~(y'), and |Y - y'| <= r_inv + 5 u M.  The computed y is
+    Y + delta, and lhs is y + h(y) up to E_h and one rounding, so
 
-        |lhs - rhs| <= (1 + L) |delta| + 3 L u M + E_h + u M + 3 u M,
+        |lhs - rhs| <= |h(Y + delta) - h(Y)| + |delta| + |h(Y) - h~(y')|
+                       + E_h + 4 u M
+                    <= (1 + L) |delta| + L (r_inv + 5 u M) + 2 E_h + 4 u M.
 
-    where E_h = u (1.5 (M + 1) L + (6 s + 10) |h|) bounds a dense
-    evaluation of h, E_g the same for g with its radius n and
-    L_g <= 2 pi d n |g|.  `FourierMap.evaluate` computes
-    X(x)^T A X(y) per component (A X(x) for d = 1), X the real basis
-    (cos 0..s, sin 1..s) of an axis and A the `_real_form` of the
-    coefficients:
+    E_h = u (1.5 (M + 1) L + (6 s + 10) |h|) bounds a dense evaluation of
+    h.  `FourierMap.evaluate` computes X(x)^T A X(y) per component (A X(x)
+    for d = 1), X the real basis (cos 0..s, sin 1..s) of an axis and A the
+    `_real_form` of the coefficients:
 
     * phases: phase row m, a cumulative product, is off by at most
       m (3 pi M u + 3 u) (argument error 3 pi |x| u + 3 u, one complex
@@ -426,55 +429,30 @@ def _identity_bound(lhs, rhs, h: FourierMap, g: FourierMap, df: FourierMap,
       column b = 0 adds at most |F_0|.
 
     The arithmetic is thus at most u |h| (1 + sqrt 2 (4s + 3)) <=
-    u |h| (6 s + 10), writing 1.5 for sqrt 2.  delta collects:
+    u |h| (6 s + 10), writing 1.5 for sqrt 2.  delta collects the
+    assembly's 2 roundings on partial sums at most P and 2 P (3 u P); the
+    output's re-expansion, which drops the band counted in `spill` (the
+    line |l|_sup = m/2 = 2n is taken to be below the rounding); its forward
+    and inverse FFT (an error of l2 norm over the grid, hence of sup, at
+    most 2 (rho + 2u) sqrt(N) S); and the 2 additions forming y (2 u M):
 
-    * spill: the output's re-expansion drops the band counted in its spill
-      (the line |l|_sup = m/2 = 2n is taken to be below the rounding), and
-      g* differs from g by its own spill.  Both are in `spill`.
-    * the sweep: the computed preimage y_K of each target grid point has
-      residual at most r_inv + 2 u M + E_h (r_inv is measured with rounding
-      and a computed h), so |y_K - y*| <= theta (r_inv + 2 u M + E_h) on
-      the grid.  The exact residual field is smooth and keeps this sup
-      between grid points.
-    * rounding noise of g's grid values, which g's interpolant can amplify
-      by iota between grid points: y_K's own rounding (u M), the last
-      sweep's evaluation (E_h), h on the target grid by inverse FFT
-      ((rho + 2u) |h| root mean square), the two additions forming g
-      (3 u P) and g's forward FFT (coefficients off by (rho + u) P in l2).
-    * E_g and E_h for g(v) and h(v); the assembly's 3 additions on partial
-      sums at most P, 2 P and 2 P (5 u P); the re-expansion and the
-      inverse FFT of the output (an error of l2 norm over the grid, hence
-      of sup, at most 2 (rho + 2u) sqrt(N) S); the 2 additions forming y
-      (2 u M).
-
-    Summed:
-
-        B = (1 + L) (spill + theta r_inv
-                     + theta (2 u M + E_h) + iota (u M + E_h + (2 rho + 6 u) P)
-                     + E_g + E_h + 5 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
-            + 3 L u M + E_h + 4 u M
+        B = (1 + L) (spill + 3 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
+            + L (r_inv + 5 u M) + 2 E_h + 4 u M
     """
     u = UNIT_ROUNDOFF
-    d, n = h.d, h.n_max
-    points = m ** d
+    points = m ** h.d
     s = nonzero_radius(h)
     M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     lip = _lipschitz(h)
-    theta = 1.0 / (1.0 - lip)
-    h_norm, g_norm = h.l1_norm(), g.l1_norm()
-    P = df.l1_norm() + h_norm + g_norm
+    h_norm = h.l1_norm()
+    P = df.l1_norm() + h_norm
     k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
     rho = k / (1 - k)
-    iota = (2 * n + 1) ** (d / 2)
     e_h = u * (1.5 * (M + 1) * lip + (6 * s + 10) * h_norm)
-    e_g = u * (1.5 * (M + 1) * TWO_PI * d * n + 6 * n + 10) * g_norm
-    delta = (spill + theta * r_inv
-             + theta * (2 * u * M + e_h)
-             + iota * (u * M + e_h + (2 * rho + 6 * u) * P)
-             + e_g + e_h + 5 * u * P
+    delta = (spill + 3 * u * P
              + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
              + 2 * u * M)
-    bound = (1 + lip) * delta + 3 * lip * u * M + e_h + 4 * u * M
+    bound = (1 + lip) * delta + lip * (r_inv + 5 * u * M) + 2 * e_h + 4 * u * M
     terms = {"spill": spill, "inversion_residual": r_inv,
              "lipschitz_h": lip, "coordinate_max": M, "perturbation_l1": P,
              "assembled_sup": assembled_sup}

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kamtorus import cli
-from kamtorus.errors import (ExponentOverflow, GridTooCoarse, OracleDivergence,
-                             ResonanceDetected, StageDefect, StepDiverged)
+from kamtorus.errors import (DomainExhausted, ExponentOverflow, GridTooCoarse,
+                             OracleDivergence, ResonanceDetected, StageDefect,
+                             StepDiverged)
 from kamtorus.serialize import read_json
 
 LEDGER = [[0, 4, "1.0430564428042069e-05", "0.05"]]
@@ -29,6 +30,8 @@ CASES = [
     (StageDefect, {"stage": 0, "ledger": []}, {"stage": 0, "ledger": []}),
     (StageDefect, {}, {"stage": None}),
     (OracleDivergence, {}, {}),
+    (DomainExhausted, {"stage": 2, "ledger": LEDGER}, {"stage": 2, "ledger": LEDGER}),
+    (DomainExhausted, {}, {}),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kamtorus import fourier as fr
+from kamtorus import kam
 from kamtorus.errors import ContractionFailure, OracleDivergence
 from kamtorus.schedule import DirectionGrid
 
@@ -615,6 +616,79 @@ def test_invert_series_agreement():
     g_grid = fr.invert_near_identity(h)
     g_series = fr.invert_series(h)
     assert np.abs(g_grid.coeffs - g_series.coeffs).sum() <= 1e-10
+
+
+def _evaluation_tolerance(f, M, sums):
+    """Rounding budget of a dense evaluation of f at points with
+    |coordinates| <= M whose phases are `_phase_rows`' cumulative products,
+    u = 2^-53, W = sum_l |c_l| |l|_1, C = sum_l |c_l| (max over
+    components): the phases cost W (3 pi M + 3) u, and the folds, products
+    and sums at most `sums` u C (6 s + 10 for `evaluate`, 4 s + 8 for
+    `_evaluate_complex`: two complex products and 4 s additions per term;
+    see `_direct_tolerance`)."""
+    u = 2.0 ** -53
+    axes = tuple(range(1, f.d + 1))
+    mags = np.abs(f.coeffs)
+    W = float((mags * fr._l1_norms(f.d, f.n_max)).sum(axis=axes).max())
+    C = float(mags.sum(axis=axes).max())
+    return u * (W * (3 * np.pi * M + 3) + sums * C)
+
+
+def _sweep_case(d, n_max, seed, amp, span):
+    """A small real h with modes |l|_sup <= span and 300 target points v
+    with |coordinates| < 1.9, like the shifted grids of the KAM stage."""
+    rng = np.random.default_rng(seed)
+    h = random_map(rng, d=d, n_max=n_max, amp=amp, max_modes=3, span=span)
+    return h, rng.random((300, d)) * 3.8 - 1.9
+
+
+def _true_residual_bound(h, v, y, residual, sums):
+    """Bound of the exact sup |y + h(y) - v| from a residual computed with
+    one evaluation of h (`sums` as in `_evaluation_tolerance`): the
+    residual's two roundings (2 u M) and that evaluation's budget."""
+    M = float(max(np.abs(v).max(), np.abs(y).max())) + h.l1_norm()
+    return residual + 2 * 2.0 ** -53 * M + _evaluation_tolerance(h, M, sums)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [6, 16])
+def test_preimages_residual_against_complex_oracle(d, n_max):
+    # the sweep measures its residual with `evaluate`; recomputed with the
+    # complex oracle it may exceed the recorded one by the rounding of that
+    # evaluation, the oracle's own, and the residual's, and no more
+    h, v = _sweep_case(d, n_max, 700 + 10 * d + n_max, amp=1e-3, span=2)
+    y, h_y, residual, sweeps = fr._preimages(h, v, v.copy())
+    assert 1 < sweeps < 80 and residual < 1e-14
+    assert np.array_equal(h_y, h.evaluate(y).T)
+    oracle = np.abs(y + _evaluate_complex(h, y).real.T - v).max()
+    s = fr.nonzero_radius(h)
+    M = float(max(np.abs(v).max(), np.abs(y).max())) + h.l1_norm()
+    tol = (_true_residual_bound(h, v, y, residual, 6 * s + 10)
+           + 2 * 2.0 ** -53 * M + _evaluation_tolerance(h, M, 4 * s + 8))
+    assert oracle <= tol, (oracle, tol)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 8), (2, 6)])
+def test_preimages_agree_with_invert_series(d, n_max):
+    # the series route's preimage v - h(v) + g(v), g = `invert_series`(h),
+    # taken with the complex oracle.  Each preimage a lies within
+    # |a + h(a) - v| / (1 - L) of the exact one, L = `kam._lipschitz`(h) < 1,
+    # because |a + h(a) - b - h(b)| >= (1 - L) |a - b|.  Modes |l| <= 1 keep
+    # the inverse's band beyond n_max (order 9 and up) below the rounding
+    h, v = _sweep_case(d, n_max, 800 + 10 * d + n_max, amp=3e-4, span=1)
+    y, _, residual, _ = fr._preimages(h, v, v.copy())
+    h_v = _evaluate_complex(h, v).real.T
+    y_ref = v - h_v + _evaluate_complex(fr.invert_series(h), v).real.T
+    res_ref = np.abs(y_ref + _evaluate_complex(h, y_ref).real.T - v).max()
+    s = fr.nonzero_radius(h)
+    theta = 1.0 / (1.0 - kam._lipschitz(h))
+    tol = (theta * (_true_residual_bound(h, v, y, residual, 6 * s + 10)
+                    + _true_residual_bound(h, v, y_ref, res_ref, 4 * s + 8))
+           + 2.0 ** -53 * float(np.abs(y).max()))   # the difference below
+    assert np.abs(y - y_ref).max() <= tol
+    # the comparison resolves far below the correction g that the
+    # first-order inverse v - h(v) lacks
+    assert tol < 1e-6 * np.abs(y - (v - h_v)).max()
 
 
 def test_invert_guard():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from kamtorus import cli
 from kamtorus import fourier as fr
 from kamtorus import kam
-from kamtorus.errors import ResonanceDetected, StageDefect, StepDiverged
+from kamtorus.errors import (DomainExhausted, ResonanceDetected, StageDefect,
+                             StepDiverged)
 from kamtorus.serialize import canonical_dumps
 
 ALPHA = (math.sqrt(2) - 1, math.sqrt(3) - 1)
@@ -204,8 +206,10 @@ def test_summary_stage_diagnostics():
 
 # -- the stage gates -----------------------------------------------------------------
 
-def _zero_correction(h, *args, **kwargs):
-    return fr.FourierMap.zeros(h.d, h.n_max, h.components)
+def _first_order_inverse(h, w, y):
+    # the sweep cut to the first-order inverse y = v - h(v), its residual
+    # reported as zero: the mutation the identity gate must catch
+    return y, h.evaluate(y).T, 0.0, 1
 
 
 def _manufactured_state(n_max=16):
@@ -215,7 +219,7 @@ def _manufactured_state(n_max=16):
 
 def test_gate_catches_missing_inversion_correction(monkeypatch):
     state = _manufactured_state()
-    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    monkeypatch.setattr(kam, "_preimages", _first_order_inverse)
     with pytest.raises(StageDefect) as exc:
         kam.kam_step(state)
     err = exc.value
@@ -228,7 +232,7 @@ def test_gate_catches_missing_inversion_correction(monkeypatch):
 
 def test_gate_ledger_holds_the_finished_stages(monkeypatch):
     state = kam.kam_step(_manufactured_state())
-    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    monkeypatch.setattr(kam, "_preimages", _first_order_inverse)
     with pytest.raises(StageDefect) as exc:
         kam.kam_step(state)
     assert exc.value.stage == 1
@@ -257,15 +261,15 @@ def test_gate_budgets_the_inversion_residual(monkeypatch):
     # its sweep residual, far above rounding, and the bound's residual term
     # must carry it
     state = _manufactured_state()
-    right = fr.invert_near_identity
-    monkeypatch.setattr(kam, "invert_near_identity",
-                        lambda h: right(h, tol=1e-8))
+    right = fr._preimages
+    monkeypatch.setattr(kam, "_preimages",
+                        lambda h, w, y: right(h, w, y, tol=1e-8))
     out = kam.kam_step(state)
     assert 1e-12 < out.reports[0].assembly_mismatch < 1e-8
 
 
 def test_cli_stage_defect_exit_and_diagnostic(tmp_path, monkeypatch):
-    monkeypatch.setattr(kam, "invert_near_identity", _zero_correction)
+    monkeypatch.setattr(kam, "_preimages", _first_order_inverse)
     rc = cli.main(["--out-dir", str(tmp_path), "linearize", "--n-max", "12",
                    "--stages", "3"])
     assert rc == 3
@@ -314,6 +318,41 @@ def test_residual_bound_covers_random_solves(d, n_max, alpha):
         df = fr.FourierMap.from_modes(d, n_max, modes)
         h = kam.solve_cohomological(df, alpha, n_max)
         assert kam.cohomological_residual(h, df, alpha, n_max) <= kam._residual_bound(df, h)
+
+
+def readme_map(n_max):
+    """The manufactured map and alpha of the README `linearize --n-max
+    N_MAX --epsilon 1e-3` at the default seed and alpha."""
+    alpha = tuple(float(a) for a in cli.resolve_alpha("sqrt-pair"))
+    args = SimpleNamespace(seed=2026, n_max=n_max, epsilon=1e-3)
+    return kam.manufacture_test_map(cli._manufactured_h_star(args), alpha), alpha
+
+
+def test_noise_floor_edge_converges():
+    # delta0 n_max = 4.0, at the float64 noise floor (ROADMAP item 2): a
+    # stage that adds re-expansion noise of its own, such as an FFT round
+    # trip of an inversion map, grows the stage norm here (StepDiverged)
+    f, alpha = readme_map(16)
+    params = kam.KamParams(n_max=16, delta0=0.25, target_defect=1e-10)
+    _, rep, _ = kam.run_linearize(f, alpha, params)
+    assert rep.converged and rep.stages == 3
+    assert rep.direct_defect <= 1e-12
+
+
+def test_non_positive_domain_column_is_a_typed_error():
+    # at delta0 0.1 column 3 of the default schedule is negative; stage 2
+    # reads it as its next domain
+    f, alpha = readme_map(32)
+    params = kam.KamParams(n_max=32, delta0=0.1, target_defect=1e-10)
+    state = kam.initial_state(f, alpha, params)
+    assert min(float(v) for v in state.schedule.values[3]) < 0
+    assert min(float(v) for v in state.schedule.values[2]) > 0
+    with pytest.raises(DomainExhausted) as exc:
+        kam.run_linearize(f, alpha, params)
+    err = exc.value
+    assert err.stage == 2 and len(err.ledger) == 2
+    assert [row[0] for row in err.ledger] == [0, 1]
+    assert err.diagnostic()["stage"] == 2
 
 
 def test_initial_state_refuses_a_larger_truncation():
