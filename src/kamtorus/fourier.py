@@ -38,8 +38,13 @@ sum that it replaces is an oracle of the tests.
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
 points by the dense sum) and re-expands by FFT, reporting the coefficient
-mass that lands beyond n_max as "spill"; the oracle path sums the Taylor
-series sum_t (d^t f) h^t / t! and refuses outside its convergence radius.
+mass that lands beyond n_max as "spill"; the oracle path, with no FFT,
+grid value or dense evaluation, sums the Taylor series
+f(x + h) = sum_a h_1^a / a! sum_b h_2^b / b! d_1^a d_2^b f in nested Horner
+form, each product by a component of h and never by a power of it, to an
+order fixed a priori by a bound on the whole tail, on nonzero supports that
+drop exactly the modes unable to reach the output box; it refuses outside
+its convergence radius.
 Near-identity inversion likewise: the fixed-point sweep `_preimages` on the
 grid (the KAM stage runs it at its own points) against the telescoping
 difference series.
@@ -61,7 +66,7 @@ TWO_PI = 2 * math.pi
 # points per block of the dense evaluation: bounds its (components, 2 n_max
 # + 1, block) temporaries to a few MB at any point count
 EVAL_BLOCK = 1024
-# relative l1 size of the term at which the series oracles stop summing
+# relative l1 size of what the series oracles leave unsummed
 SERIES_TOL = 1e-16
 
 
@@ -475,10 +480,10 @@ def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     passes, one for the real and one for the imaginary parts, then add the
     terms of each output in input order starting from +0, which is the
     loop's sum part by part.  The |box| x nnz(a) products and targets take
-    24 bytes each (at most about 50,000 of each, 1.2 MB, in the series
-    oracle's calls).  The products keep a as the left operand, as in the
-    dense loop: complex multiplication is not bitwise commutative where
-    numpy uses FMA.
+    24 bytes each (at most 2,646 of each, 64 kB, in the series oracle's
+    calls on the benchmark's draws).  The products keep a as the left
+    operand, as in the dense loop: complex multiplication is not bitwise
+    commutative where numpy uses FMA.
     """
     out = np.zeros((a.shape[0] + b.shape[0] - 1,
                     a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
@@ -570,9 +575,10 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> Fourier
     coefficient mass beyond the truncation is reported in info["spill"].
     Its values are real, so it refuses an f or h that is not `is_real` with
     ValueError.
-    method "series": the Taylor oracle sum_t d^t f h^t / t!, independent of
-    the grid path, for any coefficients; raises OracleDivergence outside
-    |2 pi n_max| ||h||_l1 < 1.
+    method "series": the Taylor oracle, independent of the grid path, for
+    any coefficients: nested Horner in the components of h on nonzero
+    supports, to an order whose whole tail is at most SERIES_TOL ||f||;
+    raises OracleDivergence outside 2 pi n_max ||h - mean||_l1 < 1.
     """
     if f.d != h.d or h.components != f.d:
         raise ValueError("shift must be a d-component map on the same torus")
@@ -591,8 +597,10 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> Fourier
 
 
 def _compose_series(f: FourierMap, h: FourierMap) -> FourierMap:
-    """The Taylor oracle of `compose_shift`, summed order by order until an
-    order adds less than SERIES_TOL of |f|; OracleDivergence after 40."""
+    """The Taylor oracle of `compose_shift`, component by component: after
+    the exact translation by the mean of h and the guard, f and each h_j
+    are cut to their nonzero radii s_f, r_j, and `_horner` sums the orders
+    |t| <= K = `_series_order`(2 pi s_f sum_j ||h_j||_l1)."""
     # translations are exact and do not count against the radius
     h0 = h.mean()
     if np.abs(h0).max() > 0:
@@ -602,63 +610,61 @@ def _compose_series(f: FourierMap, h: FourierMap) -> FourierMap:
     if radius >= 1.0:
         raise OracleDivergence(
             f"series composition needs 2 pi n_max ||h|| < 1, got {radius:.3g}")
-    scale = max(f.l1_norm(), 1e-300)
-    n_work = f.n_max + 6 * max(1, h.n_max)
-    total = retruncate(f, n_work)
-    frontier = {(0,) * f.d: f}
-    # memoized powers of the shift components, already capped at n_work
-    pow_cache = {(ax, 0): None for ax in range(f.d)}
-
-    def h_power(ax: int, k: int):
-        key = (ax, k)
-        if key not in pow_cache:
-            lower = h_power(ax, k - 1)
-            base = h.component(ax)
-            nxt = base if lower is None else retruncate(multiply(lower, base),
-                                                        min(k * h.n_max, n_work))
-            pow_cache[key] = nxt
-        return pow_cache[key]
-
-    for order in range(1, 41):
-        new_frontier = {}
-        for t, base in frontier.items():
-            for ax in range(f.d):
-                t_next = list(t)
-                t_next[ax] += 1
-                t_next = tuple(t_next)
-                if t_next not in new_frontier:
-                    new_frontier[t_next] = derivative(base, ax + 1)
-        contribution = 0.0
-        for t, term in new_frontier.items():
-            prod = term
-            denom = 1.0
-            for ax, power in enumerate(t):
-                denom *= math.factorial(power)
-                if power:
-                    prod = _vector_times_scalar(prod, h_power(ax, power))
-            piece = retruncate(prod.scaled(1.0 / denom), n_work)
-            total = total + piece
-            contribution += piece.l1_norm()
-        frontier = new_frontier
-        if contribution < SERIES_TOL * scale:
-            break
-    else:
-        raise OracleDivergence(
-            "series composition did not converge within 40 orders")
-    return retruncate(total, f.n_max)
-
-
-def _vector_times_scalar(vec_map: FourierMap, scalar_map: FourierMap) -> FourierMap:
-    """Multiply every component of vec_map by a scalar map (convolution)."""
-    comps = []
-    for j in range(vec_map.components):
-        comps.append(multiply(FourierMap(vec_map.d, vec_map.n_max,
-                                         vec_map.coeffs[j:j + 1]), scalar_map))
-    n_out = comps[0].n_max
-    out = FourierMap.zeros(vec_map.d, n_out, vec_map.components)
-    for j, c in enumerate(comps):
-        out.coeffs[j] = c.coeffs[0]
+    shifts = [_head(h.component(j), h.n_max) for j in range(f.d)]
+    order = _series_order(TWO_PI * nonzero_radius(f)
+                          * sum(s.l1_norm() for s in shifts))
+    out = FourierMap.zeros(f.d, f.n_max, f.components)
+    for i in range(f.components):
+        part = _horner(_head(f.component(i), f.n_max), shifts, order, 0, f.n_max)
+        out.coeffs[i] = retruncate(part, f.n_max).coeffs[0]
     return out
+
+
+def _series_order(rho: float) -> int:
+    """Smallest K with rho^(K+1) / (K+1)! / (1 - rho/(K+2)) <= SERIES_TOL:
+    the order-t terms are at most ||f|| rho^t / t! in l1, so this bounds the
+    whole tail beyond K.  OracleDivergence if K would exceed 40."""
+    term = rho                      # rho^(K+1) / (K+1)! at K = 0
+    for order in range(41):
+        if rho < order + 2 and term <= SERIES_TOL * (1 - rho / (order + 2)):
+            return order
+        term *= rho / (order + 2)
+    raise OracleDivergence(
+        f"series composition needs more than 40 orders at rho = {rho:.3g}")
+
+
+def _horner(g: FourierMap, shifts: list, order: int, extra: int,
+            n_out: int) -> FourierMap:
+    """sum_{|t| <= order} prod_k h_k^t_k / t_k! d^t g over the last
+    len(shifts) axes, h = shifts[0] the shift of the first of them at
+    nonzero radius r; g is scalar, within the output box |l|_sup <= n_out.
+    Horner in that axis, acc <- S_b + (h / (b + 1)) acc for b = order - 1
+    .. 0, S_b the same sum of d^b g over the later axes: products by h,
+    never by h^k.  acc_b meets b more products by h, and the outer axes
+    widen it by at most `extra`, so it keeps |l|_sup <= n_out + extra + b r,
+    exactly the modes that can still reach the output box, stored at their
+    nonzero radius."""
+    if not shifts:
+        return g
+    h, rest = shifts[0], shifts[1:]
+    r = h.n_max
+    derivs = [g]
+    for _ in range(order):
+        derivs.append(derivative(derivs[-1], g.d - len(rest)))
+    acc = _head(_horner(derivs[order], rest, 0, extra + order * r, n_out),
+                n_out + extra + order * r)
+    for b in range(order - 1, -1, -1):
+        inner = _horner(derivs[b], rest, order - b, extra + b * r, n_out)
+        acc = _head(inner + multiply(h, acc).scaled(1.0 / (b + 1)),
+                    n_out + extra + b * r)
+    return acc
+
+
+def _head(f: FourierMap, cap: int) -> FourierMap:
+    """The modes |l|_sup <= cap of f (an exact head extraction), stored at
+    their nonzero radius."""
+    f = retruncate(f, min(cap, f.n_max))
+    return retruncate(f, nonzero_radius(f))
 
 
 def translate(f: FourierMap, v) -> FourierMap:
@@ -728,9 +734,9 @@ def invert_series(h: FourierMap) -> FourierMap:
     the defining identity g(z + h(z)) = w_0(z) unrolls to the alternating
     sum g = sum_k (-1)^k w_k: each unroll step rewrites w_k(z) as
     w_k(w) - w_{k+1}(z) at the target point w = z + h(z).  Compositions use
-    the Taylor path, so this route never touches the sampling grid.  The sum
-    stops once a term falls below SERIES_TOL of |h|; OracleDivergence after
-    60 terms.
+    the Taylor path (nested Horner to an a-priori order), so this route
+    never touches the sampling grid.  The sum stops once a term falls below
+    SERIES_TOL of |h|; OracleDivergence after 60 terms.
     """
     w_k = _compose_series(h, h) - h
     total = w_k

@@ -1,7 +1,9 @@
 """Tests for the truncated Fourier calculus."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -431,16 +433,13 @@ def test_convolve2d_bit_identical_to_dense_loop():
     signed[3, 3] = -0.0
     cases += [(sparse((6, 6), 0.7), signed), (-sparse((6, 6), 0.7), signed)]
     # a derivative of the criterion-08 field against a component of its
-    # shift, at the series oracle's working truncation n_max + 6
-    crit = np.random.default_rng(808)
-    f = fr.FourierMap.from_modes(2, 10, {
-        (1, 0): crit.standard_normal(2) * 0.3 + 1j * crit.standard_normal(2) * 0.3,
-        (0, 1): crit.standard_normal(2) * 0.2,
-        (2, 1): crit.standard_normal(2) * 0.05})
-    h0 = fr.FourierMap.from_modes(2, 10, {
-        (1, 0): [2e-4, 1e-4j], (0, 1): [-1.3e-4, 2.1e-4], (1, 1): [7e-5, -5e-5]})
-    cases += [(fr.retruncate(fr.derivative(f, 1), 16).coeffs[0],
-               h0.coeffs[1])]
+    # shift, padded to n_max + 6; and the series oracle's own product, the
+    # shift component at its nonzero radius times the derivative at its own
+    f, h0 = _criterion_08_maps()
+    df = fr.derivative(f, 1).component(0)
+    cases += [(fr.retruncate(df, 16).coeffs[0], h0.coeffs[1]),
+              (fr._head(h0.component(1), 10).coeffs[0],
+               fr._head(df, 10).coeffs[0])]
     for a, b in cases:
         got, want = fr._convolve2d(a, b), _convolve2d_dense(a, b)
         assert got.shape == want.shape
@@ -577,6 +576,129 @@ def test_compose_series_guard():
     h = fr.FourierMap.from_modes(2, 6, {(1, 0): [0.2, 0.1]})
     with pytest.raises(OracleDivergence):
         fr.compose_shift(f, h, method="series")
+    # a tail that would need more than 40 orders
+    with pytest.raises(OracleDivergence):
+        fr._series_order(10.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_compose_series_jacobi_anger(d):
+    # f = e^(2 pi i k.x), h_j = eps_j sin(2 pi x_j): by Jacobi-Anger,
+    # f(x + h(x)) = prod_j sum_n J_n(2 pi k_j eps_j) e^(2 pi i (k_j + n) x_j),
+    # so mode l carries prod_j J_(l_j - k_j)(2 pi k_j eps_j) exactly
+    k, eps, n_max = (2, -1)[:d], (0.01, 0.006)[:d], 8
+    f = fr.FourierMap.from_modes(d, n_max, {k: 1.0}, components=1,
+                                 hermitian=False)
+    modes = {}
+    for j in range(d):
+        vec = np.zeros(d, dtype=complex)
+        vec[j] = eps[j] / 2j
+        modes[tuple(int(i == j) for i in range(d))] = vec
+    h = fr.FourierMap.from_modes(d, n_max, modes)
+    got = fr.compose_shift(f, h, method="series").coeffs[0]
+    bessel = [np.array([float(mpmath.besselj(int(l - k[j]),
+                                             2 * mpmath.pi * k[j] * eps[j]))
+                        for l in range(-n_max, n_max + 1)]) for j in range(d)]
+    want = functools.reduce(np.multiply.outer, bessel)
+    assert float(np.abs(got - want).sum()) <= 1e-15
+
+
+def _criterion_08_maps():
+    """The field f and shift h0 of acceptance criterion 08."""
+    rng = np.random.default_rng(808)
+    f = fr.FourierMap.from_modes(2, 10, {
+        (1, 0): rng.standard_normal(2) * 0.3 + 1j * rng.standard_normal(2) * 0.3,
+        (0, 1): rng.standard_normal(2) * 0.2,
+        (2, 1): rng.standard_normal(2) * 0.05})
+    h0 = fr.FourierMap.from_modes(2, 10, {
+        (1, 0): [2e-4, 1e-4j], (0, 1): [-1.3e-4, 2.1e-4], (1, 1): [7e-5, -5e-5]})
+    return f, h0
+
+
+def _record_orders(monkeypatch, order=fr._series_order):
+    """Record (rho, K) of every call of the package's `_series_order`."""
+    seen = []
+
+    def recording(rho):
+        seen.append((rho, order(rho)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fr, "_series_order", recording)
+    return seen
+
+
+def test_series_products_stay_on_nonzero_supports(monkeypatch):
+    # every factor of every product is stored at its nonzero radius, and no
+    # partial sum outgrows the pruning cap n_out + K r: the dense boxes of
+    # n_max + 6 n_max(h) do not come back
+    f, h0 = _criterion_08_maps()
+    r = max(fr.nonzero_radius(h0.component(j)) for j in range(2))
+    multiply, operands = fr.multiply, []
+
+    def recording(a, b):
+        operands.extend((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(fr, "multiply", recording)
+    for run in (lambda: fr.compose_shift(f, h0, method="series"),
+                lambda: fr.invert_series(h0)):
+        operands.clear()
+        orders = _record_orders(monkeypatch)
+        run()
+        cap = 10 + max(K for _, K in orders) * r
+        assert operands
+        for op in operands:
+            assert op.n_max == fr.nonzero_radius(op) <= cap
+    # in d = 1 the products run b = K - 1, ..., 0: the i-th of them meets a
+    # partial sum with K - i products left, capped at n_out + (K - i) r,
+    # while an f that fills its box would reach n_out + i r unpruned
+    f = dense_random_map(np.random.default_rng(88), 1, 8, components=1)
+    h = fr.FourierMap.from_modes(1, 8, {(1,): 4e-3})
+    operands.clear()
+    orders = _record_orders(monkeypatch)
+    fr.compose_shift(f, h, method="series")
+    (_, K), = orders
+    assert K > 2 and len(operands) == 2 * K
+    for i, (shift, acc) in enumerate(zip(operands[::2], operands[1::2])):
+        assert shift.n_max == fr.nonzero_radius(shift) == 1
+        assert acc.n_max == fr.nonzero_radius(acc) <= 8 + (K - i)
+
+
+@pytest.mark.parametrize("tol", [fr.SERIES_TOL, 1e-8])
+def test_series_order_bounds_the_tail(monkeypatch, tol):
+    # the a-priori order K: summing 5 more orders moves the result by at
+    # most the tail bound rho^(K+1) / (K+1)! / (1 - rho/(K+2)) times ||f||
+    monkeypatch.setattr(fr, "SERIES_TOL", tol)
+    rng = np.random.default_rng(5)
+    cases = [_criterion_08_maps()] + [
+        (random_map(rng, n_max=8, amp=0.5, span=3),
+         random_map(rng, n_max=8, amp=3e-3, max_modes=3, span=2))
+        for _ in range(3)]
+    for f, h in cases:
+        orders = _record_orders(monkeypatch)
+        at_k = fr.compose_shift(f, h, method="series")
+        (rho, K), = orders
+        monkeypatch.setattr(fr, "_series_order", lambda rho: K + 5)
+        beyond = fr.compose_shift(f, h, method="series")
+        bound = rho ** (K + 1) / math.factorial(K + 1) / (1 - rho / (K + 2))
+        assert bound <= tol
+        diff = np.abs(at_k.coeffs - beyond.coeffs).sum(axis=(1, 2)).max()
+        assert diff <= bound * f.l1_norm()
+
+
+def test_series_oracle_never_touches_the_grid(monkeypatch):
+    # the oracle stays independent of the path it checks: no FFT, no grid
+    # values, no dense evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series route used the grid machinery")
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    monkeypatch.setattr(fr.FourierMap, "evaluate", refuse)
+    monkeypatch.setattr(fr.FourierMap, "grid_values", refuse)
+    f, h0 = _criterion_08_maps()
+    fr.compose_shift(f, h0, method="series")
+    fr.invert_series(h0)
 
 
 # -- inversion -------------------------------------------------------------------
