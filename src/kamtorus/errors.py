@@ -62,13 +62,6 @@ class ExponentOverflow(KamTorusError):
     fields = {"exponent": str}
 
 
-class GridTooCoarse(KamTorusError):
-    """The direction-grid spacing exceeds a required neighborhood radius."""
-
-    fields = {"last_reliable_stage": None}
-    always = ("last_reliable_stage",)
-
-
 class OracleDivergence(KamTorusError):
     """A series oracle was requested outside its convergence radius."""
 

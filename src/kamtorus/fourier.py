@@ -22,12 +22,17 @@ direction is l/|l|_2, so the implementation uses the closed form rather than
 a literal grid augmentation).  Vector-valued maps report the max over
 components.
 
-Values on the uniform grid of m^d points are the real part of an inverse
-FFT of the zero-padded coefficients (`grid_values`, the exact inverse of
-the FFT re-expansion).  Values at arbitrary points are the real part of the
-dense trigonometric sum, `evaluate`, in real arithmetic: each axis folds
-mode -b onto b, so the coefficients become one real (2s + 1)^d array over
-the basis cos 0..s, sin 1..s of each axis (`_real_form`, `_real_basis`).
+On the uniform grid of m^d points `grid_values` and `_reexpand` are one
+exact inverse pair, with one map between modes and FFT bins (`_bins`):
+`grid_values` scatters the coefficients into their bins and returns the
+real part of one inverse FFT; `_reexpand` takes real samples, one column
+per component, transforms all components in one forward FFT, gathers the
+same bins and reports the mass it drops as spill.  Every grid round trip
+of composition, inversion and the KAM stage goes through this pair.
+Values at arbitrary points are the real part of the dense trigonometric
+sum, `evaluate`, in real arithmetic: each axis folds mode -b onto b, so
+the coefficients become one real (2s + 1)^d array over the basis
+cos 0..s, sin 1..s of each axis (`_real_form`, `_real_basis`).
 It sums only over the central box |l|_sup <= s that holds the nonzero
 coefficients, at cost O(P (2s + 1)^d) real multiply-adds per component for
 P points, half a complex sum's, and runs over fixed blocks of points so its
@@ -227,14 +232,16 @@ class FourierMap:
     def grid_values(self, m: int) -> np.ndarray:
         """Values at `_sample_points(d, m)`, float64 of shape
         (components, m^d): the real part, a view with no copy, of an
-        inverse FFT of the zero-padded coefficients, the exact inverse of
-        `_reexpand`.  Needs m >= 2 n_max + 1 so that no two modes alias."""
+        inverse FFT of the coefficients scattered into their `_bins` and
+        zero elsewhere.  `_reexpand` is its exact inverse: it gathers the
+        same bins of a forward FFT.  Needs m >= 2 n_max + 1 so that no two
+        modes alias."""
         if m < 2 * self.n_max + 1:
             raise ValueError(f"grid of {m} points per axis aliases modes "
                              f"|l| <= {self.n_max}")
-        idx = np.arange(-self.n_max, self.n_max + 1) % m
         padded = np.zeros((self.components,) + (m,) * self.d, dtype=np.complex128)
-        padded[(slice(None),) + np.ix_(*([idx] * self.d))] = self.coeffs
+        bins = np.ix_(*[_bins(self.n_max, m)] * self.d)
+        padded[(slice(None),) + bins] = self.coeffs
         axes = tuple(range(1, self.d + 1))
         vals = np.fft.ifftn(padded, axes=axes) * m ** self.d
         return vals.reshape(self.components, -1).real
@@ -419,14 +426,18 @@ def _l1_norms(d: int, n_max: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [idx] * d)
 
 
+def _dots(d: int, n_max: int, v: np.ndarray) -> np.ndarray:
+    """l . v over the stored mode box, for a real vector v."""
+    idx = np.arange(-n_max, n_max + 1)
+    return functools.reduce(np.add.outer, [idx * v[k] for k in range(d)])
+
+
 def _phase(d: int, n_max: int, v: np.ndarray) -> np.ndarray:
     """e^(2 pi i l . v) over the stored mode box, l . v rounded before it
     meets 2 pi i: the one phase that `translate` multiplies by and
     `kam.solve_cohomological` divides by (minus one), so its rounding drops
     out of the cohomological residual (see `kam._residual_bound`)."""
-    idx = np.arange(-n_max, n_max + 1)
-    dots = functools.reduce(np.add.outer, [idx * v[k] for k in range(d)])
-    return np.exp(2j * np.pi * dots)
+    return np.exp(2j * np.pi * _dots(d, n_max, v))
 
 
 def _direction_dots(directions, n_max: int) -> np.ndarray:
@@ -535,36 +546,35 @@ def _grid_size(n_max: int) -> int:
     return max(4 * n_max, 8)
 
 
-def _reexpand(values: np.ndarray, d: int, m: int, n_max: int,
-                   components: int):
-    """FFT re-expansion of grid samples; returns (map, spill).
+def _bins(n_max: int, m: int) -> np.ndarray:
+    """FFT bin of each mode -n_max..n_max along an axis of m points: the
+    index that `grid_values` scatters the coefficients by and `_reexpand`
+    gathers them by."""
+    return np.arange(-n_max, n_max + 1) % m
 
-    spill is the recovered coefficient mass in the aliasing-safe band
-    n_max < |l| <= m/2 - 1 (max over components): the part of the
-    composition that does not fit the stored truncation.
+
+def _reexpand(values: np.ndarray, d: int, n_max: int):
+    """FFT re-expansion of real grid samples, the exact inverse of
+    `grid_values`; returns (map, spill).
+
+    values holds one row per point of `_sample_points(d, m)` and one column
+    per component, shape (m^d, components).  One forward FFT over the grid
+    axes transforms every component, and the modes |l|_sup <= n_max are
+    gathered from their `_bins`.  spill is the recovered coefficient mass in
+    the aliasing-safe band n_max < |l|_sup <= m/2 - 1 (max over
+    components): the part of the samples that does not fit the stored
+    truncation.
     """
-    freqs = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    if d == 1:
-        sup = np.abs(freqs)
-    else:
-        sup = np.maximum(np.abs(freqs)[:, None], np.abs(freqs)[None, :])
-    keep = sup <= n_max
-    band = (sup > n_max) & (sup <= m // 2 - 1)
-    out = FourierMap.zeros(d, n_max, components)
-    spill = 0.0
-    order = np.argsort(freqs)
-    for c in range(components):
-        fc = np.fft.fftn(values[c].reshape((m,) * d)) / m ** d
-        spill = max(spill, float(np.abs(fc[band]).sum()))
-        kept = np.where(keep, fc, 0)
-        if d == 1:
-            centered = kept[order]
-        else:
-            centered = kept[np.ix_(order, order)]
-        lo = m // 2 - n_max  # freqs sorted ascend: -m/2 .. m/2-1
-        sl = tuple([slice(lo, lo + 2 * n_max + 1)] * d)
-        out.coeffs[c] = centered[sl]
-    return out, spill
+    m = round(len(values) ** (1 / d))
+    spectrum = np.fft.fftn(values.reshape((m,) * d + (-1,)),
+                           axes=tuple(range(d))) / m ** d
+    freq = np.abs(np.fft.fftfreq(m, 1.0 / m))
+    sup = functools.reduce(np.maximum.outer, [freq] * d)
+    band = np.abs(spectrum[(sup > n_max) & (sup <= m // 2 - 1)])
+    # one contiguous row per component: each is summed pairwise in bin order
+    spill = float(np.ascontiguousarray(band.T).sum(axis=1).max())
+    kept = spectrum[np.ix_(*[_bins(n_max, m)] * d)]
+    return FourierMap(d, n_max, np.moveaxis(kept, -1, 0)), spill
 
 
 def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> FourierMap:
@@ -590,21 +600,24 @@ def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> Fourier
         raise ValueError("grid composition expects real-representing maps")
     m = _grid_size(max(f.n_max, h.n_max))
     shifted = _sample_points(f.d, m) + h.grid_values(m).T
-    out, spill = _reexpand(np.asarray(f.evaluate(shifted), dtype=np.complex128),
-                           f.d, m, f.n_max, f.components)
+    out, spill = _reexpand(f.evaluate(shifted).T, f.d, f.n_max)
     out.info["spill"] = spill
     return out
 
 
 def _compose_series(f: FourierMap, h: FourierMap) -> FourierMap:
     """The Taylor oracle of `compose_shift`, component by component: after
-    the exact translation by the mean of h and the guard, f and each h_j
+    the exact translation by the mean h0 of h and the guard, f and each h_j
     are cut to their nonzero radii s_f, r_j, and `_horner` sums the orders
-    |t| <= K = `_series_order`(2 pi s_f sum_j ||h_j||_l1)."""
+    |t| <= K = `_series_order`(2 pi s_f sum_j ||h_j||_l1).  A complex h0
+    translates by its real part and weights mode l by e^(-2 pi l . Im h0),
+    so that mode l picks up e^(2 pi i l . h0) in all."""
     # translations are exact and do not count against the radius
     h0 = h.mean()
     if np.abs(h0).max() > 0:
         f = translate(f, h0.real)
+        if h0.imag.any():
+            f = f.scaled(np.exp(-TWO_PI * _dots(f.d, f.n_max, h0.imag))[None])
         h = h - FourierMap.constant(h.d, h.n_max, h0, components=h.components)
     radius = TWO_PI * f.n_max * h.l1_norm()
     if radius >= 1.0:
@@ -687,9 +700,7 @@ def invert_near_identity(h: FourierMap) -> FourierMap:
     w = _sample_points(h.d, m)          # target points
     h_w = h.grid_values(m).T
     y, _, residual, sweeps = _preimages(h, w, w - h_w)
-    g_vals = (y - w + h_w).T
-    out, spill = _reexpand(np.asarray(g_vals, dtype=np.complex128),
-                           h.d, m, h.n_max, h.components)
+    out, spill = _reexpand(y - w + h_w, h.d, h.n_max)
     out.info.update(residual=residual, sweeps=sweeps, spill=spill)
     return out
 

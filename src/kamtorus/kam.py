@@ -48,6 +48,7 @@ from .fourier import (
     _reexpand,
     _sample_points,
     _sup_norms,
+    compose_shift,
     invert_near_identity,
     nonzero_radius,
     norm_xi,
@@ -326,8 +327,7 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     del inner
     assembled = h_at + df_shift - h_last               # y_K - x - alpha
 
-    out, spill = _reexpand(np.ascontiguousarray(assembled.T, dtype=np.complex128),
-                           df.d, m, df.n_max, df.components)
+    out, spill = _reexpand(assembled, df.d, df.n_max)
     assembled_sup = float(np.abs(assembled).max())
     # the identity needs none of the assembly's arrays: release them before
     # its grid synthesis and evaluation, which would otherwise set the peak
@@ -539,8 +539,6 @@ def compose_conjugacy(stage_maps) -> FourierMap:
     (outermost first), composed pairwise from the innermost map."""
     if not stage_maps:
         raise ValueError("no stage maps to compose")
-    from .fourier import compose_shift
-
     total = stage_maps[-1]
     for h in reversed(stage_maps[:-1]):
         total = total + compose_shift(h, total)
@@ -577,13 +575,8 @@ def manufacture_test_map(h_star: FourierMap, alpha) -> FourierMap:
     hypothesis of the loop.  Delta f(x) = u(x) + h*(x + alpha + u(x)) with
     id + u = (id + h*)^(-1).
     """
-    from .fourier import compose_shift
-
     g_star = invert_near_identity(h_star)
     u = g_star - h_star
     shift = u + FourierMap.constant(u.d, u.n_max, np.asarray(alpha, dtype=float),
                                     components=u.components)
-    moved = compose_shift(h_star, shift)
-    out = u + moved
-    out.info["spill"] = moved.info.get("spill", 0.0)
-    return out
+    return u + compose_shift(h_star, shift)

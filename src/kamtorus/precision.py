@@ -27,7 +27,8 @@ precision-doubling Newton), division above a few thousand bits
 `int_divmod`).  The gcd is not: `big_gcd` is `math.gcd`, and it is the
 largest cost left in `construct --mode toy --levels 6`, 57 calls and
 about 0.16-0.25 s of a 0.9 s run on a 2-vCPU VM.  Importing this module
-changes no interpreter setting but mpmath's working precision.
+changes no interpreter setting, mpmath's working precision included: the
+caller sets it (`set_working_precision`; the CLI from `--precision`).
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ DEFAULT_DIGIT_BUDGET = 10**6
 
 _LN2 = 0.6931471805599453
 _LN10 = 2.302585092994046
-
-mp.prec = DEFAULT_PRECISION
 
 
 def set_working_precision(bits: int) -> None:

@@ -36,9 +36,9 @@ every scan and oracle of ||alpha.l||: a divisor that is exactly zero
 
 The continuous sphere is a finite grid: the neighborhood minimum always
 includes the immediate grid ring, and the first stage whose true radius
-falls below one grid spacing is recorded as `first_unreliable_stage`
-(raised as GridTooCoarse in strict mode).  For d = 1 the two-point grid
-{+1, -1} is the exact sphere, so no stage is ever unreliable.
+falls below one grid spacing is recorded as `first_unreliable_stage`.
+For d = 1 the two-point grid {+1, -1} is the exact sphere, so no stage is
+ever unreliable.
 
 Headline statistic: inf over beta and n of delta[beta][n]; a positive value
 is the finite-depth evidence that the weight choice controls every scanned
@@ -60,7 +60,7 @@ from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
 
 from .diophantine import (_box_blocks, bryuno_partial_sum, omega_min,
                           omega_min_1d, resonance_threshold, sup_norm)
-from .errors import GridTooCoarse, ResonanceDetected
+from .errors import ResonanceDetected
 from .precision import to_mpf
 from .reports import VerificationReport
 
@@ -326,15 +326,15 @@ class DeltaSchedule:
 
 
 def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
-                   n_max: int, variant: str = "full_range", c1: float = 1.0,
-                   strict_grid: bool = False) -> DeltaSchedule:
+                   n_max: int, variant: str = "full_range",
+                   c1: float = 1.0) -> DeltaSchedule:
     """Run the stage recursion from the flat start up to stage n_max.
 
     Stages 0..N hold gothic_d; each later stage applies the per-mode solve
     and the neighborhood minimum.  See the module docstring for the two
     variants.  Raises ResonanceDetected on a vanishing divisor inside the
-    scanned range and GridTooCoarse in strict mode once the neighborhood
-    radius undercuts the grid spacing.
+    scanned range; the first stage whose neighborhood radius undercuts the
+    grid spacing is recorded as `first_unreliable_stage`.
     """
     if variant not in ("full_range", "annulus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -363,11 +363,6 @@ def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
         if grid.spacing > 0 and radius < grid.spacing and \
                 sched.first_unreliable_stage is None:
             sched.first_unreliable_stage = n + 1
-            if strict_grid:
-                raise GridTooCoarse(
-                    f"neighborhood radius {radius:.3g} fell below the grid "
-                    f"spacing {grid.spacing:.3g} at stage {n + 1}",
-                    last_reliable_stage=n)
         values.append(merged)
         argmins.append(merged_arg)
     return sched

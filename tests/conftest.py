@@ -6,6 +6,9 @@ from kamtorus.precision import DEFAULT_PRECISION, set_working_precision
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
+# importing kamtorus sets no precision, and some test modules build mpf
+# parameters at collection, before any fixture runs
+set_working_precision(DEFAULT_PRECISION)
 
 
 @pytest.fixture(autouse=True)

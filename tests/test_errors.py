@@ -5,38 +5,41 @@ from fractions import Fraction
 import pytest
 
 from kamtorus import cli
-from kamtorus.errors import (DomainExhausted, ExponentOverflow, GridTooCoarse,
+from kamtorus.errors import (DomainExhausted, ExponentOverflow,
                              OracleDivergence, ResonanceDetected, StageDefect,
                              StepDiverged)
 from kamtorus.serialize import read_json
 
 LEDGER = [[0, 4, "1.0430564428042069e-05", "0.05"]]
 
-# (error class, constructor fields, diagnostic keys after "error" and
-# "message", in order)
+# (id, error class, constructor fields, diagnostic keys after "error" and
+# "message", in order); each row keeps its id when rows come or go
 CASES = [
-    (ResonanceDetected, {"lattice_vector": (3, -1)}, {"lattice_vector": [3, -1]}),
-    (ResonanceDetected, {}, {}),
-    (ExponentOverflow, {"exponent": Fraction(7, 3)}, {"exponent": "7/3"}),
-    (ExponentOverflow, {"exponent": Fraction(10 ** 40)}, {"exponent": str(10 ** 40)}),
-    (ExponentOverflow, {}, {}),
-    (GridTooCoarse, {"last_reliable_stage": 2}, {"last_reliable_stage": 2}),
-    (GridTooCoarse, {"last_reliable_stage": 0}, {"last_reliable_stage": 0}),
-    (GridTooCoarse, {}, {"last_reliable_stage": None}),
-    (StepDiverged, {"ledger": LEDGER}, {"ledger": LEDGER}),
-    (StepDiverged, {}, {}),
-    (StageDefect, {"stage": 1, "ledger": LEDGER, "terms": {"check": "x", "bound": 1.5}},
+    ("ResonanceDetected-0", ResonanceDetected, {"lattice_vector": (3, -1)},
+     {"lattice_vector": [3, -1]}),
+    ("ResonanceDetected-1", ResonanceDetected, {}, {}),
+    ("ExponentOverflow-2", ExponentOverflow, {"exponent": Fraction(7, 3)},
+     {"exponent": "7/3"}),
+    ("ExponentOverflow-3", ExponentOverflow, {"exponent": Fraction(10 ** 40)},
+     {"exponent": str(10 ** 40)}),
+    ("ExponentOverflow-4", ExponentOverflow, {}, {}),
+    ("StepDiverged-8", StepDiverged, {"ledger": LEDGER}, {"ledger": LEDGER}),
+    ("StepDiverged-9", StepDiverged, {}, {}),
+    ("StageDefect-10", StageDefect,
+     {"stage": 1, "ledger": LEDGER, "terms": {"check": "x", "bound": 1.5}},
      {"stage": 1, "ledger": LEDGER, "terms": {"check": "x", "bound": 1.5}}),
-    (StageDefect, {"stage": 0, "ledger": []}, {"stage": 0, "ledger": []}),
-    (StageDefect, {}, {"stage": None}),
-    (OracleDivergence, {}, {}),
-    (DomainExhausted, {"stage": 2, "ledger": LEDGER}, {"stage": 2, "ledger": LEDGER}),
-    (DomainExhausted, {}, {}),
+    ("StageDefect-11", StageDefect, {"stage": 0, "ledger": []},
+     {"stage": 0, "ledger": []}),
+    ("StageDefect-12", StageDefect, {}, {"stage": None}),
+    ("OracleDivergence-13", OracleDivergence, {}, {}),
+    ("DomainExhausted-14", DomainExhausted, {"stage": 2, "ledger": LEDGER},
+     {"stage": 2, "ledger": LEDGER}),
+    ("DomainExhausted-15", DomainExhausted, {}, {}),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, keys", CASES,
-                         ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(CASES)])
+@pytest.mark.parametrize("cls, fields, keys", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
 def test_typed_error_diagnostic(cls, fields, keys, tmp_path):
     exc = cls("stage 0: something broke", **fields)
     for name, value in fields.items():

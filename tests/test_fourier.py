@@ -117,6 +117,92 @@ def test_grid_values_refuse_aliasing_grid():
     assert f.grid_values(11).shape == (2, 121)
 
 
+def _reexpand_reference(values, d, m, n_max, components):
+    """The per-component re-expansion that `_reexpand` replaced, the oracle
+    of its bits: complex samples of shape (components, m^d), bins ordered
+    by `fftfreq` and an `argsort`, then the central slice."""
+    freqs = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    if d == 1:
+        sup = np.abs(freqs)
+    else:
+        sup = np.maximum(np.abs(freqs)[:, None], np.abs(freqs)[None, :])
+    keep = sup <= n_max
+    band = (sup > n_max) & (sup <= m // 2 - 1)
+    out = fr.FourierMap.zeros(d, n_max, components)
+    spill = 0.0
+    order = np.argsort(freqs)
+    for c in range(components):
+        fc = np.fft.fftn(values[c].reshape((m,) * d)) / m ** d
+        spill = max(spill, float(np.abs(fc[band]).sum()))
+        kept = np.where(keep, fc, 0)
+        if d == 1:
+            centered = kept[order]
+        else:
+            centered = kept[np.ix_(order, order)]
+        lo = m // 2 - n_max  # freqs sorted ascend: -m/2 .. m/2-1
+        sl = tuple([slice(lo, lo + 2 * n_max + 1)] * d)
+        out.coeffs[c] = centered[sl]
+    return out, spill
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [3, 8, 48])
+@pytest.mark.parametrize("components", [1, 2])
+def test_reexpand_matches_per_component_reference(d, n_max, components):
+    rng = np.random.default_rng(1000 * d + 10 * n_max + components)
+    # m = 8 n_max is what compose_shift uses when h.n_max = 2 f.n_max
+    for m in (fr._grid_size(n_max), fr._grid_size(2 * n_max)):
+        values = rng.standard_normal((m ** d, components))
+        want, want_spill = _reexpand_reference(
+            np.ascontiguousarray(values.T, dtype=np.complex128), d, m, n_max,
+            components)
+        # rows in memory order, and the transposed view compose_shift passes
+        for held in (values, np.asfortranarray(values)):
+            got, spill = fr._reexpand(held, d, n_max)
+            assert np.array_equal(got.coeffs.view(np.int64),
+                                  want.coeffs.view(np.int64))
+            assert np.float64(spill).view(np.int64) == \
+                np.float64(want_spill).view(np.int64)
+
+
+def _fft_round_trip_bound(d, m):
+    """Relative 2-norm error of `_reexpand(grid_values(m))`.  One computed
+    FFT of t radix-2 stages has error at most t eta / (1 - t eta) with
+    eta = mu + gamma_4 (sqrt 2 + mu), mu the twiddle error (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2);
+    here mu = u, and numpy's mixed-radix passes over d axes of m points
+    are counted as t = d ceil(log2 m) radix-2 stages (an assumption: the
+    errors measured on these cases stay below a tenth of the bound).  The
+    round trip is two transforms and two scalings by m^d; dropping the
+    imaginary part of the samples adds no error."""
+    u = 2.0 ** -53
+    gamma4 = 4 * u / (1 - 4 * u)
+    eta = u + gamma4 * (math.sqrt(2) + u)
+    t = d * math.ceil(math.log2(m))
+    one = t * eta / (1 - t * eta)
+    return (1 + one) ** 2 * (1 + u) ** 2 - 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [0, 3, 8, 48])
+def test_reexpand_inverts_grid_values(d, n_max):
+    rng = np.random.default_rng(50 * d + n_max)
+    raw = dense_random_map(rng, d, n_max)
+    mirror = np.flip(raw.coeffs, axis=tuple(range(1, d + 1)))
+    f = fr.FourierMap(d, n_max, (raw.coeffs + np.conj(mirror)) / 2)
+    for m in (2 * n_max + 2, fr._grid_size(n_max), fr._grid_size(2 * n_max)):
+        back, spill = fr._reexpand(f.grid_values(m).T, d, n_max)
+        bound = _fft_round_trip_bound(d, m)
+        norms = np.linalg.norm(f.coeffs.reshape(f.components, -1), axis=1)
+        errors = np.linalg.norm((back.coeffs - f.coeffs)
+                                .reshape(f.components, -1), axis=1)
+        assert np.all(errors <= bound * norms)
+        # the band holds exact zeros: its l1 mass is rounding only, at most
+        # sqrt(band size) times the 2-norm bound
+        band = m ** d - (2 * n_max + 1) ** d
+        assert spill <= math.sqrt(band) * bound * norms.max()
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_evaluate_real_matches_real_part(d):
     # s = 0 has no sine rows, s = 1 one pair per axis; s = 48 is the
@@ -579,6 +665,21 @@ def test_compose_series_guard():
     # a tail that would need more than 40 orders
     with pytest.raises(OracleDivergence):
         fr._series_order(10.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_compose_series_complex_constant_shift(d):
+    # f = e^(2 pi i k.x) at the constant complex shift h0 is
+    # e^(2 pi i k.h0) e^(2 pi i k.x): the imaginary part of the mean weights
+    # the mode by e^(-2 pi k.Im h0)
+    k = (2, -1)[:d]
+    h0 = np.array([0.01 + 0.003j, -0.02 + 0.001j])[:d]
+    f = fr.FourierMap.from_modes(d, 4, {k: 1.0}, components=1, hermitian=False)
+    h = fr.FourierMap.constant(d, 2, h0)
+    got = fr.compose_shift(f, h, method="series")
+    want = np.exp(2j * np.pi * np.dot(k, h0))
+    assert abs(got.mode(k)[0] - want) <= 4e-16       # a few ulp of |want| ~ 1
+    assert np.count_nonzero(got.coeffs) == 1
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -11,7 +11,7 @@ from kamtorus import construction as con
 from kamtorus import diophantine as dio
 from kamtorus import kam
 from kamtorus import schedule as sch
-from kamtorus.errors import GridTooCoarse, ResonanceDetected
+from kamtorus.errors import ResonanceDetected
 from kamtorus.fourier import FourierMap
 from kamtorus.precision import to_mpf, working_precision
 
@@ -109,15 +109,12 @@ def test_schedule_resonance_detected():
                            flat_weights(0.1, count=8), 4)
 
 
-def test_grid_too_coarse_strict_and_recorded():
+def test_grid_too_coarse_recorded():
     alpha = pair_alpha()
     w = flat_weights(2.0, count=8, gothic_d=0.5)  # radius e^(-2^n*2) dives fast
     grid = sch.DirectionGrid.circle(8)
     s = sch.delta_schedule(alpha, grid, w, 4)
     assert s.first_unreliable_stage is not None
-    with pytest.raises(GridTooCoarse) as exc:
-        sch.delta_schedule(alpha, grid, w, 4, strict_grid=True)
-    assert exc.value.last_reliable_stage is not None
 
 
 def test_domination_under_downward_perturbation():

@@ -101,13 +101,18 @@ def test_fraction_round_trip_beyond_the_digit_limit():
 
 IMPORT_PROBE = """
 import importlib, json, pkgutil, sys
+import mpmath
 before = sys.get_int_max_str_digits()
-import kamtorus
+prec = mpmath.mp.prec
+import kamtorus.cli
 for info in pkgutil.iter_modules(kamtorus.__path__):
     importlib.import_module("kamtorus." + info.name)
 assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()
+assert mpmath.mp.prec == prec, mpmath.mp.prec
 from fractions import Fraction
 from kamtorus import construction as con
+from kamtorus.precision import DEFAULT_PRECISION, set_working_precision
+set_working_precision(DEFAULT_PRECISION)
 state = con.build(levels=6, mode="toy", schedule=con.GrowthSchedule(
     mode="toy", base=2, exponent_scale=Fraction(1, 8)))
 assert max(v.bit_length() for v in state.q_bar) > 4300 * 4
