@@ -414,16 +414,23 @@ def truncate_split(f: FourierMap, N: int):
 # (2 n_max + 1,) * d with axis index i holding mode i - n_max
 
 
+@functools.cache
 def _sup_norms(d: int, n_max: int) -> np.ndarray:
-    """|l|_sup over the stored mode box."""
+    """|l|_sup over the stored mode box, one read-only table per (d, n_max)
+    (`nonzero_radius` reads it on every call)."""
     idx = np.abs(np.arange(-n_max, n_max + 1))
-    return functools.reduce(np.maximum.outer, [idx] * d)
+    table = functools.reduce(np.maximum.outer, [idx] * d)
+    table.flags.writeable = False
+    return table
 
 
+@functools.cache
 def _l1_norms(d: int, n_max: int) -> np.ndarray:
-    """|l|_1 over the stored mode box."""
+    """|l|_1 over the stored mode box, one read-only table per (d, n_max)."""
     idx = np.abs(np.arange(-n_max, n_max + 1))
-    return functools.reduce(np.add.outer, [idx] * d)
+    table = functools.reduce(np.add.outer, [idx] * d)
+    table.flags.writeable = False
+    return table
 
 
 def _dots(d: int, n_max: int, v: np.ndarray) -> np.ndarray:
@@ -710,7 +717,14 @@ def _preimages(h: FourierMap, w: np.ndarray, y: np.ndarray,
     """Solve y + h(y) = w at the points w, shape (P, d), by the damped-free
     fixed-point sweep y <- w - h(y) from the first iterate y (all points
     vectorized, h(y) by the real dense sum); returns (y, h(y), residual
-    sup |y + h(y) - w|, sweeps).
+    sup |y + h(y) - w|, sweeps), sweeps counting the dense evaluations.
+
+    The first iterate is the caller's: `invert_near_identity` starts at
+    w - h(w) and the KAM stage at w - h(x + alpha), both from grid values,
+    each off by a second-order quantity.  A start only seeds the sweep:
+    every sweep evaluates h densely before it tests the residual, so the
+    y, h(y) and residual returned are those of a dense iterate whatever the
+    start, and a better start only saves sweeps.
 
     Requires a real h, the contraction guard 2 pi n_max ||h - mean||_l1
     < 1/2 and each sweep to cut the residual in half; stops below tol.

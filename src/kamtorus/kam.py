@@ -11,11 +11,15 @@ v = x + alpha + h(x) + Delta f(x + h(x)) at the grid points x, the
 fixed-point sweep solves y + h(y) = v at those points, and its last
 iterate y_K = v - h(y_(K-1)) gives
 H^(-1)(v) - x - alpha = h(x) + Delta f(x + h(x)) - h(y_(K-1)), three
-perturbation-sized terms; no inversion map is built.  Every stage is
-gated: the solved band must meet the cohomological equation, and the new
-map f_k = R_alpha + Delta f_k must satisfy the stage identity
-H o f_k = f_(k-1) o H at the grid points, each within a derived rounding
-and truncation bound; a breach raises StageDefect carrying the ledger.
+perturbation-sized terms; no inversion map is built.  The sweep starts at
+v - h(x + alpha), one grid synthesis of the translated h: the preimage is
+H^(-1)(v) = f_k(x) = x + alpha + Delta f_k(x), so the start is off by
+h(f_k(x)) - h(x + alpha), at most Lip(h) |Delta f_k|, a product of two
+perturbation-sized factors.  Every stage is gated: the solved band must
+meet the cohomological equation, and the new map f_k = R_alpha + Delta f_k
+must satisfy the stage identity H o f_k = f_(k-1) o H at the grid points,
+each within a derived rounding and truncation bound; a breach raises
+StageDefect carrying the ledger.
 
 The constant term mean(Delta f) is never removed by force: the equation
 drops it from the right side and the iteration tracks it, relying on the
@@ -144,6 +148,8 @@ class StepReport:
     spill: float
     radii_min: float
     h_norm: float
+    inversion_sweeps: int
+    inversion_residual: float
 
     def csv_row(self):
         return (self.stage, self.truncation, repr(self.norm_head_after),
@@ -224,8 +230,10 @@ def kam_step(state: KamState) -> KamState:
     `cohomological_residual` may not exceed `_residual_bound`.  The
     conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
     the grid points (`_conjugate`), within `_identity_bound`; the identity
-    is recorded as `assembly_mismatch` (max over repeats).  Both bounds are
-    derived rounding and truncation budgets, not fitted tolerances.
+    is recorded as `assembly_mismatch` (max over repeats), with the sweep's
+    dense evaluations (`inversion_sweeps`, summed over repeats) and its
+    last residual (`inversion_residual`, max over repeats).  Both bounds
+    are derived rounding and truncation budgets, not fitted tolerances.
     """
     params = state.params
     n = state.stage
@@ -237,6 +245,8 @@ def kam_step(state: KamState) -> KamState:
     mismatch = 0.0
     spill_total = 0.0
     residual = 0.0
+    sweeps = 0
+    r_inv = 0.0
 
     norm_head_before, norm_tail_before = _stage_norms(df, domain_next, trunc)
 
@@ -258,6 +268,8 @@ def kam_step(state: KamState) -> KamState:
              dict(info["terms"], repeat=repeat))
         mismatch = max(mismatch, info["mismatch"])
         spill_total += info["spill"]
+        sweeps += info["sweeps"]
+        r_inv = max(r_inv, info["terms"]["inversion_residual"])
         new_maps.append(h)
 
     norm_head_after, norm_tail_after = _stage_norms(df, domain_next, trunc)
@@ -274,6 +286,8 @@ def kam_step(state: KamState) -> KamState:
         spill=spill_total,
         radii_min=domain_next.min_radius(),
         h_norm=max(m.l1_norm() for m in new_maps),
+        inversion_sweeps=sweeps,
+        inversion_residual=r_inv,
     )
     new_state = replace(
         state,
@@ -302,8 +316,20 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
 
     H^(-1) is needed only at the points v = x + alpha + h(x) + df(x + h(x))
     over the (4 n_max)^d grid points x: `_preimages` solves y + h(y) = v
-    there from y = v, and its last iterate y_K = v - h(y_(K-1)) gives
+    there, and its last iterate y_K = v - h(y_(K-1)) gives
     y_K - x - alpha = h(x) + df(x + h(x)) - h(y_(K-1)), re-expanded by FFT.
+
+    The sweep starts at y_0 = v - h(x + alpha), h(x + alpha) being the grid
+    values of `translate`(h, alpha): the exact preimage is
+    y* = f_k(x) = x + alpha + df_k(x), so y_0 - y* = h(y*) - h(x + alpha)
+    is at most L |df_k(x)| (L the Lipschitz constant of h), second order,
+    where the start y_0 = v is off by h(y*), first order.  The README run's
+    stages sweep (4, 1, 1) times from y_0, against (6, 3, 2) from v.  The
+    start only seeds the iteration: every sweep evaluates h densely before it
+    tests its residual, so the last iterate, its dense h~(y') and the
+    measured residual that `_identity_bound` reasons about come out of the
+    same dense step whatever the start, and the bound has no term for it.
+
     The check evaluates both sides of H o f_k = f_(k-1) o H at x:
 
         lhs = y + h(y),  y = x + alpha + df_k(x)
@@ -314,7 +340,8 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     solved band h o R_alpha - h, which neither side uses: the band is
     checked by the cohomological residual instead.
     info["mismatch"] is sup |lhs - rhs|, info["bound"] its
-    `_identity_bound`, info["terms"] the bound's inputs.
+    `_identity_bound`, info["terms"] the bound's inputs, info["sweeps"] the
+    sweep's dense evaluations of h.
     """
     m = _grid_size(df.n_max)
     pts = _sample_points(df.d, m)
@@ -323,8 +350,11 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     h_at = h.grid_values(m).T
     df_shift = df.evaluate(pts + h_at).T               # df(x + h(x))
     inner = pts + alpha_row + h_at + df_shift          # v = (R_alpha + df) o H
-    _, h_last, r_inv, _ = _preimages(h, inner, inner)
-    del inner
+    # start at v - h(x + alpha): the grid view and its complex buffer go
+    # before the sweep, whose temporaries would otherwise sit on top of them
+    start = inner - translate(h, alpha).grid_values(m).T
+    _, h_last, r_inv, sweeps = _preimages(h, inner, start)
+    del inner, start
     assembled = h_at + df_shift - h_last               # y_K - x - alpha
 
     out, spill = _reexpand(assembled, df.d, df.n_max)
@@ -340,7 +370,7 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
         lhs, rhs, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
         m=m)
     info = {"mismatch": float(np.abs(lhs - rhs).max()), "bound": bound,
-            "terms": terms, "spill": spill}
+            "terms": terms, "spill": spill, "sweeps": sweeps}
     return out, info
 
 
@@ -375,36 +405,21 @@ def _residual_bound(df: FourierMap, h: FourierMap) -> float:
     return UNIT_ROUNDOFF * (32 * df.l1_norm() + 3 * h.l1_norm())
 
 
-def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
-                    r_inv: float, assembled_sup: float, m: int):
-    """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
+def _fft_rho(points: int) -> float:
+    """rho = k / (1 - k) with k = log2(N) (u + gamma_4 (sqrt 2 + u)): the
+    normwise relative error of a computed FFT of N = points values (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm. 24.2,
+    with twiddle factors correct to u)."""
+    u = UNIT_ROUNDOFF
+    k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
+    return k / (1 - k)
 
-    Notation: u = 2^-53; s the nonzero radius of h (at most the stage
-    truncation), N = m^d grid points; |.| the l1 coefficient norm;
-    L = `_lipschitz`(h); M the largest |coordinate| of lhs and rhs;
-    P = |df| + |h|, which bounds every perturbation-sized value; S the sup
-    of the assembled values; rho = k / (1 - k) with
-    k = log2(N) (u + gamma_4 (sqrt 2 + u)), the normwise relative error of
-    a computed FFT of N values (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm. 24.2, with twiddle factors correct to u).
-    Everything below is first order in u and in the perturbation size
-    (partial sums of coordinates stay within O(P) of M).
 
-    The computed h(x) and df(x + h(x)) are shared by the assembly and rhs,
-    so their own errors cancel; let R be their exact sum with x and alpha.
-    rhs is R up to 3 roundings, and so is the sweep's target v
-    (|v - R| <= 3 u M).  The sweep stops at an iterate y' with computed
-    h~(y') = h(y') + e, |e| <= E_h, and measured residual r_inv, so
-    |v - h~(y') - y'| <= r_inv + 2 u M.  The exact assembly gives
-    Y = R - h~(y'), and |Y - y'| <= r_inv + 5 u M.  The computed y is
-    Y + delta, and lhs is y + h(y) up to E_h and one rounding, so
-
-        |lhs - rhs| <= |h(Y + delta) - h(Y)| + |delta| + |h(Y) - h~(y')|
-                       + E_h + 4 u M
-                    <= (1 + L) |delta| + L (r_inv + 5 u M) + 2 E_h + 4 u M.
-
-    E_h = u (1.5 (M + 1) L + (6 s + 10) |h|) bounds a dense evaluation of
-    h.  `FourierMap.evaluate` computes X(x)^T A X(y) per component (A X(x)
+def _evaluation_error(h: FourierMap, M: float, lip: float) -> float:
+    """E_h = u (1.5 (M + 1) L + (6 s + 10) |h|), a bound of the error of
+    `FourierMap.evaluate` of h at points whose coordinates are at most M in
+    modulus: s the nonzero radius of h, L = `_lipschitz`(h), |h| its l1
+    norm.  `evaluate` computes X(x)^T A X(y) per component (A X(x)
     for d = 1), X the real basis (cos 0..s, sin 1..s) of an axis and A the
     `_real_form` of the coefficients:
 
@@ -429,26 +444,55 @@ def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
       column b = 0 adds at most |F_0|.
 
     The arithmetic is thus at most u |h| (1 + sqrt 2 (4s + 3)) <=
-    u |h| (6 s + 10), writing 1.5 for sqrt 2.  delta collects the
-    assembly's 2 roundings on partial sums at most P and 2 P (3 u P); the
-    output's re-expansion, which drops the band counted in `spill` (the
-    line |l|_sup = m/2 = 2n is taken to be below the rounding); its forward
-    and inverse FFT (an error of l2 norm over the grid, hence of sup, at
-    most 2 (rho + 2u) sqrt(N) S); and the 2 additions forming y (2 u M):
+    u |h| (6 s + 10), writing 1.5 for sqrt 2.
+    """
+    return UNIT_ROUNDOFF * (1.5 * (M + 1) * lip
+                            + (6 * nonzero_radius(h) + 10) * h.l1_norm())
+
+
+def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
+                    r_inv: float, assembled_sup: float, m: int):
+    """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
+
+    Notation: u = 2^-53; N = m^d grid points; |.| the l1 coefficient norm;
+    L = `_lipschitz`(h); M the largest |coordinate| of lhs and rhs;
+    P = |df| + |h|, which bounds every perturbation-sized value; S the sup
+    of the assembled values; rho = `_fft_rho`(N).  Everything below is
+    first order in u and in the perturbation size (partial sums of
+    coordinates stay within O(P) of M).
+
+    The computed h(x) and df(x + h(x)) are shared by the assembly and rhs,
+    so their own errors cancel; let R be their exact sum with x and alpha.
+    rhs is R up to 3 roundings, and so is the sweep's target v
+    (|v - R| <= 3 u M).  The sweep stops at an iterate y' with computed
+    h~(y') = h(y') + e, |e| <= E_h, and measured residual r_inv, so
+    |v - h~(y') - y'| <= r_inv + 2 u M, wherever the sweep started.  The
+    exact assembly gives Y = R - h~(y'), and |Y - y'| <= r_inv + 5 u M.
+    The computed y is Y + delta, and lhs is y + h(y) up to E_h and one
+    rounding, so
+
+        |lhs - rhs| <= |h(Y + delta) - h(Y)| + |delta| + |h(Y) - h~(y')|
+                       + E_h + 4 u M
+                    <= (1 + L) |delta| + L (r_inv + 5 u M) + 2 E_h + 4 u M.
+
+    E_h = `_evaluation_error`(h, M, L) bounds a dense evaluation of h.
+    delta collects the assembly's 2 roundings on partial sums at most P
+    and 2 P (3 u P); the output's re-expansion, which drops the band
+    counted in `spill` (the line |l|_sup = m/2 = 2n is taken to be below
+    the rounding); its forward and inverse FFT (an error of l2 norm over
+    the grid, hence of sup, at most 2 (rho + 2u) sqrt(N) S); and the 2
+    additions forming y (2 u M):
 
         B = (1 + L) (spill + 3 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
             + L (r_inv + 5 u M) + 2 E_h + 4 u M
     """
     u = UNIT_ROUNDOFF
     points = m ** h.d
-    s = nonzero_radius(h)
     M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     lip = _lipschitz(h)
-    h_norm = h.l1_norm()
-    P = df.l1_norm() + h_norm
-    k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
-    rho = k / (1 - k)
-    e_h = u * (1.5 * (M + 1) * lip + (6 * s + 10) * h_norm)
+    P = df.l1_norm() + h.l1_norm()
+    rho = _fft_rho(points)
+    e_h = _evaluation_error(h, M, lip)
     delta = (spill + 3 * u * P
              + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
              + 2 * u * M)
@@ -489,7 +533,9 @@ class RunReport:
             "stage_rows": [list(r.csv_row()) for r in self.step_reports],
             "stage_diagnostics": [
                 {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
-                 "spill": r.spill, "h_norm": r.h_norm}
+                 "spill": r.spill, "h_norm": r.h_norm,
+                 "inversion_sweeps": r.inversion_sweeps,
+                 "inversion_residual": r.inversion_residual}
                 for r in self.step_reports],
         }
 

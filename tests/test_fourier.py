@@ -465,6 +465,24 @@ def test_truncate_split_partition(n):
     assert nh + nt >= nf * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("table, outer", [(fr._sup_norms, np.maximum.outer),
+                                          (fr._l1_norms, np.add.outer)],
+                         ids=["sup", "l1"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_mode_norm_tables_cached_read_only(table, outer, d):
+    # one shared table per (d, n_max): equal to the outer-product expression
+    # it caches, and read-only, so no caller can corrupt the next one's
+    for n_max in (0, 1, 6, 48):
+        got = table(d, n_max)
+        idx = np.abs(np.arange(-n_max, n_max + 1))
+        assert np.array_equal(got, functools.reduce(outer, [idx] * d))
+        assert got.shape == (2 * n_max + 1,) * d
+        assert table(d, n_max) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * d] = 1
+
+
 # -- products and derivatives ---------------------------------------------------
 
 def test_multiply_delta_modes():

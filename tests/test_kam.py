@@ -200,7 +200,12 @@ def test_summary_stage_diagnostics():
     assert len(diag) == rep.stages == len(rep.step_reports) >= 2
     for entry, r in zip(diag, rep.step_reports):
         assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
-                         "spill": r.spill, "h_norm": r.h_norm}
+                         "spill": r.spill, "h_norm": r.h_norm,
+                         "inversion_sweeps": r.inversion_sweeps,
+                         "inversion_residual": r.inversion_residual}
+        # two repeats, each sweeping at least once and stopping below tol
+        assert entry["inversion_sweeps"] >= 2
+        assert entry["inversion_residual"] < 1e-14
     assert len(data["stage_rows"]) == len(diag)
 
 
@@ -208,8 +213,9 @@ def test_summary_stage_diagnostics():
 
 def _first_order_inverse(h, w, y):
     # the sweep cut to the first-order inverse y = v - h(v), its residual
-    # reported as zero: the mutation the identity gate must catch
-    return y, h.evaluate(y).T, 0.0, 1
+    # reported as zero: the mutation the identity gate must catch.  It
+    # ignores the stage's start y, whose one step is nearly exact
+    return w, h.evaluate(w).T, 0.0, 1
 
 
 def _manufactured_state(n_max=16):
@@ -259,11 +265,12 @@ def test_gate_catches_wrong_solved_band(monkeypatch):
 def test_gate_budgets_the_inversion_residual(monkeypatch):
     # a coarser inversion is still a correct one: its identity defect follows
     # its sweep residual, far above rounding, and the bound's residual term
-    # must carry it
+    # must carry it.  The sweep starts cold, at y = v: from the stage's start
+    # the first residual is already near 1e-13
     state = _manufactured_state()
     right = fr._preimages
     monkeypatch.setattr(kam, "_preimages",
-                        lambda h, w, y: right(h, w, y, tol=1e-8))
+                        lambda h, w, y: right(h, w, w, tol=1e-8))
     out = kam.kam_step(state)
     assert 1e-12 < out.reports[0].assembly_mismatch < 1e-8
 
@@ -326,6 +333,56 @@ def readme_map(n_max):
     alpha = tuple(float(a) for a in cli.resolve_alpha("sqrt-pair"))
     args = SimpleNamespace(seed=2026, n_max=n_max, epsilon=1e-3)
     return kam.manufacture_test_map(cli._manufactured_h_star(args), alpha), alpha
+
+
+def test_stage_sweep_starts_second_order(monkeypatch):
+    # the stage starts its sweep at y0 = v - h~(x + alpha), h~ the grid
+    # values of translate(h, alpha).  The preimage is f_k(x) = x + alpha +
+    # df_k(x), so y0 - (x + alpha) = df_k(x) + h(f_k(x)) - h(x + alpha), at
+    # most (1 + L) |df_k| with L = Lip(h) < 1 under the contraction guard
+    # (the factor 2 leaves (1 - L) |df_k| for the errors of the grid values
+    # it is formed from), plus the 3 roundings that form y0 from x + alpha
+    # (3 u M).  The first residual is y0 + h~(y0) - v = h(y0) - h(x + alpha)
+    # plus the errors of both values of h: at most L |y0 - (x + alpha)|;
+    # the dense evaluation's E_h; one inverse FFT of the translated h,
+    # (rho + 2u) sqrt(N) sup |h~| with sqrt(N) = m; its coefficients'
+    # rounding, u (4 |alpha| L + 5 |h|) (the phase argument 2 pi l . alpha
+    # is off by at most 4 u 2 pi |l|_1 |alpha|, exp and the product by
+    # 5 u); and u M each for the rounding of x + alpha (moved by L), of y0
+    # and of y0 + h~(y0).  A cold start y0 = v is off by h(f_k(x)) itself
+    # and fails the first check at stage 0
+    calls = []
+    right = fr._preimages
+
+    def record(h, w, y):
+        calls.append((h, w, y))
+        return right(h, w, y)
+
+    monkeypatch.setattr(kam, "_preimages", record)
+    f, alpha = readme_map(32)
+    params = kam.KamParams(n_max=32, max_stages=8, target_defect=1e-10)
+    state = kam.initial_state(f, alpha, params)
+    u = kam.UNIT_ROUNDOFF
+    m = fr._grid_size(32)
+    x_alpha = fr._sample_points(2, m) + np.asarray(alpha)[None, :]
+    while state.delta_f.l1_norm() >= params.target_defect:
+        state = kam.kam_step(state)
+        h, v, y0 = calls[-1]
+        M = max(float(np.abs(v).max()), float(np.abs(y0).max()))
+        L = kam._lipschitz(h)
+        dist = float(np.abs(y0 - x_alpha).max())
+        df_k = float(np.abs(state.delta_f.grid_values(m)).max())
+        assert dist <= 2 * df_k + 3 * u * M
+        first = float(np.abs(y0 + h.evaluate(y0).T - v).max())
+        g_sup = float(np.abs(fr.translate(h, alpha).grid_values(m)).max())
+        budget = (kam._evaluation_error(h, M, L)
+                  + (kam._fft_rho(m ** 2) + 2 * u) * m * g_sup
+                  + u * (4 * max(map(abs, alpha)) * L + 5 * h.l1_norm())
+                  + (2 + L) * u * M)
+        assert first <= (1 + 2 * u) * (L * dist + budget)
+    assert len(calls) == state.stage == 3
+    assert [r.inversion_sweeps for r in state.reports] == [4, 1, 1]
+    assert all(r.inversion_residual < 1e-14 for r in state.reports)
 
 
 def test_noise_floor_edge_converges():
