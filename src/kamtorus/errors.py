@@ -66,6 +66,13 @@ class OracleDivergence(KamTorusError):
     """A series oracle was requested outside its convergence radius."""
 
 
+class OffsetBeyondRadius(KamTorusError):
+    """A Taylor evaluation from the grid was given an offset beyond the
+    radius its order was chosen for, or a radius that no order meets."""
+
+    fields = {"offset": None, "radius": None}
+
+
 class ContractionFailure(KamTorusError):
     """A fixed-point sweep failed to halve its residual."""
 

@@ -39,6 +39,16 @@ P points, half a complex sum's, and runs over fixed blocks of points so its
 temporaries stay small; s is far below n_max for the stage maps of the KAM
 loop, whose solver zeroes every mode outside its truncation.  The complex
 sum that it replaces is an oracle of the tests.
+Values at grid points plus small offsets, g(x + delta(x)), are Taylor sums
+from the grid, `GridTaylor`: each derivative d^t g is a real inverse FFT
+over the same bins, and the sum is nested Horner in the offsets to an order
+fixed a priori by a bound on the tail; an offset beyond the radius of that
+order is refused.  Its cost, O(K^2 m^d log m) for order K, does not grow
+with the number of modes, so it replaces the dense sum wherever a map of
+many modes is evaluated at perturbed grid points: every evaluation of the
+KAM stage.  For a map of few modes the dense sum is the cheaper one, and
+the dense sum stays the independent route of composition, inversion and
+the KAM loop's direct check.
 
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
@@ -51,8 +61,8 @@ order fixed a priori by a bound on the whole tail, on nonzero supports that
 drop exactly the modes unable to reach the output box; it refuses outside
 its convergence radius.
 Near-identity inversion likewise: the fixed-point sweep `_preimages` on the
-grid (the KAM stage runs it at its own points) against the telescoping
-difference series.
+grid, with the dense sum, against the telescoping difference series.  The
+KAM stage runs the same sweep at its own points with Taylor values.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionFailure, OracleDivergence
+from .errors import ContractionFailure, OffsetBeyondRadius, OracleDivergence
 from .reports import VerificationReport
 from .schedule import DirectionGrid
 
@@ -73,6 +83,10 @@ TWO_PI = 2 * math.pi
 EVAL_BLOCK = 1024
 # relative l1 size of what the series oracles leave unsummed
 SERIES_TOL = 1e-16
+# unit roundoff of float64
+UNIT_ROUNDOFF = 2.0 ** -53
+# highest order a GridTaylor takes before it refuses a radius
+TAYLOR_MAX_ORDER = 30
 
 
 class FourierMap:
@@ -584,6 +598,170 @@ def _reexpand(values: np.ndarray, d: int, n_max: int):
     return FourierMap(d, n_max, np.moveaxis(kept, -1, 0)), spill
 
 
+class GridTaylor:
+    """Values of a real map g at the points x + delta(x), x running over
+    `_sample_points(d, m)` and delta an offset per point, d <= 2:
+
+        g(x + delta) = sum_{a + b <= K} delta_1^a / a! delta_2^b / b!
+                       d_1^a d_2^b g(x) + tail,
+
+    the Taylor evaluation from the grid of Anderson and Dahleh (SIAM J.
+    Sci. Comput. 17, 1996).  In d = 1 the sum runs over b alone.
+
+    Construction synthesizes the order-0 values, `grid`, shape
+    (components, m^d); every sum at x adds its higher orders to these same
+    values.  `fix_radius`(r) then picks the order K: the smallest with the
+    a-priori tail
+
+        max_j sum_l |g_j(l)| sum_{t > K} (2 pi |l|_1 r)^t / t! <= u |g|,
+
+    u = 2^-53 and |g| the l1 norm, each inner sum bounded by
+    x^(K+1) / (K+1)! / (1 - x / (K+2)); e^(2 pi i l . delta) is off from
+    its Taylor polynomial of total order K by at most that inner sum at
+    x = 2 pi |l|_1 |delta|_sup, so the tail of every value is at most
+    `tail`.  `radius` is then the largest r at which order K still meets
+    the bound (infinite for a constant map).  Calling the object with
+    offsets of shape (m^d, d) returns the values, shape (components, m^d)
+    like `FourierMap.evaluate`; an offset beyond the radius raises
+    OffsetBeyondRadius, and so does `fix_radius` at a radius that no order
+    up to TAYLOR_MAX_ORDER meets.
+
+    Each derivative is a real inverse FFT over the `_bins` of the nonzero
+    radius s of g: the coefficients are folded to the half spectrum of the
+    last axis, (c_l + conj c_-l) / 2, whose real synthesis is exactly
+    Re sum_l c_l e_l, and multiplied by (2 pi i l)^t.  The sum is nested
+    Horner, acc <- S_a + acc delta_1 / (a + 1) over the rows a = K..0 and
+    S <- d_1^a d_2^b g + S delta_2 / (b + 1) within one, products by delta
+    and never by its powers.  A call works component by component and row
+    by row: a row's derivatives share one inverse FFT over the first axis
+    (2s + 1 modes), and each takes one `irfft` over the last when the
+    Horner sum consumes it, so a call holds one derivative's values at a
+    time.  Repeated calls synthesize the same derivatives again, bit for
+    bit.
+    """
+
+    def __init__(self, g: FourierMap, m: int):
+        if g.d > 2:
+            raise NotImplementedError("Taylor values implemented for d <= 2")
+        s = nonzero_radius(g)
+        if m < 2 * s + 1:
+            raise ValueError(f"grid of {m} points per axis aliases modes "
+                             f"|l| <= {s}")
+        coeffs = retruncate(g, s).coeffs
+        self.g, self.m, self._s = g, m, s
+        # half spectrum of the last axis, modes 0..s: its real synthesis is
+        # Re sum_l c_l e_l, the imaginary part of mode 0 being dropped
+        flipped = np.flip(coeffs, axis=tuple(range(1, g.d + 1)))
+        half = (coeffs[..., s:] + np.conj(flipped[..., s:])) / 2
+        half[..., 0] = coeffs[..., s]
+        self._half = half
+        l1 = _l1_norms(g.d, s).ravel()
+        self._weights = np.stack([
+            np.bincount(l1, weights=np.abs(coeffs[j]).ravel(),
+                        minlength=g.d * s + 1)
+            for j in range(g.components)])
+        self.grid = np.stack([self._synthesize(self._row(j, 0), 0)
+                              for j in range(g.components)])
+        self.order = self.radius = self.tail = None
+
+    def fix_radius(self, radius: float) -> "GridTaylor":
+        """Pick the order for offsets up to `radius` and widen the radius to
+        the largest that order covers.  Returns self."""
+        tol = UNIT_ROUNDOFF * self.g.l1_norm()
+        reach = np.flatnonzero(self._weights.max(axis=0))
+        if reach.size == 0 or reach[-1] == 0:
+            # a constant map: every derivative and every tail is zero
+            self.order, self.radius, self.tail = 0, math.inf, 0.0
+        else:
+            for order in range(TAYLOR_MAX_ORDER + 1):
+                if _taylor_tail(self._weights, order, radius) <= tol:
+                    break
+            else:
+                raise OffsetBeyondRadius(
+                    f"no Taylor order up to {TAYLOR_MAX_ORDER} meets the tail "
+                    f"bound at radius {radius:.3g}", radius=radius)
+            lo, hi = radius, (order + 2) / (TWO_PI * reach[-1])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if _taylor_tail(self._weights, order, mid) <= tol:
+                    lo = mid
+                else:
+                    hi = mid
+            self.order, self.radius = order, float(lo)
+            self.tail = _taylor_tail(self._weights, order, lo)
+        return self
+
+    def __call__(self, offsets: np.ndarray) -> np.ndarray:
+        reach = float(np.abs(offsets).max(initial=0.0))
+        if not reach <= self.radius:
+            raise OffsetBeyondRadius(
+                f"Taylor offset {reach:.3g} beyond the radius {self.radius:.3g} "
+                f"of order {self.order}", offset=reach, radius=self.radius)
+        last = offsets[:, -1]
+        out = np.empty((self.g.components, len(offsets)))
+        for j in range(self.g.components):
+            acc = out[j]
+            for a in range(self._outer(), -1, -1):
+                row = self._row(j, a)
+                top = self.order - a
+                part = self.grid[j].copy() if a == top == 0 else \
+                    self._synthesize(row, top)
+                for b in range(top - 1, -1, -1):
+                    part *= last
+                    part /= b + 1
+                    part += self.grid[j] if a == b == 0 else \
+                        self._synthesize(row, b)
+                if a == self._outer():
+                    acc[:] = part
+                else:
+                    acc *= offsets[:, 0]
+                    acc /= a + 1
+                    acc += part
+        return out
+
+    def _outer(self) -> int:
+        """Highest order of the first axis in the nested sum (0 in d = 1)."""
+        return self.order if self.g.d == 2 else 0
+
+    def _row(self, j: int, a: int) -> np.ndarray:
+        """Component j's half spectrum times (2 pi i l_1)^a, transformed
+        over the first axis in d = 2: shape (m, s + 1), or (s + 1,) in
+        d = 1."""
+        s, m = self._s, self.m
+        if self.g.d == 1:
+            return self._half[j]
+        spread = np.zeros((m, s + 1), dtype=np.complex128)
+        spread[_bins(s, m)] = self._half[j] * _derivative_factors(
+            range(-s, s + 1), a)[:, None]
+        return np.fft.ifft(spread, axis=0, norm="forward")
+
+    def _synthesize(self, row: np.ndarray, b: int) -> np.ndarray:
+        """Grid values, flat, of the derivative of order b in the last axis
+        of a `_row`."""
+        factor = _derivative_factors(range(self._s + 1), b)
+        return np.fft.irfft(row * factor, n=self.m, axis=-1,
+                            norm="forward").ravel()
+
+
+def _derivative_factors(modes, t: int) -> np.ndarray:
+    """(2 pi i l)^t for l in modes: i^t, exact, times the real (2 pi l)^t."""
+    return (1j ** t) * (TWO_PI * np.asarray(modes, dtype=np.float64)) ** t
+
+
+def _taylor_tail(weights: np.ndarray, order: int, r: float) -> float:
+    """max_j sum_k w_jk sum_{t > order} (2 pi k r)^t / t!, w_jk the l1
+    mass of component j at |l|_1 = k, each inner sum bounded by
+    x^(order+1) / (order+1)! / (1 - x / (order+2)) (infinite from
+    x = order + 2 on)."""
+    x = TWO_PI * np.arange(weights.shape[1]) * r
+    ratio = x / (order + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = np.where(ratio < 1, x ** (order + 1) / math.factorial(order + 1)
+                         / np.where(ratio < 1, 1 - ratio, 1.0), np.inf)
+        return float(np.where(weights > 0, weights * inner, 0.0)
+                     .sum(axis=1).max())
+
+
 def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> FourierMap:
     """x -> f(x + h(x)), re-expanded to f's truncation.
 
@@ -706,24 +884,27 @@ def invert_near_identity(h: FourierMap) -> FourierMap:
     m = _grid_size(h.n_max)
     w = _sample_points(h.d, m)          # target points
     h_w = h.grid_values(m).T
-    y, _, residual, sweeps = _preimages(h, w, w - h_w)
+    y, _, residual, sweeps = _preimages(h, h.evaluate, w, w - h_w)
     out, spill = _reexpand(y - w + h_w, h.d, h.n_max)
     out.info.update(residual=residual, sweeps=sweeps, spill=spill)
     return out
 
 
-def _preimages(h: FourierMap, w: np.ndarray, y: np.ndarray,
+def _preimages(h: FourierMap, values, w: np.ndarray, y: np.ndarray,
                tol: float = 1e-14):
     """Solve y + h(y) = w at the points w, shape (P, d), by the damped-free
-    fixed-point sweep y <- w - h(y) from the first iterate y (all points
-    vectorized, h(y) by the real dense sum); returns (y, h(y), residual
-    sup |y + h(y) - w|, sweeps), sweeps counting the dense evaluations.
+    fixed-point sweep y <- w - h(y) from the first iterate y, all points
+    vectorized; returns (y, h(y), residual sup |y + h(y) - w|, sweeps),
+    sweeps counting the evaluations of h.
 
-    The first iterate is the caller's: `invert_near_identity` starts at
-    w - h(w) and the KAM stage at w - h(x + alpha), both from grid values,
-    each off by a second-order quantity.  A start only seeds the sweep:
-    every sweep evaluates h densely before it tests the residual, so the
-    y, h(y) and residual returned are those of a dense iterate whatever the
+    `values` maps the iterate to h(y), shape (components, P) as
+    `FourierMap.evaluate` returns it.  `invert_near_identity` passes the
+    dense `h.evaluate` and starts at w - h(w).  The KAM stage solves for
+    offsets from x + alpha: it passes a `GridTaylor` of the translated h,
+    whose order-0 values give its start w - h(x + alpha).  Both starts are
+    off by a second-order quantity.  A start only seeds the sweep: every
+    sweep evaluates h before it tests the residual, so the y, h(y) and
+    residual returned are those of one evaluated iterate whatever the
     start, and a better start only saves sweeps.
 
     Requires a real h, the contraction guard 2 pi n_max ||h - mean||_l1
@@ -739,7 +920,7 @@ def _preimages(h: FourierMap, w: np.ndarray, y: np.ndarray,
             f"inversion guard 2 pi n_max ||h - mean|| = {guard:.3g} >= 1/2")
     residual = None
     for sweep in range(80):
-        hy = h.evaluate(y).T
+        hy = values(y).T
         res = np.abs(y + hy - w).max()
         if residual is not None and res > 0.5 * residual and res > tol:
             raise ContractionFailure(

@@ -6,20 +6,25 @@ conjugating with H = id + h, where h solves the cohomological equation
     h o R_alpha - h = T_N (Delta f) - mean(Delta f)
 
 diagonally in Fourier modes: h_hat(l) = df_hat(l) / (e^(2 pi i alpha.l) - 1).
-The conjugated perturbation is assembled pointwise: with
-v = x + alpha + h(x) + Delta f(x + h(x)) at the grid points x, the
-fixed-point sweep solves y + h(y) = v at those points, and its last
-iterate y_K = v - h(y_(K-1)) gives
-H^(-1)(v) - x - alpha = h(x) + Delta f(x + h(x)) - h(y_(K-1)), three
-perturbation-sized terms; no inversion map is built.  The sweep starts at
-v - h(x + alpha), one grid synthesis of the translated h: the preimage is
-H^(-1)(v) = f_k(x) = x + alpha + Delta f_k(x), so the start is off by
-h(f_k(x)) - h(x + alpha), at most Lip(h) |Delta f_k|, a product of two
-perturbation-sized factors.  Every stage is gated: the solved band must
-meet the cohomological equation, and the new map f_k = R_alpha + Delta f_k
-must satisfy the stage identity H o f_k = f_(k-1) o H at the grid points,
-each within a derived rounding and truncation bound; a breach raises
-StageDefect carrying the ledger.
+The conjugated perturbation is assembled pointwise, in offsets from
+x + alpha at the grid points x: with w = h(x) + Delta f(x + h(x)), the
+fixed-point sweep solves delta + h(x + alpha + delta) = w, and its last
+iterate delta_K = w - h(x + alpha + delta_(K-1)) is
+H^(-1)(x + alpha + w) - x - alpha, the new perturbation at x; no inversion
+map is built.  Every value of a map at a perturbed grid point is a Taylor
+sum from the grid (`fourier.GridTaylor`): Delta f at offset h(x), and h at
+the offsets from x + alpha, from one set of syntheses of the translated h
+that the sweep and the stage identity share.  The sweep starts at
+w - h(x + alpha), the order-0 values of those syntheses: the preimage
+offset is Delta f_k(x), so the start is off by
+h(x + alpha + Delta f_k(x)) - h(x + alpha), at most Lip(h) |Delta f_k|, a
+product of two perturbation-sized factors.  Every stage is gated: the
+solved band must meet the cohomological equation, and the new map
+f_k = R_alpha + Delta f_k must satisfy the stage identity
+H o f_k = f_(k-1) o H at the grid points, each within a derived rounding
+and truncation bound; a breach raises StageDefect carrying the ledger.
+The dense trigonometric sum stays off the stage and serves the direct
+check of the finished run against the input map.
 
 The constant term mean(Delta f) is never removed by force: the equation
 drops it from the right side and the iteration tracks it, relying on the
@@ -40,10 +45,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DomainExhausted, ResonanceDetected, StageDefect,
-                     StepDiverged)
+from .errors import (ContractionFailure, DomainExhausted, ResonanceDetected,
+                     StageDefect, StepDiverged)
 from .fourier import (
+    UNIT_ROUNDOFF,
     FourierMap,
+    GridTaylor,
     SlicedDomain,
     _grid_size,
     _l1_norms,
@@ -54,7 +61,6 @@ from .fourier import (
     _sup_norms,
     compose_shift,
     invert_near_identity,
-    nonzero_radius,
     norm_xi,
     retruncate,
     translate,
@@ -150,6 +156,10 @@ class StepReport:
     h_norm: float
     inversion_sweeps: int
     inversion_residual: float
+    taylor_order_df: int
+    taylor_radius_df: float
+    taylor_order_h: int
+    taylor_radius_h: float
 
     def csv_row(self):
         return (self.stage, self.truncation, repr(self.norm_head_after),
@@ -231,9 +241,11 @@ def kam_step(state: KamState) -> KamState:
     conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
     the grid points (`_conjugate`), within `_identity_bound`; the identity
     is recorded as `assembly_mismatch` (max over repeats), with the sweep's
-    dense evaluations (`inversion_sweeps`, summed over repeats) and its
-    last residual (`inversion_residual`, max over repeats).  Both bounds
-    are derived rounding and truncation budgets, not fitted tolerances.
+    evaluations of h (`inversion_sweeps`, summed over repeats), its last
+    residual (`inversion_residual`, max over repeats) and the order and
+    radius of the Taylor sums of df and of h (max over repeats).  Both
+    bounds are derived rounding and truncation budgets, not fitted
+    tolerances.
     """
     params = state.params
     n = state.stage
@@ -247,6 +259,7 @@ def kam_step(state: KamState) -> KamState:
     residual = 0.0
     sweeps = 0
     r_inv = 0.0
+    taylor = dict.fromkeys(("order_df", "radius_df", "order_h", "radius_h"), 0)
 
     norm_head_before, norm_tail_before = _stage_norms(df, domain_next, trunc)
 
@@ -270,6 +283,7 @@ def kam_step(state: KamState) -> KamState:
         spill_total += info["spill"]
         sweeps += info["sweeps"]
         r_inv = max(r_inv, info["terms"]["inversion_residual"])
+        taylor = {k: max(v, info["taylor"][k]) for k, v in taylor.items()}
         new_maps.append(h)
 
     norm_head_after, norm_tail_after = _stage_norms(df, domain_next, trunc)
@@ -288,6 +302,10 @@ def kam_step(state: KamState) -> KamState:
         h_norm=max(m.l1_norm() for m in new_maps),
         inversion_sweeps=sweeps,
         inversion_residual=r_inv,
+        taylor_order_df=taylor["order_df"],
+        taylor_radius_df=taylor["radius_df"],
+        taylor_order_h=taylor["order_h"],
+        taylor_radius_h=taylor["radius_h"],
     )
     new_state = replace(
         state,
@@ -314,67 +332,77 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h, and the
     stage identity that checks it; returns (map, info).
 
-    H^(-1) is needed only at the points v = x + alpha + h(x) + df(x + h(x))
-    over the (4 n_max)^d grid points x: `_preimages` solves y + h(y) = v
-    there, and its last iterate y_K = v - h(y_(K-1)) gives
-    y_K - x - alpha = h(x) + df(x + h(x)) - h(y_(K-1)), re-expanded by FFT.
+    The stage works in offsets from x + alpha at the (4 n_max)^d grid
+    points x, so no value carries the rounding of a coordinate of size 1.
+    Every map value is a `GridTaylor` sum from the grid: df(x + h(x)) with
+    offset h(x), and h(x + alpha + delta) from the syntheses of
+    `translate`(h, alpha), which the sweep and the identity share.
+    H^(-1) is needed only at the points v = x + alpha + w,
+    w = h(x) + df(x + h(x)): `_preimages` solves delta + h(x + alpha +
+    delta) = w for the offset delta, and its last iterate
+    delta_K = w - h(x + alpha + delta_(K-1)) is the new perturbation
+    df_k(x) = H^(-1)(v) - x - alpha at the grid, re-expanded by FFT.
 
-    The sweep starts at y_0 = v - h(x + alpha), h(x + alpha) being the grid
-    values of `translate`(h, alpha): the exact preimage is
-    y* = f_k(x) = x + alpha + df_k(x), so y_0 - y* = h(y*) - h(x + alpha)
-    is at most L |df_k(x)| (L the Lipschitz constant of h), second order,
-    where the start y_0 = v is off by h(y*), first order.  The README run's
-    stages sweep (4, 1, 1) times from y_0, against (6, 3, 2) from v.  The
-    start only seeds the iteration: every sweep evaluates h densely before it
-    tests its residual, so the last iterate, its dense h~(y') and the
-    measured residual that `_identity_bound` reasons about come out of the
-    same dense step whatever the start, and the bound has no term for it.
+    The sweep starts at delta_0 = w - h(x + alpha), the order-0 values of
+    the translated h: the exact preimage offset is delta* = df_k(x), so
+    delta_0 - delta* = h(x + alpha + delta*) - h(x + alpha) is at most
+    L |delta*| (L the Lipschitz constant of h), second order, where the
+    cold start w is off by h(x + alpha + delta*), first order.  The README
+    run's stages sweep (4, 1, 1) times.  Every iterate then stays within
+    |delta_0| / (1 - L) of zero, and so does delta*; the identity reads
+    df_k(x), which is delta_K up to the re-expansion.  The Taylor radius
+    of h is taken as twice that, 2 sup |delta_0| / (1 - L), before it is
+    widened to the largest radius its order covers: the factor leaves room
+    for the re-expansion's noise, which is not known before the sweep and
+    is all there is at a stage whose perturbation is below the rounding of
+    its start.  An offset beyond the radius raises OffsetBeyondRadius.
 
-    The check evaluates both sides of H o f_k = f_(k-1) o H at x:
+    The check evaluates both sides of H o f_k = f_(k-1) o H at x, less
+    x + alpha:
 
-        lhs = y + h(y),  y = x + alpha + df_k(x)
-        rhs = x + h(x) + alpha + df(x + h(x))
+        lhs = df_k(x) + h(x + alpha + df_k(x)),   rhs = w.
 
     df_k(x) comes from the re-expanded output, so the check sees the
     sweep, the truncation and the re-expansion.  It does not see the
-    solved band h o R_alpha - h, which neither side uses: the band is
-    checked by the cohomological residual instead.
+    solved band h o R_alpha - h, which neither side uses, nor a wrong
+    `translate`, which the sweep and the check share: the cohomological
+    residual checks both.
     info["mismatch"] is sup |lhs - rhs|, info["bound"] its
     `_identity_bound`, info["terms"] the bound's inputs, info["sweeps"] the
-    sweep's dense evaluations of h.
+    sweep's evaluations of h, info["taylor"] the order and radius of both
+    Taylor routes.
     """
     m = _grid_size(df.n_max)
-    pts = _sample_points(df.d, m)
-    alpha_row = np.asarray(alpha, dtype=np.float64)[None, :]
+    h_at = h.grid_values(m).T                          # h(x)
+    shift = GridTaylor(df, m).fix_radius(float(np.abs(h_at).max()))
+    w = h_at + shift(h_at).T                           # h(x) + df(x + h(x))
+    taylor = {"order_df": shift.order, "radius_df": shift.radius}
+    del h_at, shift
 
-    h_at = h.grid_values(m).T
-    df_shift = df.evaluate(pts + h_at).T               # df(x + h(x))
-    inner = pts + alpha_row + h_at + df_shift          # v = (R_alpha + df) o H
-    # start at v - h(x + alpha): the grid view and its complex buffer go
-    # before the sweep, whose temporaries would otherwise sit on top of them
-    start = inner - translate(h, alpha).grid_values(m).T
-    _, h_last, r_inv, sweeps = _preimages(h, inner, start)
-    del inner, start
-    assembled = h_at + df_shift - h_last               # y_K - x - alpha
+    values = GridTaylor(translate(h, alpha), m)        # h(x + alpha + delta)
+    start = w - values.grid.T
+    lip = _lipschitz(values.g)
+    if not lip < 1:
+        raise ContractionFailure(
+            f"the sweep's Lipschitz constant {lip:.3g} is not below 1")
+    values.fix_radius(2 * float(np.abs(start).max()) / (1 - lip))
+    taylor.update(order_h=values.order, radius_h=values.radius)
+    _, h_last, r_inv, sweeps = _preimages(h, values, w, start)
+    assembled = w - h_last                             # delta_K = df_k(x)
+    del start, h_last
 
     out, spill = _reexpand(assembled, df.d, df.n_max)
     assembled_sup = float(np.abs(assembled).max())
-    # the identity needs none of the assembly's arrays: release them before
-    # its grid synthesis and evaluation, which would otherwise set the peak
-    del assembled, h_last
+    del assembled
 
-    y = pts + alpha_row + out.grid_values(m).T
-    lhs = y + h.evaluate(y).T
-    rhs = pts + h_at + alpha_row + df_shift
+    df_k = out.grid_values(m).T
+    lhs = df_k + values(df_k).T
     bound, terms = _identity_bound(
-        lhs, rhs, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
-        m=m)
-    info = {"mismatch": float(np.abs(lhs - rhs).max()), "bound": bound,
-            "terms": terms, "spill": spill, "sweeps": sweeps}
+        lhs, w, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
+        m=m, values=values)
+    info = {"mismatch": float(np.abs(lhs - w).max()), "bound": bound,
+            "terms": terms, "spill": spill, "sweeps": sweeps, "taylor": taylor}
     return out, info
-
-
-UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _lipschitz(f: FourierMap) -> float:
@@ -415,91 +443,120 @@ def _fft_rho(points: int) -> float:
     return k / (1 - k)
 
 
-def _evaluation_error(h: FourierMap, M: float, lip: float) -> float:
-    """E_h = u (1.5 (M + 1) L + (6 s + 10) |h|), a bound of the error of
-    `FourierMap.evaluate` of h at points whose coordinates are at most M in
-    modulus: s the nonzero radius of h, L = `_lipschitz`(h), |h| its l1
-    norm.  `evaluate` computes X(x)^T A X(y) per component (A X(x)
-    for d = 1), X the real basis (cos 0..s, sin 1..s) of an axis and A the
-    `_real_form` of the coefficients:
+def _derivative_sups(values: GridTaylor) -> np.ndarray:
+    """S[a, b] for a + b <= K (a = 0 in d = 1), bounds of
+    |d_1^a d_2^b g| over the grid for the map g of the Taylor sums
+    `values` of order K: max_j sum_l |2 pi l_1|^a |2 pi l_2|^b |g_j(l)|,
+    and for the order-0 values the largest computed one."""
+    g, K = values.g, values.order
+    size = np.abs(g.coeffs)
+    modes = np.abs(TWO_PI * np.arange(-g.n_max, g.n_max + 1))
+    axes = tuple(range(1, g.d + 1))
+    sups = np.zeros((K + 1, K + 1))
+    for a in range(K + 1 if g.d == 2 else 1):
+        for b in range(K - a + 1):
+            factor = modes ** b if g.d == 1 else np.outer(modes ** a, modes ** b)
+            sups[a, b] = (size * factor).sum(axis=axes).max()
+    sups[0, 0] = np.abs(values.grid).max()
+    return sups
 
-    * phases: phase row m, a cumulative product, is off by at most
-      m (3 pi M u + 3 u) (argument error 3 pi |x| u + 3 u, one complex
-      product per row); the cos and sin rows are its exact real and
-      imaginary parts, so the value is Re sum_l c_l e_l with perturbed
-      phases, off by at most sum_l |c_l| |l|_1 (3 pi M + 3) u
-      <= 1.5 (M + 1) L u.
-    * the two folds: the first (F = c_l + conj c_-l) rounds each part
-      once, at most u sum |F| <= u |h|; the second (P, Q = F_b +- F_-b)
-      rounds each entry of A once, at most u S_A with
-      S_A = sum_jk |A_jk| |X_j(x)| |X_k(y)|.
-    * products and sums: the dgemm sums 2s + 1 real products per entry and
-      the contraction 2s + 1 more, at most gamma_(4s + 2) S_A in any
-      summation order (Higham, §3.1), so blocking does not matter.
-    * S_A <= sqrt 2 |h|: the four entries of a pair (a, b >= 1),
-      Re P, -Im Q, -Im P, -Re Q, carry the weights |cos_a cos_b|,
-      |cos_a sin_b|, |sin_a cos_b|, |sin_a sin_b| of unit l2 norm, so by
-      Cauchy-Schwarz they add at most (|P|^2 + |Q|^2)^(1/2)
-      = (2 |F_b|^2 + 2 |F_-b|^2)^(1/2) <= sqrt 2 (|F_b| + |F_-b|); a
-      column b = 0 adds at most |F_0|.
 
-    The arithmetic is thus at most u |h| (1 + sqrt 2 (4s + 3)) <=
-    u |h| (6 s + 10), writing 1.5 for sqrt 2.
+def _taylor_errors(values: GridTaylor, points: int):
+    """(horner, synthesis) for the offsets within the radius r of the
+    `GridTaylor` sums `values` of order K over N = points grid points,
+    S = `_derivative_sups`(values):
+
+    * horner = gamma_(3K+2) sum_{|t| <= K} S_t r^|t| / t! (0 at K = 0,
+      which adds nothing) bounds the rounding of one Horner sum against
+      the exact sum of the computed derivatives: the term of order t meets
+      3 roundings per Horner step of either axis (a product by the offset,
+      a division by the step's order, an addition), at most 3 |t| + 2 in
+      all.
+    * synthesis = sum_{1 <= |t| <= K} |t| r^(|t|-1) / t! e_t, with
+      e_t = (rho + 2 (|t| + 4) u) sqrt(N) S_t and rho = `_fft_rho`(N), is
+      the factor of |delta - delta'| in the difference of the synthesis
+      errors of two sums at offsets delta, delta' within r:
+      |delta^t - delta'^t| <= |t| r^(|t|-1) |delta - delta'|.  e_t bounds
+      the sup, hence the 2-norm over the grid, of the error of the
+      synthesized d^t g: the FFT (Higham's Thm. 24.2, as `_fft_rho`) and
+      the rounding of the fold and of the factor (2 pi i l)^t, at most
+      2 (|t| + 4) u per coefficient, against the values' 2-norm, at most
+      sqrt(N) S_t.  The order-0 error is shared by every sum, and this
+      factor leaves it out.
     """
-    return UNIT_ROUNDOFF * (1.5 * (M + 1) * lip
-                            + (6 * nonzero_radius(h) + 10) * h.l1_norm())
+    u = UNIT_ROUNDOFF
+    K, r = values.order, values.radius
+    sups = _derivative_sups(values)
+    if not sups.any():
+        return 0.0, 0.0
+    rho = _fft_rho(points)
+    horner = synthesis = 0.0
+    for a in range(K + 1):
+        for b in range(K + 1 - a):
+            t = a + b
+            scale = sups[a, b] / (math.factorial(a) * math.factorial(b))
+            horner += scale * r ** t
+            if t:
+                synthesis += (t * r ** (t - 1) * scale
+                              * (rho + 2 * (t + 4) * u) * math.sqrt(points))
+    n = 3 * K + 2
+    return (n * u / (1 - n * u) * horner if K else 0.0), synthesis
 
 
 def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
-                    r_inv: float, assembled_sup: float, m: int):
+                    r_inv: float, assembled_sup: float, m: int,
+                    values: GridTaylor):
     """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
 
     Notation: u = 2^-53; N = m^d grid points; |.| the l1 coefficient norm;
-    L = `_lipschitz`(h); M the largest |coordinate| of lhs and rhs;
-    P = |df| + |h|, which bounds every perturbation-sized value; S the sup
-    of the assembled values; rho = `_fft_rho`(N).  Everything below is
-    first order in u and in the perturbation size (partial sums of
-    coordinates stay within O(P) of M).
+    g the translated h of the Taylor sums `values` (order K, radius r,
+    tail bound T), L = `_lipschitz`(g); M the largest |offset| of lhs and
+    rhs; P = |df| + |h|, which bounds every perturbation-sized value; S the
+    sup of the assembled values; rho = `_fft_rho`(N).  Everything below is
+    first order in u and in the perturbation size.
 
-    The computed h(x) and df(x + h(x)) are shared by the assembly and rhs,
-    so their own errors cancel; let R be their exact sum with x and alpha.
-    rhs is R up to 3 roundings, and so is the sweep's target v
-    (|v - R| <= 3 u M).  The sweep stops at an iterate y' with computed
-    h~(y') = h(y') + e, |e| <= E_h, and measured residual r_inv, so
-    |v - h~(y') - y'| <= r_inv + 2 u M, wherever the sweep started.  The
-    exact assembly gives Y = R - h~(y'), and |Y - y'| <= r_inv + 5 u M.
-    The computed y is Y + delta, and lhs is y + h(y) up to E_h and one
-    rounding, so
+    Write H(delta) for the computed Taylor sum of g at offset delta.  It is
+    g(x + delta) up to the tail (at most T), the Horner rounding and the
+    synthesis errors of the derivatives; the order-0 synthesis error e_0 is
+    the same in every sum at x.  The computed df(x + h(x)) is shared by the
+    assembly and rhs = w, so its error cancels; let W be the exact sum
+    h(x) + df(x + h(x)) of the computed values, |W - w| <= u M.  The sweep
+    stops at an offset delta' with measured residual r_inv, so
+    |w - H(delta') - delta'| <= r_inv + 2 u M.  The exact assembly gives
+    Y = W - H(delta'), and |Y - delta'| <= r_inv + 3 u M.  The identity
+    reads df_k(x) = Y + D, and lhs is df_k(x) + H(df_k(x)) up to one
+    rounding, so with lhs - rhs = (W - w) + D + H(df_k(x)) - H(delta'):
 
-        |lhs - rhs| <= |h(Y + delta) - h(Y)| + |delta| + |h(Y) - h~(y')|
-                       + E_h + 4 u M
-                    <= (1 + L) |delta| + L (r_inv + 5 u M) + 2 E_h + 4 u M.
+        |lhs - rhs| <= D + L |df_k(x) - delta'| + 2 T + 2 horner
+                       + |df_k(x) - delta'| synthesis + 2 u M,
 
-    E_h = `_evaluation_error`(h, M, L) bounds a dense evaluation of h.
-    delta collects the assembly's 2 roundings on partial sums at most P
-    and 2 P (3 u P); the output's re-expansion, which drops the band
-    counted in `spill` (the line |l|_sup = m/2 = 2n is taken to be below
-    the rounding); its forward and inverse FFT (an error of l2 norm over
-    the grid, hence of sup, at most 2 (rho + 2u) sqrt(N) S); and the 2
-    additions forming y (2 u M):
+    e_0 cancelling, and |df_k(x) - delta'| <= r_inv + 3 u M + D =: move.
+    horner and synthesis are `_taylor_errors`(values, N).  D collects the
+    assembly's roundings on partial sums at most P (3 u P); the output's
+    re-expansion, which drops the band counted in `spill` (the line
+    |l|_sup = m/2 = 2n is taken to be below the rounding); and its forward
+    and inverse FFT (an error of l2 norm over the grid, hence of sup, at
+    most 2 (rho + 2u) sqrt(N) S):
 
-        B = (1 + L) (spill + 3 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
-            + L (r_inv + 5 u M) + 2 E_h + 4 u M
+        D = spill + 3 u P + 2 (rho + 2u) sqrt(N) S
+        B = D + (L + synthesis) move + 2 T + 2 horner + 2 u M
     """
     u = UNIT_ROUNDOFF
     points = m ** h.d
     M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    lip = _lipschitz(h)
+    lip = _lipschitz(values.g)
     P = df.l1_norm() + h.l1_norm()
     rho = _fft_rho(points)
-    e_h = _evaluation_error(h, M, lip)
+    horner, synthesis = _taylor_errors(values, points)
     delta = (spill + 3 * u * P
-             + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
+             + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup)
+    move = r_inv + 3 * u * M + delta
+    bound = (delta + (lip + synthesis) * move + 2 * values.tail + 2 * horner
              + 2 * u * M)
-    bound = (1 + lip) * delta + lip * (r_inv + 5 * u * M) + 2 * e_h + 4 * u * M
     terms = {"spill": spill, "inversion_residual": r_inv,
-             "lipschitz_h": lip, "coordinate_max": M, "perturbation_l1": P,
-             "assembled_sup": assembled_sup}
+             "lipschitz_h": lip, "offset_max": M, "perturbation_l1": P,
+             "assembled_sup": assembled_sup, "taylor_order_h": values.order,
+             "taylor_radius_h": _finite(values.radius)}
     return bound, terms
 
 
@@ -535,9 +592,18 @@ class RunReport:
                 {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
                  "spill": r.spill, "h_norm": r.h_norm,
                  "inversion_sweeps": r.inversion_sweeps,
-                 "inversion_residual": r.inversion_residual}
+                 "inversion_residual": r.inversion_residual,
+                 "taylor_order_df": r.taylor_order_df,
+                 "taylor_radius_df": _finite(r.taylor_radius_df),
+                 "taylor_order_h": r.taylor_order_h,
+                 "taylor_radius_h": _finite(r.taylor_radius_h)}
                 for r in self.step_reports],
         }
+
+
+def _finite(x: float):
+    """x for JSON, None for the infinite radius of a constant map."""
+    return x if math.isfinite(x) else None
 
 
 def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,

@@ -6,8 +6,8 @@ import pytest
 
 from kamtorus import cli
 from kamtorus.errors import (DomainExhausted, ExponentOverflow,
-                             OracleDivergence, ResonanceDetected, StageDefect,
-                             StepDiverged)
+                             OffsetBeyondRadius, OracleDivergence,
+                             ResonanceDetected, StageDefect, StepDiverged)
 from kamtorus.serialize import read_json
 
 LEDGER = [[0, 4, "1.0430564428042069e-05", "0.05"]]
@@ -35,6 +35,10 @@ CASES = [
     ("DomainExhausted-14", DomainExhausted, {"stage": 2, "ledger": LEDGER},
      {"stage": 2, "ledger": LEDGER}),
     ("DomainExhausted-15", DomainExhausted, {}, {}),
+    ("OffsetBeyondRadius-16", OffsetBeyondRadius,
+     {"offset": 2.5e-5, "radius": 2.0e-5}, {"offset": 2.5e-5, "radius": 2.0e-5}),
+    ("OffsetBeyondRadius-17", OffsetBeyondRadius, {"radius": 1.0},
+     {"radius": 1.0}),
 ]
 
 

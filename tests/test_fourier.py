@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from kamtorus import fourier as fr
 from kamtorus import kam
-from kamtorus.errors import ContractionFailure, OracleDivergence
+from kamtorus.errors import (ContractionFailure, OffsetBeyondRadius,
+                             OracleDivergence)
 from kamtorus.schedule import DirectionGrid
 
 
@@ -811,10 +812,11 @@ def test_series_oracle_never_touches_the_grid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the series route used the grid machinery")
 
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn", "irfft"):
         monkeypatch.setattr(np.fft, name, refuse)
     monkeypatch.setattr(fr.FourierMap, "evaluate", refuse)
     monkeypatch.setattr(fr.FourierMap, "grid_values", refuse)
+    monkeypatch.setattr(fr.GridTaylor, "__init__", refuse)
     f, h0 = _criterion_08_maps()
     fr.compose_shift(f, h0, method="series")
     fr.invert_series(h0)
@@ -898,7 +900,7 @@ def test_preimages_residual_against_complex_oracle(d, n_max):
     # complex oracle it may exceed the recorded one by the rounding of that
     # evaluation, the oracle's own, and the residual's, and no more
     h, v = _sweep_case(d, n_max, 700 + 10 * d + n_max, amp=1e-3, span=2)
-    y, h_y, residual, sweeps = fr._preimages(h, v, v.copy())
+    y, h_y, residual, sweeps = fr._preimages(h, h.evaluate, v, v.copy())
     assert 1 < sweeps < 80 and residual < 1e-14
     assert np.array_equal(h_y, h.evaluate(y).T)
     oracle = np.abs(y + _evaluate_complex(h, y).real.T - v).max()
@@ -917,7 +919,7 @@ def test_preimages_agree_with_invert_series(d, n_max):
     # because |a + h(a) - b - h(b)| >= (1 - L) |a - b|.  Modes |l| <= 1 keep
     # the inverse's band beyond n_max (order 9 and up) below the rounding
     h, v = _sweep_case(d, n_max, 800 + 10 * d + n_max, amp=3e-4, span=1)
-    y, _, residual, _ = fr._preimages(h, v, v.copy())
+    y, _, residual, _ = fr._preimages(h, h.evaluate, v, v.copy())
     h_v = _evaluate_complex(h, v).real.T
     y_ref = v - h_v + _evaluate_complex(fr.invert_series(h), v).real.T
     res_ref = np.abs(y_ref + _evaluate_complex(h, y_ref).real.T - v).max()
@@ -936,6 +938,80 @@ def test_invert_guard():
     h = fr.FourierMap.from_modes(2, 8, {(1, 0): [0.05, 0.02]})
     with pytest.raises(ContractionFailure):
         fr.invert_near_identity(h)
+
+
+# -- Taylor values from the grid -------------------------------------------------
+
+def _taylor_budget(values, M):
+    """Budget of |values(delta) - the complex dense sum at x + delta| for
+    offsets within the radius r and coordinates |x + delta| <= M: the tail
+    bound, the Horner rounding, the synthesis error of every order times
+    r^|t| / t! (of the order-0 values too, which the oracle does not
+    share; `kam._taylor_errors` gives the form), and the oracle's own
+    rounding (`_evaluation_tolerance` with 4 s + 8)."""
+    u = 2.0 ** -53
+    points = values.m ** values.g.d
+    rho = kam._fft_rho(points)
+    horner, _ = kam._taylor_errors(values, points)
+    sups = kam._derivative_sups(values)
+    synthesis = sum(
+        values.radius ** (a + b) / (math.factorial(a) * math.factorial(b))
+        * (rho + 2 * (a + b + 4) * u) * math.sqrt(points) * sups[a, b]
+        for a in range(values.order + 1) for b in range(values.order + 1 - a))
+    s = fr.nonzero_radius(values.g)
+    return (values.tail + horner + synthesis
+            + _evaluation_tolerance(values.g, M, 4 * s + 8))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [4, 16])
+def test_grid_taylor_matches_complex_sum(d, n_max):
+    # at radii from 1e-9 (order 1 or 2) to 1e-3 (order 6 to 10), offsets
+    # drawn up to the widened radius.  At the small radii the order K - 1
+    # misses by 1e-12 to 1e-7 against budgets near 1e-13, and a flipped
+    # derivative sign misses by twice the first-order term
+    rng = np.random.default_rng(900 + 10 * d + n_max)
+    g = random_map(rng, d=d, n_max=n_max, max_modes=8, decay=0.7)
+    m = fr._grid_size(n_max)
+    x = fr._sample_points(d, m)
+    assert np.abs(fr.GridTaylor(g, m).grid - _evaluate_complex(g, x).real).max() \
+        <= 1e-14 * g.l1_norm()
+    orders = []
+    for r in (1e-9, 1e-6, 1e-4, 1e-3):
+        values = fr.GridTaylor(g, m).fix_radius(r)
+        assert values.radius >= r
+        assert values.tail <= 2.0 ** -53 * g.l1_norm()
+        offsets = rng.uniform(-values.radius, values.radius, size=x.shape)
+        got = values(offsets)
+        want = _evaluate_complex(g, x + offsets).real
+        budget = _taylor_budget(values, float(np.abs(x + offsets).max()))
+        assert np.abs(got - want).max() <= budget
+        orders.append(values.order)
+    assert orders == sorted(orders) and 1 <= orders[0] < orders[-1]
+
+
+def test_grid_taylor_refuses_offsets_beyond_radius():
+    rng = np.random.default_rng(940)
+    g = random_map(rng, n_max=8, max_modes=6)
+    m = fr._grid_size(8)
+    values = fr.GridTaylor(g, m).fix_radius(1e-6)
+    offsets = np.zeros((m * m, 2))
+    offsets[17, 1] = -values.radius
+    values(offsets)                                   # at the radius: summed
+    offsets[17, 1] = -np.nextafter(values.radius, 1.0)
+    with pytest.raises(OffsetBeyondRadius) as exc:
+        values(offsets)
+    assert exc.value.radius == values.radius < exc.value.offset
+    assert exc.value.diagnostic()["error"] == "OffsetBeyondRadius"
+    # a radius that no order up to TAYLOR_MAX_ORDER meets
+    with pytest.raises(OffsetBeyondRadius):
+        fr.GridTaylor(g, m).fix_radius(1.0)
+    # a constant map has every radius, and its values are its constant
+    const = fr.GridTaylor(fr.FourierMap.constant(2, 8, [0.25, -0.5]), m)
+    const.fix_radius(1.0)
+    assert const.order == 0 and const.radius == math.inf and const.tail == 0
+    assert np.array_equal(const(np.full((m * m, 2), 3.0)),
+                          np.repeat([[0.25], [-0.5]], m * m, axis=1))
 
 
 # -- remainder split --------------------------------------------------------------

@@ -202,20 +202,34 @@ def test_summary_stage_diagnostics():
         assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
                          "spill": r.spill, "h_norm": r.h_norm,
                          "inversion_sweeps": r.inversion_sweeps,
-                         "inversion_residual": r.inversion_residual}
+                         "inversion_residual": r.inversion_residual,
+                         "taylor_order_df": r.taylor_order_df,
+                         "taylor_radius_df": r.taylor_radius_df,
+                         "taylor_order_h": r.taylor_order_h,
+                         "taylor_radius_h": r.taylor_radius_h}
         # two repeats, each sweeping at least once and stopping below tol
         assert entry["inversion_sweeps"] >= 2
         assert entry["inversion_residual"] < 1e-14
+        # both Taylor routes take an order, and a radius that covers the
+        # offsets they were given
+        for route in ("df", "h"):
+            assert 0 <= entry[f"taylor_order_{route}"] <= fr.TAYLOR_MAX_ORDER
+            assert entry[f"taylor_radius_{route}"] > 0
     assert len(data["stage_rows"]) == len(diag)
 
 
 # -- the stage gates -----------------------------------------------------------------
 
-def _first_order_inverse(h, w, y):
-    # the sweep cut to the first-order inverse y = v - h(v), its residual
-    # reported as zero: the mutation the identity gate must catch.  It
-    # ignores the stage's start y, whose one step is nearly exact
-    return w, h.evaluate(w).T, 0.0, 1
+def _first_order_inverse(h, values, w, y):
+    # the sweep cut to the first-order inverse v - h(x + alpha), its
+    # residual reported as zero: the mutation the identity gate must catch.
+    # The stage sweeps for offsets from x + alpha, so this is offset 0, where
+    # the Taylor values are the translated h's grid values; the output
+    # df_k(x) is then the start w - h(x + alpha), which lies within the
+    # Taylor radius.  It ignores the stage's start y, whose one step is
+    # nearly exact
+    base = np.zeros_like(w)
+    return base, values(base).T, 0.0, 1
 
 
 def _manufactured_state(n_max=16):
@@ -265,14 +279,30 @@ def test_gate_catches_wrong_solved_band(monkeypatch):
 def test_gate_budgets_the_inversion_residual(monkeypatch):
     # a coarser inversion is still a correct one: its identity defect follows
     # its sweep residual, far above rounding, and the bound's residual term
-    # must carry it.  The sweep starts cold, at y = v: from the stage's start
-    # the first residual is already near 1e-13
+    # must carry it.  The sweep starts at offset 0, x + alpha, one sweep
+    # behind the stage's start, from which the first residual is already
+    # near 1e-13; the cold start v, offset w, lies beyond the Taylor radius.
+    # The stage works in offsets from x + alpha, so its rounding is far
+    # below 1e-12: the defect must exceed the bound taken with no residual
+    # (the rounding part) a thousandfold
     state = _manufactured_state()
     right = fr._preimages
-    monkeypatch.setattr(kam, "_preimages",
-                        lambda h, w, y: right(h, w, w, tol=1e-8))
+    monkeypatch.setattr(kam, "_preimages", lambda h, values, w, y: right(
+        h, values, w, np.zeros_like(w), tol=1e-8))
+    bound = kam._identity_bound
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((bound(*args, **kwargs)[0],
+                     bound(*args, **dict(kwargs, r_inv=0.0))[0]))
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(kam, "_identity_bound", record)
     out = kam.kam_step(state)
-    assert 1e-12 < out.reports[0].assembly_mismatch < 1e-8
+    rep = out.reports[0]
+    (b, rounding), = seen
+    assert 1e-12 < rep.inversion_residual < 1e-8
+    assert 1e3 * rounding < rep.assembly_mismatch <= b < 1e-8
 
 
 def test_cli_stage_defect_exit_and_diagnostic(tmp_path, monkeypatch):
@@ -287,13 +317,38 @@ def test_cli_stage_defect_exit_and_diagnostic(tmp_path, monkeypatch):
     assert not (tmp_path / "kam_stages.csv").exists()
 
 
+def _dense_identity_bound(lhs, rhs, h, df, spill, r_inv, assembled_sup, m,
+                          **_):
+    """The identity bound of the dense route that the Taylor route replaced,
+    on the same inputs: each of the sweep's and the check's dense
+    evaluations of h charged E_h = u (1.5 (M + 1) L + (6 s + 10) |h|)
+    (s the nonzero radius of h, L = Lip(h)), and M entered the rounding of
+    the sweep's target, its residual and the check's point y:
+
+        (1 + L) (spill + 3 u P + 2 (rho + 2u) sqrt(N) S + 2 u M)
+        + L (r_inv + 5 u M) + 2 E_h + 4 u M."""
+    u = kam.UNIT_ROUNDOFF
+    points = m ** h.d
+    M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    lip = kam._lipschitz(h)
+    P = df.l1_norm() + h.l1_norm()
+    rho = kam._fft_rho(points)
+    e_h = u * (1.5 * (M + 1) * lip
+               + (6 * fr.nonzero_radius(h) + 10) * h.l1_norm())
+    delta = (spill + 3 * u * P
+             + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup
+             + 2 * u * M)
+    return (1 + lip) * delta + lip * (r_inv + 5 * u * M) + 2 * e_h + 4 * u * M
+
+
 def test_readme_run_identity_within_bound(tmp_path, monkeypatch):
     seen = []
     bound = kam._identity_bound
 
     def record(lhs, rhs, *args, **kwargs):
         b, terms = bound(lhs, rhs, *args, **kwargs)
-        seen.append((float(np.abs(lhs - rhs).max()), b))
+        seen.append((float(np.abs(lhs - rhs).max()), b,
+                     _dense_identity_bound(lhs, rhs, *args, **kwargs)))
         return b, terms
 
     monkeypatch.setattr(kam, "_identity_bound", record)
@@ -302,10 +357,12 @@ def test_readme_run_identity_within_bound(tmp_path, monkeypatch):
     diag = json.loads((tmp_path / "kam_summary.json").read_text())[
         "summary"]["stage_diagnostics"]
     assert len(seen) == len(diag) >= 2
-    for (identity, b), entry in zip(seen, diag):
+    for (identity, b, dense), entry in zip(seen, diag):
         assert entry["assembly_mismatch"] == identity <= b
-        # the bound is a rounding budget, far below a structural error
+        # the bound is a rounding budget, far below a structural error, and
+        # no looser than the dense route's on the same inputs
         assert b < 1e-12
+        assert b <= dense
 
 
 @pytest.mark.parametrize("d, n_max, alpha", [(2, 8, ALPHA), (1, 32, ALPHA[:1])],
@@ -336,27 +393,29 @@ def readme_map(n_max):
 
 
 def test_stage_sweep_starts_second_order(monkeypatch):
-    # the stage starts its sweep at y0 = v - h~(x + alpha), h~ the grid
-    # values of translate(h, alpha).  The preimage is f_k(x) = x + alpha +
-    # df_k(x), so y0 - (x + alpha) = df_k(x) + h(f_k(x)) - h(x + alpha), at
-    # most (1 + L) |df_k| with L = Lip(h) < 1 under the contraction guard
-    # (the factor 2 leaves (1 - L) |df_k| for the errors of the grid values
-    # it is formed from), plus the 3 roundings that form y0 from x + alpha
-    # (3 u M).  The first residual is y0 + h~(y0) - v = h(y0) - h(x + alpha)
-    # plus the errors of both values of h: at most L |y0 - (x + alpha)|;
-    # the dense evaluation's E_h; one inverse FFT of the translated h,
-    # (rho + 2u) sqrt(N) sup |h~| with sqrt(N) = m; its coefficients'
-    # rounding, u (4 |alpha| L + 5 |h|) (the phase argument 2 pi l . alpha
-    # is off by at most 4 u 2 pi |l|_1 |alpha|, exp and the product by
-    # 5 u); and u M each for the rounding of x + alpha (moved by L), of y0
-    # and of y0 + h~(y0).  A cold start y0 = v is off by h(f_k(x)) itself
-    # and fails the first check at stage 0
+    # the stage sweeps for offsets from x + alpha and starts at
+    # y0 = w - H(0), w = h(x) + df(x + h(x)) and H the Taylor sums of the
+    # translated h, whose order-0 values are H(0).  The preimage offset is
+    # df_k(x), so y0 - df_k(x) = h(x + alpha + df_k(x)) - H(0), at most
+    # L |df_k| with L = Lip(h) < 1 under the contraction guard (the factor 2
+    # leaves (1 - L) |df_k| for the errors of the values it is formed
+    # from), plus the 2 roundings forming w and y0 (2 u M, M the largest
+    # |offset|).  The first residual is y0 + H(y0) - w = H(y0) - H(0) plus
+    # the rounding of y0: the order-0 values, grid errors included, cancel,
+    # and what is left is at most L |y0| for the translated h, its tail T,
+    # the Horner rounding, the synthesis errors of the higher orders
+    # (|y0| times `kam._taylor_errors`' synthesis factor), and u M each for
+    # the rounding of y0, of y0 + H(y0) and of the difference with w.  That
+    # budget is below the one of the dense start that it replaces, which
+    # charged a dense evaluation of h, an inverse FFT of the translated h
+    # and the rounding of its coefficients.  A cold start y0 = w is off by
+    # h(x + alpha + df_k(x)) itself and fails the first check at stage 0
     calls = []
     right = fr._preimages
 
-    def record(h, w, y):
-        calls.append((h, w, y))
-        return right(h, w, y)
+    def record(h, values, w, y):
+        calls.append((h, values, w, y))
+        return right(h, values, w, y)
 
     monkeypatch.setattr(kam, "_preimages", record)
     f, alpha = readme_map(32)
@@ -364,22 +423,31 @@ def test_stage_sweep_starts_second_order(monkeypatch):
     state = kam.initial_state(f, alpha, params)
     u = kam.UNIT_ROUNDOFF
     m = fr._grid_size(32)
-    x_alpha = fr._sample_points(2, m) + np.asarray(alpha)[None, :]
     while state.delta_f.l1_norm() >= params.target_defect:
         state = kam.kam_step(state)
-        h, v, y0 = calls[-1]
-        M = max(float(np.abs(v).max()), float(np.abs(y0).max()))
-        L = kam._lipschitz(h)
-        dist = float(np.abs(y0 - x_alpha).max())
+        h, values, w, y0 = calls[-1]
+        M = max(float(np.abs(w).max()), float(np.abs(y0).max()))
+        L = kam._lipschitz(values.g)
+        dist = float(np.abs(y0).max())
         df_k = float(np.abs(state.delta_f.grid_values(m)).max())
-        assert dist <= 2 * df_k + 3 * u * M
-        first = float(np.abs(y0 + h.evaluate(y0).T - v).max())
-        g_sup = float(np.abs(fr.translate(h, alpha).grid_values(m)).max())
-        budget = (kam._evaluation_error(h, M, L)
-                  + (kam._fft_rho(m ** 2) + 2 * u) * m * g_sup
-                  + u * (4 * max(map(abs, alpha)) * L + 5 * h.l1_norm())
-                  + (2 + L) * u * M)
-        assert first <= (1 + 2 * u) * (L * dist + budget)
+        assert dist <= 2 * df_k + 2 * u * M
+        first = float(np.abs(y0 + values(y0).T - w).max())
+        horner, synthesis = kam._taylor_errors(values, m ** 2)
+        budget = (1 + 2 * u) * (L * dist + values.tail + horner
+                                + dist * synthesis + 3 * u * M)
+        assert first <= budget
+        # the dense start's budget: E_h = u (1.5 (M + 1) L + (6 s + 10) |h|)
+        # for the evaluation, the inverse FFT of the translated h and its
+        # coefficients' rounding
+        g_sup = float(np.abs(values.grid).max())
+        e_h = u * (1.5 * (M + 1) * L
+                   + (6 * fr.nonzero_radius(h) + 10) * h.l1_norm())
+        dense = (1 + 2 * u) * (L * dist + e_h
+                               + (kam._fft_rho(m ** 2) + 2 * u) * m * g_sup
+                               + u * (4 * max(map(abs, alpha)) * L
+                                      + 5 * h.l1_norm())
+                               + (2 + L) * u * M)
+        assert budget <= dense
     assert len(calls) == state.stage == 3
     assert [r.inversion_sweeps for r in state.reports] == [4, 1, 1]
     assert all(r.inversion_residual < 1e-14 for r in state.reports)
