@@ -297,7 +297,8 @@ def cmd_schedule(args) -> int:
     out = args.out_dir
     _write_csv(out / "schedule.csv", SCHEDULE_CSV_COLUMNS, result.csv_rows())
     payload = _artifact_header(args)
-    payload.update(_alpha_record(args.alpha), headline=result.headline())
+    payload.update(_alpha_record(args.alpha), headline=result.headline(),
+                   scan=result.scan)
     write_json(out / "schedule.json", payload)
     print(json.dumps(result.headline(), sort_keys=True))
     print(f"rows -> {out / 'schedule.csv'}")

@@ -226,6 +226,57 @@ def _box_blocks(d: int, N: int, lower: int):
             yield block
 
 
+class _DivisorFilter:
+    """The float64 filter of ||alpha . l|| over |l|_sup <= N.
+
+    `distances(block)` gives fd(l) = |x - rint(x)|, x = fl(l . af), for the
+    int64 rows l of `block`, with af_i the float64 of alpha_i reduced mod 1.
+    `margin` is an m with |fd(l) - c(l)| <= m for every |l|_sup <= N, where
+    c(l) is ||alpha . l|| as certified at `prec` bits: exactly for
+    Fraction/int alpha (`prec` unused), else the libmp route
+    nearest_int_distance(fsum(l_i alpha_i)) at `prec`, or, with prec = 53,
+    the double route |s - round(s)|, s = math.fsum(alpha_i * l_i), that
+    DivisorOracle takes for float alpha.  With u = 2^-53, S = sum |af_i| and
+    A = sum |alpha_i|, three error terms bound |fd(l) - c(l)|:
+
+    * rounding alpha_i mod 1 to af_i (faithful, even when subnormal): at
+      most 2u |af_i| + 2^-1074 per entry, so 2u N S + d N 2^-1074;
+    * the float64 products and sum: |l_i| < 2^53 is exact in float64, and
+      a d-term dot product errs by at most gamma_d N S with
+      gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.1), in any order and with FMA; rint is exact,
+      x - rint(x) is exact by Sterbenz's lemma, and ||.|| is 1-Lipschitz;
+    * for inexact alpha, the evaluation of c(l) at prec >= 53 bits: each
+      product l_i alpha_i and the final fsum round once (2^(1-prec)
+      relative each; mpmath's fsum adds its terms exactly up to a
+      2^(-2 prec) cut, math.fsum exactly), and 1 - frac rounds once
+      (s - round(s) is exact), so at most 2^(2-prec) (N A + 1).
+
+    m = (d + 3) u (N S + 1) + 2^(2-prec) (N A + 1), with the second term
+    only for inexact alpha, bounds their sum with a slack of at least
+    u N S + (d + 2) u.  While m < 1/2 that covers the subnormal term and
+    one float64 rounding of fd(l) +/- m or of a threshold below 1 (m is
+    infinite when sum |alpha_i| overflows float64).
+    """
+
+    def __init__(self, alpha: Sequence, N: int, prec: int):
+        if all(isinstance(a, (Fraction, int)) for a in alpha):
+            self.af = np.array([a.numerator % a.denominator / a.denominator
+                                for a in alpha])
+            eval_error = 0.0
+        else:
+            alphas = [to_mpf(a) for a in alpha]
+            self.af = np.array([float(a - mpmath.floor(a)) for a in alphas])
+            eval_error = 2.0 ** (2 - prec) * (
+                N * float(mpmath.fsum(alphas, absolute=True)) + 1)
+        self.margin = ((len(alpha) + 3) * 2.0 ** -53 * (N * float(self.af.sum()) + 1)
+                       + eval_error)
+
+    def distances(self, block: np.ndarray) -> np.ndarray:
+        x = block @ self.af
+        return np.abs(x - np.rint(x))
+
+
 def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
                  skip_parallel_to=None, raise_resonance: bool = True):
     """(min ||alpha . l||, lexicographically first minimizer) over the
@@ -242,35 +293,17 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
 
     Filter then certify (Shewchuk, Discrete Comput. Geom. 18, 1997):
 
-    1. Filter.  With af_i the float64 of alpha_i reduced mod 1, every box
-       vector gets fd(l) = |x - rint(x)|, x = fl(l . af).  Let u = 2^-53,
-       S = sum |af_i| and c(l) the certified value.  Three error terms
-       bound |fd(l) - c(l)| for |l|_sup <= N:
-       * rounding alpha_i mod 1 to af_i (faithful, even when subnormal):
-         at most 2u |af_i| + 2^-1074 per entry, so 2u N S + d N 2^-1074;
-       * the float64 products and sum: |l_i| < 2^53 is exact in float64,
-         and a d-term dot product errs by at most gamma_d N S with
-         gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
-         Numerical Algorithms, 3.1), in any order and with FMA; rint is
-         exact, x - rint(x) is exact by Sterbenz's lemma, and ||.|| is
-         1-Lipschitz;
-       * for mpf input only, the working-precision evaluation at
-         prec >= MIN_PRECISION = 64 bits: each product l_i alpha_i and the
-         final fsum round once (2^(1-prec) relative each; fsum adds its
-         terms exactly up to a 2^(-2 prec) cut), and 1 - frac rounds once,
-         so at most 2^(2-prec) (N A + 1) with A = sum |alpha_i|.
-       The margin m = (d + 3) u (N S + 1) + 2^(2-prec) (N A + 1), with the
-       second term only for mpf input, bounds their sum; the slack of one
-       u N S and the +1 cover the subnormal term and the rounding of the
-       threshold below.  Once 2m >= 1/2 (for example when sum |alpha_i|
-       overflows float64) every vector passes the filter below.
+    1. Filter.  Every box vector gets its float64 distance fd(l), within
+       the margin m of the certified value c(l) (_DivisorFilter at the
+       working precision).
     2. Candidates.  With fmin the least fd over the box and eps the
        resonance threshold (0 for exact input), keep every l with
        fd(l) <= fmin + 2m + eps.  Blocks are pruned against the running
        minimum, which never undercuts fmin, then all against fmin.  A
        minimizer l* is kept: for the float argmin lf,
        fd(l*) <= c(l*) + m <= c(lf) + m <= fmin + 2m.  So is every
-       resonant l: c(l) < eps (or c(l) = 0) gives fd(l) < eps + m.
+       resonant l: c(l) < eps (or c(l) = 0) gives fd(l) < eps + m.  Once
+       2m >= 1/2 every vector passes.
     3. Certify.  The candidates, in lexicographic order, are evaluated
        exactly as above and the strict < keeps the first minimizer, so the
        argmin and the first resonant vector are those of a scan of the
@@ -284,14 +317,10 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
         fracs = [Fraction(a) for a in alpha]
         den = math.lcm(*(f.denominator for f in fracs))
         nums = [f.numerator * (den // f.denominator) for f in fracs]
-        af = np.array([n % den / den for n in nums])
-        mpf_error = 0.0
     else:
         alphas = [to_mpf(a) for a in alpha]
-        af = np.array([float(a - mpmath.floor(a)) for a in alphas])
-        mpf_error = 2.0 ** (2 - mp.prec) * (N * float(mpmath.fsum(alphas, absolute=True)) + 1)
-    margin = (d + 3) * 2.0 ** -53 * (N * float(af.sum()) + 1) + mpf_error
-    slack = 2 * margin + float(eps)
+    filt = _DivisorFilter(alpha, N, mp.prec)
+    slack = 2 * filt.margin + float(eps)
 
     ray = None
     if skip_parallel_to is not None:
@@ -308,8 +337,7 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
             block = block[~np.all(block * nu[p] == block[:, [p]] * nu, axis=1)]
         if not len(block):
             continue
-        x = block @ af
-        fd = np.abs(x - np.rint(x))
+        fd = filt.distances(block)
         fmin = min(fmin, float(fd.min()))
         keep = fd <= fmin + slack
         kept.append((block[keep], fd[keep]))

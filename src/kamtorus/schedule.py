@@ -25,7 +25,15 @@ the modes: for d <= 2 the fsum of one or two products is one IEEE
 addition, np.argmin's first occurrence is the loop's strict `<` update, and
 every other step is the same elementwise IEEE operation in the same order.
 The divisors come from `DivisorOracle`, which computes each mode's
-log(1/||alpha.l||) once, on integer residues for rational alpha.
+log(1/||alpha.l||) once, on integer residues for rational alpha.  The
+stage filters, then certifies, as `diophantine._divisor_min` does: the
+float64 distances and their derived margin bracket every mode's log
+divisor and, since each IEEE step is monotone, its caps and budget.  Only
+the modes whose cap can bind, whose negative budget on an orthogonal
+direction could collapse the stage, or that are not cleared of resonance
+take the oracle's exact value; the caps of the others cannot enter the
+loop's result, so the stage still gives the loop's doubles (see
+`_stage_caps`).  On the README `schedule` run that is 36 of 10,976 modes.
 
 Resonance follows one policy, `diophantine.resonance_threshold`, read by
 every scan and oracle of ||alpha.l||: a divisor that is exactly zero
@@ -49,7 +57,7 @@ zero is exactly the divergence evidence the non-summable case produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -58,8 +66,9 @@ import numpy as np
 from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
                           mpf_neg, mpf_sub, mpf_sum, to_float)
 
-from .diophantine import (_box_blocks, bryuno_partial_sum, omega_min,
-                          omega_min_1d, resonance_threshold, sup_norm)
+from .diophantine import (_box_blocks, _DivisorFilter, bryuno_partial_sum,
+                          omega_min, omega_min_1d, resonance_threshold,
+                          sup_norm)
 from .errors import ResonanceDetected
 from .precision import to_mpf
 from .reports import VerificationReport
@@ -71,6 +80,9 @@ TWO_PI = 2 * math.pi
 #: cost memory: `schedule` with the README flags peaked 3 MB higher with
 #: 512 KB temporaries.
 _STAGE_CELLS = 1 << 13
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +190,21 @@ class DivisorOracle:
         # working-precision route
         self.float_mode = (not self.exact
                            and all(isinstance(a, float) for a in self.alpha))
+        # tau, the absolute error of the exact route's log_inv (_stage_caps)
+        self._log_tau = 0.0
         if self.exact:
             self._den = math.lcm(*(a.denominator for a in self.alpha))
             self._nums = tuple(a.numerator * (self._den // a.denominator)
                                for a in self.alpha)
+            self._log_tau = 48 * _U * (self._den.bit_length() * math.log10(2) + 1)
         elif self.float_mode:
             self._float_eps = resonance_threshold(self.alpha)
         # ((prec, rounding), raw mpf alpha, resonance threshold)
         self._mpf_alpha = (None, None, None)
         self._cache = {}                    # distance per mode
         self._log_table = {}                # log_inv per mode
+        self.bounded_modes = 0              # rows through log_inv_bounds
+        self.log_inv_calls = 0
 
     def _residue(self, key) -> int:
         """Numerator m of ||alpha.l|| = m / q (exact mode)."""
@@ -250,11 +267,36 @@ class DivisorOracle:
         return to_float(mpf_neg(log, prec, rnd), rnd=rnd)
 
     def log_inv(self, l) -> float:
+        self.log_inv_calls += 1
         key = tuple(l)
         val = self._log_table.get(key)
         if val is None:
             val = self._log_table[key] = self._fresh_log_inv(key)
         return val
+
+    def log_inv_bounds(self, N: int):
+        """The float64 filter's bound of log_inv over |l|_sup <= N: a
+        function mapping an int64 block of such modes to arrays (lo, hi)
+        with lo <= log_inv(l) <= hi on every row, and (-inf, inf) on each
+        row whose filtered distance does not clear the resonance threshold.
+        `_stage_caps` derives the bound."""
+        prec = mpmath.mp.prec
+        filt = _DivisorFilter(self.alpha, N, 53 if self.float_mode else prec)
+        m, eps = filt.margin, float(resonance_threshold(self.alpha))
+        slope = 2 * (19 * _U + 2.0 ** (3 - prec))      # 2 (rho + 8u)
+        offset = 2 * self._log_tau
+
+        def bounds(block: np.ndarray):
+            self.bounded_modes += len(block)
+            fd = filt.distances(block)
+            safe = fd - m > eps
+            lam_lo = -np.log(np.where(safe, fd + m, 1.0))
+            lam_hi = -np.log(np.where(safe, fd - m, 1.0))
+            width = slope * lam_hi + offset
+            return (np.where(safe, lam_lo - width, -np.inf),
+                    np.where(safe, lam_hi + width, np.inf))
+
+        return bounds
 
 
 def _vanishing(key, where: str) -> ResonanceDetected:
@@ -296,6 +338,8 @@ class DeltaSchedule:
     argmins: list                 # argmins[n][i]: binding mode or None
     first_unreliable_stage: int | None = None
     collapsed_stage: int | None = None
+    # per computed stage: {stage, scanned_modes, exact_modes}
+    scan: list = field(default_factory=list)
 
     def stages(self) -> int:
         return len(self.values)
@@ -355,8 +399,12 @@ def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
                           values=values, argmins=argmins)
 
     for n in range(weights.N, n_max):
+        scanned, exact = oracle.bounded_modes, oracle.log_inv_calls
         merged, merged_arg, collapsed, radius = advance_stage(
             oracle, grid, weights, values[n], n, variant, c1)
+        sched.scan.append({"stage": n + 1,
+                           "scanned_modes": oracle.bounded_modes - scanned,
+                           "exact_modes": oracle.log_inv_calls - exact})
         if collapsed:
             sched.collapsed_stage = n + 1
             break
@@ -372,7 +420,59 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
                 weights: WeightSequence, prev, n: int, variant: str):
     """The stage's caps before the neighborhood minimum: (values, binding
     modes, collapsed), each direction's value the least of prev and its
-    caps, its binding mode the first mode in scan order to reach it."""
+    caps, its binding mode the first mode in scan order to reach it.
+
+    Filter, then certify.  Only the exact log_inv of a mode enters its
+    caps, and it is computed (`oracle.log_inv`) only for the modes whose
+    caps might matter; every other mode is excluded by an interval.  With
+    u = 2^-53:
+
+    1. The divisor.  `_DivisorFilter` gives fd(l) and a margin m with
+       |fd(l) - c(l)| <= m, c(l) the distance the oracle's route computes
+       (at 53 bits for float alpha).  If lo = fl(fd - m) exceeds eps, the
+       resonance threshold's double (exact, or 0 once it underflows), then
+       l is not resonant and c(l) lies in [lo, hi = fl(fd + m)], m's slack
+       covering both roundings; otherwise l takes the exact route.
+    2. Its log.  The bound assumes every library logarithm (math.log,
+       math.log10, numpy.log) is within 4 ulp, a relative 8u; numpy's own
+       accuracy tests hold its float64 log to 1 ulp.  As c <= 1/2 and
+       lo hi <= 1, ln(1/c) and |ln(1/hi)| are at most L = ln(1/lo) > 0.
+       The oracle's value differs from ln(1/c) by at most
+       rho ln(1/c) + tau with rho = 11u + 2^(3-prec):
+       * float alpha: -math.log(c) is within 8u, and tau = 0;
+       * mpf alpha: mpf_log (20 guard bits, one rounding at prec) is
+         within 2^(2-prec), to_float adds u, and tau = 0;
+       * Fraction alpha: c = a/b in lowest terms, b <= q, the lcm of the
+         denominators.  _log10_int(k) = log10 t + s log10 2, with t the
+         top 64 bits of k shifted by s, is within 10u log10 k + u of
+         log10 k: 2^-63 from the truncation, 0.44u from float(t),
+         8u (log10 t + s log10 2) <= 8u log10 k from its two library
+         logs, and 2u log10 k from its two roundings.  The difference and
+         the product by fl(ln 10) add 10u relative, so
+         tau = ln 10 (20u log10 q + 2u) (1 + 11u) < 48u (bits(q) log10 2 + 1).
+       With lam_hi = -np.log(lo) and lam_lo = -np.log(hi), each within 8u L
+       of its logarithm, log_inv(l) lies in [lam_lo - w, lam_hi + w] for
+       w = 2 ((rho + 8u) lam_hi + tau): the factor 2 covers
+       L <= lam_hi / (1 - 8u) and the roundings of w and of lam +/- w.
+    3. The caps.  budget = fl(fl(log_m - log_inv) - g_log) does not
+       increase as log_inv grows, and cap = fl(budget / fl(2 pi dot)) does
+       not decrease as budget grows, since every IEEE operation is
+       monotone in each operand; the same operations on the two ends of
+       the log interval bracket each cap: cap_lo <= cap <= cap_hi.
+    4. Candidates.  Per direction, with bar = min(new, least cap_hi of the
+       block), a mode whose cap_lo exceeds bar has a cap above the
+       running value or above another mode's cap in the block, so it can
+       neither lower the value nor be the first minimizer.  A mode takes
+       the exact route if cap_lo <= bar in some direction (ties count), or
+       if it is orthogonal to some direction and its lower budget is
+       negative, so `collapsed` (a negative budget on such a mode) is
+       decided exactly.  A mode not cleared of resonance has budget -inf
+       at the low end, so it takes the exact route either way.
+    5. Certify.  The candidates' caps are the same elementwise operations
+       on the exact log_inv, and argmin runs over them in scan order, so
+       values, binding modes, `collapsed` and the first resonant vector are
+       those of a scan of every mode.
+    """
     G = len(grid)
     dirs = np.array(grid.directions, dtype=np.float64)
     damping = (1 << n) * float(weights.c[n])
@@ -380,8 +480,8 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     scaled = TWO_PI * new                       # 2 pi delta[beta][n]
     binding = [None] * G
     collapsed = False
+    log_inv_bounds = oracle.log_inv_bounds(1 << (n + 1))
     for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
-        log_inv = np.array([oracle.log_inv(key) for key in block.tolist()])
         g_log = np.where(np.abs(block).max(axis=1) <= (1 << n), -damping, 0.0)
         lf = block.astype(np.float64)
         # snap float-noise inner products to exact orthogonality, otherwise a
@@ -394,17 +494,32 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
         dots = np.abs(dots)
         dots[dots < ortho[:, None]] = 0.0
         log_m = (scaled * dots).max(axis=1)
-        budget = log_m - log_inv - g_log        # log(M ||alpha.l|| / g)
         orthogonal = dots == 0.0
+        denom = TWO_PI * dots
+        log_lo, log_hi = log_inv_bounds(block)
+        budget_lo = log_m - log_hi - g_log
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap_lo = budget_lo[:, None] / denom
+            cap_hi = (log_m - log_lo - g_log)[:, None] / denom
+        cap_lo[orthogonal] = cap_hi[orthogonal] = np.inf
+        bar = np.minimum(new, cap_hi.min(axis=0))
+        rows = np.flatnonzero((orthogonal.any(axis=1) & (budget_lo < 0))
+                              | (cap_lo <= bar).any(axis=1))
+        if not len(rows):
+            continue
+        modes = block[rows]
+        log_inv = np.array([oracle.log_inv(key) for key in modes.tolist()])
+        budget = log_m[rows] - log_inv - g_log[rows]   # log(M ||alpha.l|| / g)
+        orthogonal = orthogonal[rows]
         collapsed = collapsed or bool((budget[orthogonal.any(axis=1)] < 0).any())
         with np.errstate(divide="ignore", invalid="ignore"):
-            caps = budget[:, None] / (TWO_PI * dots)
+            caps = budget[:, None] / denom[rows]
         caps[orthogonal] = np.inf
         first = caps.argmin(axis=0)             # first occurrence: strict <
         best = caps[first, np.arange(G)]
         for i in np.flatnonzero(best < new).tolist():
             new[i] = best[i]
-            binding[i] = tuple(block[first[i]].tolist())
+            binding[i] = tuple(modes[first[i]].tolist())
     return new, binding, collapsed
 
 

@@ -52,8 +52,14 @@ def test_schedule_and_report_deterministic(tmp_path):
         assert run("--out-dir", out, "report", "--csv", out / "schedule.csv",
                    "--kind", "schedule") == 0
     assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
+    assert (a / "schedule.json").read_bytes() == (b / "schedule.json").read_bytes()
     assert (a / "schedule_heatmap.svg").read_bytes() == \
         (b / "schedule_heatmap.svg").read_bytes()
+    payload = read_json(a / "schedule.json")
+    assert [(e["stage"], e["scanned_modes"]) for e in payload["scan"]] == \
+        [(3, 144), (4, 544)]
+    assert all(0 < e["exact_modes"] < e["scanned_modes"] for e in payload["scan"])
+    assert "scan" not in payload["headline"]
     svg = (a / "schedule_heatmap.svg").read_text()
     assert svg.startswith("<svg ")
 

@@ -89,6 +89,8 @@ def test_underdamped_weights_collapse_is_flagged():
     w = flat_weights(0.02, count=8, gothic_d=0.4)
     s = sch.delta_schedule(alpha, sch.DirectionGrid.circle(16), w, 4)
     assert s.collapsed_stage is not None
+    # the collapsed stage was scanned, so its scan is recorded
+    assert s.scan[-1]["stage"] == s.collapsed_stage == s.stages()
 
 
 def test_annulus_variant_never_binds_inner_modes():
@@ -274,6 +276,13 @@ def _compare_stages(alpha, grid, weights, n_max, variant, c1=1.0):
     return seen_collapse
 
 
+def toy3_state():
+    """The state of `construct --mode toy --levels 3`: its alpha is exact,
+    with 247- and 978-bit denominators."""
+    return con.build(levels=3, mode="toy", schedule=con.GrowthSchedule(
+        mode="toy", base=2, exponent_scale=Fraction(1, 8)))
+
+
 def _alpha_kinds(alpha_mpf):
     """The same vector as mpf, float and Fraction input."""
     floats = tuple(float(a) for a in alpha_mpf)
@@ -312,6 +321,15 @@ def test_advance_stage_matches_scalar_oracle_across_blocks(monkeypatch, box_rows
         _compare_stages(alpha, sch.DirectionGrid.circle(16), w, 5, "full_range")
 
 
+def test_advance_stage_matches_scalar_oracle_constructed():
+    # exact input with large denominators, read with the recipe that the
+    # README's constructed schedule uses
+    st = toy3_state()
+    w = sch.construction_weights(st, n_max=6, gothic_d=0.4, N=3)
+    _compare_stages(con.alpha_approx(st), sch.DirectionGrid.circle(16), w, 6,
+                    "full_range")
+
+
 def test_advance_stage_matches_scalar_oracle_on_collapse():
     # underdamped weights: an orthogonal mode's constraint becomes infeasible
     for alpha in _alpha_kinds(pair_alpha()).values():
@@ -345,6 +363,54 @@ def test_stage_caps_tie_keeps_first_mode(monkeypatch):
         _assert_same_stage(
             sch.advance_stage(sch.DivisorOracle(alpha), grid, w, prev, 2),
             _ref_advance_stage(alpha, {}, grid, w, prev, 2, "full_range"))
+
+
+def test_stage_caps_collapse_on_a_mode_that_binds_nowhere():
+    # alpha = (1/10, 1/2 + 1/q) on circle(4), the stage-2 values small along
+    # the first axis: (1, 0) has a negative budget and is orthogonal to
+    # (0, 1), so the stage collapses, yet (5, -1), with
+    # ||alpha.(5, -1)|| = 1/q, has the lower cap in every direction.  The
+    # filter clears (1, 0) of resonance: only its orthogonality sends it to
+    # the exact route
+    q = 10 ** 20
+    alpha = (Fraction(1, 10), Fraction(1, 2) + Fraction(1, q))
+    grid = sch.DirectionGrid.circle(4)
+    w = flat_weights(0.1, count=4, gothic_d=1.0)
+    prev = [0.1, 4.0, 0.1, 4.0]
+    want = _ref_stage_caps(alpha, {}, grid, w, prev, 2, "full_range")
+    assert want[1] == [(5, -1)] * 4 and want[2] is True
+    oracle = sch.DivisorOracle(alpha)
+    lo, _ = oracle.log_inv_bounds(8)(np.array([[1, 0]]))
+    assert np.isfinite(lo).all()
+    values, binding, collapsed = sch._stage_caps(oracle, grid, w, prev, 2,
+                                                 "full_range")
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in want[0]]
+    assert binding == want[1] and collapsed is True
+
+
+def test_stage_caps_with_point_log_intervals(monkeypatch):
+    # ties count as candidates: with every log interval shrunk to the exact
+    # log_inv, each cap interval is the cap itself, and a block's minimizer
+    # has cap_lo == bar
+    alpha = pair_alpha()
+    grid = sch.DirectionGrid.circle(16)
+    w = sch.dyadic_weight_recipe(alpha, 5, gothic_d=0.4, N=2)
+    exact = sch.DivisorOracle(alpha)
+
+    def point(block):
+        vals = np.array([exact.log_inv(l) for l in block.tolist()])
+        return vals, vals
+
+    oracle = sch.DivisorOracle(alpha)
+    monkeypatch.setattr(oracle, "log_inv_bounds", lambda N: point)
+    prev, cache = [0.4] * len(grid), {}
+    for n in range(2, 5):
+        want = _ref_stage_caps(alpha, cache, grid, w, prev, n, "full_range")
+        values, binding, collapsed = sch._stage_caps(oracle, grid, w, prev, n,
+                                                     "full_range")
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in want[0]]
+        assert binding == want[1] and collapsed is want[2]
+        prev = want[0]
 
 
 def test_neighborhood_minimum_tie_keeps_first_direction(monkeypatch):
@@ -388,6 +454,57 @@ def test_advance_stage_resonance_matches_scalar_oracle(alpha):
         sch.advance_stage(oracle, grid, w, prev, n)
     assert str(got.value) == str(expected)
     assert got.value.lattice_vector == expected.lattice_vector
+
+
+@pytest.mark.parametrize("kind", ["mpf", "float", "fraction", "golden", "toy3",
+                                  "resonant-fraction", "resonant-float",
+                                  "resonant-mpf"])
+def test_log_inv_bounds_contain_the_oracle(kind, golden):
+    # every mode of the scanned stages: the exact log_inv lies in the
+    # filter's interval, and a mode the interval clears of resonance (every
+    # mode a stage can skip) is not resonant
+    alpha = {**_alpha_kinds(pair_alpha()), "golden": (golden,),
+             "toy3": con.alpha_approx(toy3_state()),
+             "resonant-fraction": (Fraction(1, 3), Fraction(1, 5)),
+             "resonant-float": (1 / 3, 0.2),
+             "resonant-mpf": (mpmath.mpf(1) / 3, mpmath.mpf(1) / 5)}[kind]
+    oracle = sch.DivisorOracle(alpha)
+    eps = dio.resonance_threshold(alpha)
+    d = len(alpha)
+    cleared_count = resonant_count = 0
+    for n in range(10 if d == 1 else 5):
+        bounds = oracle.log_inv_bounds(1 << (n + 1))
+        for block in sch._stage_blocks(d, n, "full_range", 1 << 12):
+            lo, hi = bounds(block)
+            cleared = np.isfinite(lo)
+            assert (np.isfinite(hi) == cleared).all()
+            assert (lo[~cleared] == -np.inf).all() and (hi[~cleared] == np.inf).all()
+            cleared_count += int(cleared.sum())
+            for l, a, b, ok in zip(map(tuple, block.tolist()), lo.tolist(),
+                                   hi.tolist(), cleared.tolist()):
+                try:
+                    val = oracle.log_inv(l)
+                except ResonanceDetected:
+                    assert not ok, l
+                    resonant_count += 1
+                    continue
+                assert a <= val <= b, (l, a, val, b)
+                if ok:
+                    dist = oracle.distance(l)
+                    assert dist > 0 and dist >= eps
+    assert cleared_count > 0
+    assert (resonant_count > 0) == kind.startswith("resonant")
+
+
+def test_stage_filter_bites_on_readme_schedule():
+    # the README `schedule` run: the exact log divisor for a few modes only
+    alpha = pair_alpha()
+    w = sch.dyadic_weight_recipe(alpha, 6, gothic_d=0.4, N=3)
+    s = sch.delta_schedule(alpha, sch.DirectionGrid.circle(16), w, 6)
+    assert [e["stage"] for e in s.scan] == [4, 5, 6]
+    assert [e["scanned_modes"] for e in s.scan] == [544, 2112, 8320]
+    for e in s.scan:
+        assert e["exact_modes"] < 0.1 * e["scanned_modes"]
 
 
 def test_oracle_distance_and_log_inv_match_scalar_oracle():
