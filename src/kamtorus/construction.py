@@ -509,6 +509,10 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
     of nu(l), the tail bound |alpha_{i,2l+1} - alpha_i| <= 2/a_{2l+2} against
     the deepest approximant, and strict monotonicity of the approximants.
     Failures are entries, not exceptions.
+
+    Every check takes its own gcd.  The approximants in lowest terms come
+    from the convergent entries' gcds by exact division, and the powers of
+    qbar_{2l-1} are formed once per level.
     """
     rep = VerificationReport("construction checks", _report_header(state))
     toy = state.mode == "toy"
@@ -519,21 +523,32 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
     rep.add("seed_gcd", "level 0", g0 <= state.q_bar_minus1,
             margin=f"gcd = {g0}")
 
-    qb_prev = lambda l: state.q_bar[2 * l - 1] if l >= 1 else state.q_bar_minus1
+    # qbar_{2l-1}^2, ^4 and ^5 of each level l (qbar_{-1} at l = 0), formed
+    # once for the sandwich, convergent, direction size and twist entries
+    powers = []
+    for l in range(state.level + 1):
+        qbp = state.q_bar[2 * l - 1] if l >= 1 else state.q_bar_minus1
+        square = qbp * qbp
+        fourth = square * square
+        powers.append((square, fourth, fourth * qbp))
 
     for l in range(1, state.level + 1):
         q, qb, qbp = state.q[2 * l], state.q_bar[2 * l], state.q_bar[2 * l - 1]
-        lo_ok = qbp * qbp * q <= qb
-        hi_ok = qb <= q * qbp ** 4
-        rep.add("growth_sandwich_lower", f"level {l}", lo_ok,
-                margin=_fraction_ratio_str(qb, qbp * qbp * q))
-        rep.add("growth_sandwich_upper", f"level {l}", hi_ok,
-                margin=_fraction_ratio_str(q * qbp ** 4, qb),
-                note="toy-scale, not paper-rate" if toy and not hi_ok else "")
+        square, fourth, _ = powers[l]
+        lo, hi = square * q, q * fourth
+        rep.add("growth_sandwich_lower", f"level {l}", lo <= qb,
+                margin=_fraction_ratio_str(qb, lo))
+        rep.add("growth_sandwich_upper", f"level {l}", qb <= hi,
+                margin=_fraction_ratio_str(hi, qb),
+                note="toy-scale, not paper-rate" if toy and qb > hi else "")
         g = big_gcd(q, qb)
         rep.add("even_gcd_bound", f"level {l}", g <= qbp,
                 margin=f"gcd = {int_str(g)}")
 
+    # every approximant in lowest terms, divided by its convergent entry's gcd
+    lowest = ([_divide_out(state.p[0], state.q[0], big_gcd(state.q[0], state.p[0]))],
+              [_divide_out(state.p_bar[0], state.q_bar[0],
+                           big_gcd(state.q_bar[0], state.p_bar[0]))])
     for k in range(1, 2 * state.level + 1):
         g1 = big_gcd(state.q[k], state.p[k])
         g2 = big_gcd(state.q_bar[k], state.p_bar[k])
@@ -541,13 +556,16 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
         # the square of the previous denominator; the linear bound gcd <=
         # q_{k-1} does not survive the unit-fraction increments and is
         # reported as a measurement only.
+        qb_square = powers[k // 2][0] if k % 2 == 0 else state.q_bar[k - 1] ** 2
         ok = (int_divmod(state.q[k - 1] ** 2, g1)[1] == 0
-              and int_divmod(state.q_bar[k - 1] ** 2, g2)[1] == 0)
+              and int_divmod(qb_square, g2)[1] == 0)
         rep.add("convergent_gcd_divides", f"index {k}", ok,
                 margin=f"gcd = {int_str(g1)}, gcd_bar = {int_str(g2)}")
         rep.add("convergent_gcd_linear", f"index {k}", None,
                 margin=f"gcd/q_prev = {_fraction_ratio_str(g1, state.q[k - 1])}, "
                        f"gcd_bar/q_bar_prev = {_fraction_ratio_str(g2, state.q_bar[k - 1])}")
+        lowest[0].append(_divide_out(state.p[k], state.q[k], g1))
+        lowest[1].append(_divide_out(state.p_bar[k], state.q_bar[k], g2))
 
     for l in range(state.level + 1):
         try:
@@ -555,18 +573,18 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
         except (ValueError, ExponentOverflow) as exc:
             rep.add("direction_data", f"level {l}", None, note=str(exc))
             continue
+        factor = 2 * max(l, 1)
         bound_num = sup_norm(data.nu_tilde)
-        bound_den = 2 * max(l, 1) * qb_prev(l) ** 5
-        rep.add("direction_size_bound", f"level {l}",
-                data.q_tilde * bound_den >= bound_num,
-                margin=_fraction_ratio_str(data.q_tilde * bound_den, bound_num),
+        scaled = data.q_tilde * factor * powers[l][2]
+        rep.add("direction_size_bound", f"level {l}", scaled >= bound_num,
+                margin=_fraction_ratio_str(scaled, bound_num),
                 note="factor max(l,1) substituted at l = 0")
         # the two exponent-index variants of the twist-factor bound
         # c(l) <= 2 max(l,1) qbar^4 coexist upstream; report both margins
-        margins = [f"prev: {_fraction_ratio_str(2 * max(l, 1) * qb_prev(l) ** 4, data.c)}"]
-        if 2 * l + 1 < len(state.q_bar):
+        margins = [f"prev: {_fraction_ratio_str(factor * powers[l][1], data.c)}"]
+        if l < state.level:
             margins.append(
-                f"next: {_fraction_ratio_str(2 * max(l, 1) * state.q_bar[2 * l + 1] ** 4, data.c)}")
+                f"next: {_fraction_ratio_str(factor * powers[l + 1][1], data.c)}")
         rep.add("twist_factor_bound", f"level {l}", None,
                 margin="; ".join(margins),
                 note="both exponent-index variants reported")
@@ -579,18 +597,18 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
         rep.add("cofactor_coprime", f"level {l}",
                 big_gcd(a_even, cof) == 1)
 
-    # every approximant is built (and gcd-normalised) once
-    pairs = [state.alpha_pair_at(k) for k in range(2 * state.level + 1)]
     # tail bound against the deepest approximant as proxy limit
-    deep1, deep2 = pairs[-1]
+    (deep1, den1), (deep2, den2) = lowest[0][-1], lowest[1][-1]
     for l in range(state.level):
-        a1, a2 = pairs[2 * l + 1]
+        (a1, d1), (a2, d2) = lowest[0][2 * l + 1], lowest[1][2 * l + 1]
         bound = Fraction(2, state.a[2 * l + 1])
-        tail1 = abs(deep1 - a1)
-        ok = tail1 <= bound and abs(deep2 - a2) <= bound
+        tail1, tail_den = _lowest_difference(deep1, den1, a1, d1)
+        lhs, rhs = abs(tail1) * bound.denominator, tail_den * bound.numerator
+        ok = (lhs <= rhs
+              and abs(deep2 * d2 - a2 * den2) * bound.denominator
+              <= bound.numerator * den2 * d2)
         rep.add("tail_bound", f"level {l}", ok,
-                margin=_fraction_ratio_str(tail1.numerator * bound.denominator,
-                                           tail1.denominator * bound.numerator),
+                margin=_fraction_ratio_str(lhs, rhs),
                 note="proxy limit = deepest approximant"
                      + ("; toy-scale" if toy else ""))
 
@@ -599,10 +617,31 @@ def verify_construction(state: ConstructionState) -> VerificationReport:
             squares_ok if not toy else None,
             note="a_{j+1} > a_j^2" + ("; informational in toy mode" if toy else ""))
 
-    increasing = all(c1 > b1 and c2 > b2
-                     for (b1, b2), (c1, c2) in zip(pairs, pairs[1:]))
+    # cross products: every denominator is positive
+    increasing = all(n1 * d0 > n0 * d1 for pairs in lowest
+                     for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]))
     rep.add("approximants_increasing", "all indices", increasing)
     return rep
+
+
+def _divide_out(num: int, den: int, g: int) -> tuple:
+    """num/den in lowest terms by exact division, g = gcd(num, den)."""
+    return int_divmod(num, g)[0], int_divmod(den, g)[0]
+
+
+def _lowest_difference(na: int, da: int, nb: int, db: int) -> tuple:
+    """na/da - nb/db in lowest terms, from two fractions in lowest terms
+    with positive denominators, formed as `Fraction.__sub__` forms it: the
+    gcd of the two denominators, then the gcd of the cross term with it."""
+    g = big_gcd(da, db)
+    if g == 1:
+        return na * db - da * nb, da * db
+    s = int_divmod(da, g)[0]
+    t = na * int_divmod(db, g)[0] - nb * s
+    g2 = big_gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return int_divmod(t, g2)[0], s * int_divmod(db, g2)[0]
 
 
 def offdirection_divisor(state: ConstructionState, alpha, scale: int,

@@ -25,8 +25,9 @@ precision-doubling Newton), division above a few thousand bits
 (`int_divmod`, Burnikel-Ziegler) and decimal conversion
 (`serialize.int_str` and `parse_int`, divide and conquer over
 `int_divmod`).  The gcd is not: `big_gcd` is `math.gcd`, and it is the
-largest cost left in `construct --mode toy --levels 6`, 57 calls and
-about 0.16-0.25 s of a 0.9 s run on a 2-vCPU VM.  Importing this module
+largest cost left in `construct --mode toy --levels 6`, 112 `math.gcd`
+calls and 0.16-0.22 s of a 0.44-0.55 s in-process run on a 2-vCPU VM,
+most of it in the four gcds of the deepest level's checks.  Importing this module
 changes no interpreter setting, mpmath's working precision included: the
 caller sets it (`set_working_precision`; the CLI from `--precision`).
 """
@@ -114,24 +115,30 @@ def int_nth_root(n: int, k: int) -> int:
 
     Without gmpy2, k == 2 is `math.isqrt` and any other k is `_iroot`,
     precision-doubling Newton (Brent & Zimmermann, *Modern Computer
-    Arithmetic*, section 1.5): the root of the top half of the bits,
-    shifted back, starts one integer Newton step at full size.
+    Arithmetic*, section 1.5): a root of the top half of the bits, shifted
+    back, starts one integer Newton step at full size.
 
     * From any positive x the integer Newton step
       floor(((k-1) x + n // x^(k-1)) / k) lands at or above floor(n^(1/k)):
       it equals floor(((k-1) x + n / x^(k-1)) / k) (nested floors), and
       that mean is >= n^(1/k) by the AM-GM inequality.
-    * From the start x = (floor(n^(1/k) / 2^h) + 1) 2^h, which lies within
-      2^h above the real root (rb its bit length, h = rb // 2 - 4), the
-      step lands within O(k 2^(2h - rb)) of the root.
-    * The loop `while x**k > n: x -= 1` then walks down to the exact
-      floor, O(1) times.
+    * For x = r 2^h the step's quotient is (n >> (k-1) h) // r^(k-1), the
+      same integer (nested floors again) from operands about half the size.
+    * The start x = (r + 1) 2^h, r the inner result, lies above the real
+      root and, with r at most one above floor(n^(1/k) / 2^h), within
+      2^(h+1) of it (rb the root's bit length, h = rb // 2 - g); the step
+      then lands within (k-1) 4^(1-g) < 1 of the root, so at most one
+      above the floor.  The g guard bits, 4 up to k = 63 and more above,
+      make 4^(g-1) > k - 1, which keeps that overshoot at one, level after
+      level.
+    * The outermost call alone walks `while x**k > n: x -= 1` down to the
+      exact floor, at most once.
 
-    Correctness rests on the step's lower bound and that loop; the guard
-    bits (the 4 in h) only keep the loop short.  Roots of at most 48 bits
-    take the monotone descent from 2^rb: above the floor, x^k > n makes
-    the step strictly decrease, so the first x whose step does not
-    decrease is the floor.
+    Correctness rests on the step's lower bound and on that outermost
+    descent alone; the guard bits only keep the descent short.  Roots of
+    at most 48 bits take the monotone descent from 2^rb: above the floor,
+    x^k > n makes the step strictly decrease, so the first x whose step
+    does not decrease is the floor.
     """
     if n < 0 or k < 1:
         raise ValueError("int_nth_root requires n >= 0, k >= 1")
@@ -147,9 +154,19 @@ def int_nth_root(n: int, k: int) -> int:
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1, k >= 2; see `int_nth_root`.
 
-    Recursion goes through this name, never the public one, so wrappers
-    bound to `int_nth_root` see one call per root.
+    Recursion goes through `_iroot_above`, never the public name, so
+    wrappers bound to `int_nth_root` see one call per root.  Only this
+    outermost call runs the exact descent.
     """
+    x = _iroot_above(n, k)
+    while x ** k > n:
+        x -= 1
+    return x
+
+
+def _iroot_above(n: int, k: int) -> int:
+    """An integer in [floor(n^(1/k)), floor(n^(1/k)) + 1], exact at most
+    48 root bits; see `int_nth_root` for the bound."""
     rb = -(-n.bit_length() // k)
     if rb <= 48:
         # k may be in the hundreds here: no float guess, no linear search
@@ -159,13 +176,11 @@ def _iroot(n: int, k: int) -> int:
             if y >= x:
                 return x
             x = y
-    h = rb // 2 - 4
-    # the recursion gives floor(n^(1/k) / 2^h) exactly (nested floors)
-    x = (_iroot(n >> (k * h), k) + 1) << h
-    x = ((k - 1) * x + int_divmod(n, x ** (k - 1))[0]) // k
-    while x ** k > n:
-        x -= 1
-    return x
+    h = rb // 2 - max(4, (k.bit_length() + 3) // 2)
+    # the inner result is at most one above floor(n^(1/k) / 2^h)
+    r = _iroot_above(n >> (k * h), k) + 1
+    return ((k - 1) * (r << h)
+            + int_divmod(n >> ((k - 1) * h), r ** (k - 1))[0]) // k
 
 
 #: Burnikel-Ziegler cut-overs of `int_divmod`: the builtin below them.

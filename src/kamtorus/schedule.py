@@ -670,15 +670,18 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     (no shared log cache), as an independent per-mode solve."""
     G = len(grid)
     caps = [to_mpf(float(p)) for p in prev]
+    radius = 1 << n
     with mpmath.workprec(128):
         two_pi = 2 * mpmath.pi
-        damping = mpmath.mpf(1 << n) * to_mpf(float(weights.c[n]))
+        damping = mpmath.mpf(radius) * to_mpf(float(weights.c[n]))
+        # log g of inner and outer modes
+        inner_g, outer_g = -damping, mpmath.mpf(0)
         dirs = [[to_mpf(b) for b in d] for d in grid.directions]
         scaled = [two_pi * to_mpf(float(p)) for p in prev]
         for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
             for l in map(tuple, block.tolist()):
                 dist = to_mpf(oracle.distance(l))
-                g_log = -damping if sup_norm(l) <= (1 << n) else mpmath.mpf(0)
+                g_log = inner_g if sup_norm(l) <= radius else outer_g
                 dots = [abs(mpmath.fsum(b * c for b, c in zip(d, l))) for d in dirs]
                 log_m = max(s * dot for s, dot in zip(scaled, dots))
                 budget = log_m + mpmath.log(dist) - g_log
@@ -695,14 +698,22 @@ def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
                      hi: float) -> float:
     """Largest delta in [-64, hi] with exp(2 pi dot delta) g / dist <= M,
     found by bisection on the raw inequality (mpf exponentials, no log
-    inversion)."""
+    inversion).
+
+    2 pi dot and M dist are formed once, in the inequality's own operation
+    order.  The bisection stops once the midpoint rounds to lo or hi, as it
+    does when they are adjacent doubles: lo stays feasible and hi not, so
+    that step and every later one leave the bracket as it is, and the
+    result is that of all 80 steps."""
     dist = to_mpf(dist) if not isinstance(dist, Fraction) else \
         mpmath.mpf(dist.numerator) / dist.denominator
     m_val = mpmath.exp(to_mpf(log_m))
     g_val = mpmath.exp(to_mpf(g_log))
+    rate = 2 * mpmath.pi * dot
+    limit = m_val * dist
 
     def feasible(delta):
-        return mpmath.exp(2 * mpmath.pi * dot * to_mpf(delta)) * g_val <= m_val * dist
+        return mpmath.exp(rate * to_mpf(delta)) * g_val <= limit
 
     lo = -64.0
     if feasible(hi):
@@ -711,6 +722,8 @@ def _bisect_mode_cap(dist, g_log: float, log_m: float, dot: float,
         return lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if feasible(mid):
             lo = mid
         else:

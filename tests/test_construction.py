@@ -1,15 +1,18 @@
 """Tests for the exact iterative vector construction."""
 
+import random
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from kamtorus import construction as con
-from kamtorus.diophantine import _divisor_min
+from kamtorus.diophantine import _divisor_min, sup_norm
 from kamtorus.errors import ExponentOverflow, ScanTooLarge
-from kamtorus.precision import to_mpf, working_precision
-from kamtorus.serialize import canonical_dumps
+from kamtorus.precision import big_gcd, int_divmod, to_mpf, working_precision
+from kamtorus.reports import VerificationReport
+from kamtorus.serialize import canonical_dumps, int_str
 
 
 def _failure_lines(rep):
@@ -232,6 +235,137 @@ def test_verify_construction_degenerate_seed_flagged():
     rep = con.verify_construction(st)
     assert not rep.all_passed()
     assert any(e.name == "seed_ordering" and e.passed is False for e in rep.entries)
+
+
+def _direct_verify_construction(state):
+    """`verify_construction` by its direct formulas: approximants as
+    `alpha_pair_at` Fractions, every power by `**` where it is used, and
+    the coprimality gcd as `big_gcd(*nu)`."""
+    rep = VerificationReport("construction checks", con._report_header(state))
+    ratio = con._fraction_ratio_str
+    toy = state.mode == "toy"
+    rep.add("seed_ordering", "level 0", state.q[0] < state.q_bar[0],
+            margin=f"q_bar0 - q0 = {state.q_bar[0] - state.q[0]}")
+    g0 = big_gcd(state.q[0], state.q_bar[0])
+    rep.add("seed_gcd", "level 0", g0 <= state.q_bar_minus1, margin=f"gcd = {g0}")
+    qb_prev = lambda l: state.q_bar[2 * l - 1] if l >= 1 else state.q_bar_minus1
+    for l in range(1, state.level + 1):
+        q, qb, qbp = state.q[2 * l], state.q_bar[2 * l], state.q_bar[2 * l - 1]
+        hi_ok = qb <= q * qbp ** 4
+        rep.add("growth_sandwich_lower", f"level {l}", qbp * qbp * q <= qb,
+                margin=ratio(qb, qbp * qbp * q))
+        rep.add("growth_sandwich_upper", f"level {l}", hi_ok,
+                margin=ratio(q * qbp ** 4, qb),
+                note="toy-scale, not paper-rate" if toy and not hi_ok else "")
+        g = big_gcd(q, qb)
+        rep.add("even_gcd_bound", f"level {l}", g <= qbp, margin=f"gcd = {int_str(g)}")
+    for k in range(1, 2 * state.level + 1):
+        g1 = big_gcd(state.q[k], state.p[k])
+        g2 = big_gcd(state.q_bar[k], state.p_bar[k])
+        ok = (int_divmod(state.q[k - 1] ** 2, g1)[1] == 0
+              and int_divmod(state.q_bar[k - 1] ** 2, g2)[1] == 0)
+        rep.add("convergent_gcd_divides", f"index {k}", ok,
+                margin=f"gcd = {int_str(g1)}, gcd_bar = {int_str(g2)}")
+        rep.add("convergent_gcd_linear", f"index {k}", None,
+                margin=f"gcd/q_prev = {ratio(g1, state.q[k - 1])}, "
+                       f"gcd_bar/q_bar_prev = {ratio(g2, state.q_bar[k - 1])}")
+    for l in range(state.level + 1):
+        try:
+            data = state.direction(l)
+        except (ValueError, ExponentOverflow) as exc:
+            rep.add("direction_data", f"level {l}", None, note=str(exc))
+            continue
+        bound_num = sup_norm(data.nu_tilde)
+        bound_den = 2 * max(l, 1) * qb_prev(l) ** 5
+        rep.add("direction_size_bound", f"level {l}",
+                data.q_tilde * bound_den >= bound_num,
+                margin=ratio(data.q_tilde * bound_den, bound_num),
+                note="factor max(l,1) substituted at l = 0")
+        margins = [f"prev: {ratio(2 * max(l, 1) * qb_prev(l) ** 4, data.c)}"]
+        if 2 * l + 1 < len(state.q_bar):
+            margins.append(f"next: {ratio(2 * max(l, 1) * state.q_bar[2 * l + 1] ** 4, data.c)}")
+        rep.add("twist_factor_bound", f"level {l}", None, margin="; ".join(margins),
+                note="both exponent-index variants reported")
+        g = big_gcd(*data.nu)
+        rep.add("direction_coprime", f"level {l}", g == 1, margin=f"gcd = {g}")
+    for l in range(state.level):
+        a_even = state.a[2 * l + 1]
+        cof = a_even * state.q[2 * l + 1] * state.q_bar[2 * l + 1] + 1
+        rep.add("cofactor_coprime", f"level {l}", big_gcd(a_even, cof) == 1)
+    pairs = [state.alpha_pair_at(k) for k in range(2 * state.level + 1)]
+    deep1, deep2 = pairs[-1]
+    for l in range(state.level):
+        a1, a2 = pairs[2 * l + 1]
+        bound = Fraction(2, state.a[2 * l + 1])
+        tail1 = abs(deep1 - a1)
+        rep.add("tail_bound", f"level {l}", tail1 <= bound and abs(deep2 - a2) <= bound,
+                margin=ratio(tail1.numerator * bound.denominator,
+                             tail1.denominator * bound.numerator),
+                note="proxy limit = deepest approximant" + ("; toy-scale" if toy else ""))
+    squares_ok = all(state.a[j + 1] > state.a[j] ** 2 for j in range(len(state.a) - 1))
+    rep.add("factor_squares", "all indices", squares_ok if not toy else None,
+            note="a_{j+1} > a_j^2" + ("; informational in toy mode" if toy else ""))
+    rep.add("approximants_increasing", "all indices",
+            all(c1 > b1 and c2 > b2 for (b1, b2), (c1, c2) in zip(pairs, pairs[1:])))
+    return rep
+
+
+def _oracle_state(case):
+    if case == "paper-1":
+        return con.build(levels=1, mode="paper")
+    levels, q0 = {"toy-4": (4, 100), "toy-6-q100": (6, 100), "toy-6-q103": (6, 103),
+                  "toy-4-nu-doubled": (4, 100), "toy-4-p3-plus-1": (4, 100),
+                  "toy-4-pbar3-plus-qbar3": (4, 100)}[case]
+    st = con.build(levels=levels, mode="toy", schedule=toy_schedule(),
+                   q0=q0, q0_bar=q0 + 1)
+    if case == "toy-4-nu-doubled":
+        nu = list(st.nu)
+        nu[2] = (2 * nu[2][0], 2 * nu[2][1])
+        return replace(st, nu=tuple(nu))
+    if case == "toy-4-p3-plus-1":
+        return replace(st, p=st.p[:3] + (st.p[3] + 1,) + st.p[4:])
+    if case == "toy-4-pbar3-plus-qbar3":
+        # alpha_2 at index 3 moved up by one: its tail and the monotonicity fail
+        return replace(st, p_bar=st.p_bar[:3] + (st.p_bar[3] + st.q_bar[3],) + st.p_bar[4:])
+    return st
+
+
+@pytest.mark.parametrize("case", ["paper-1", "toy-4", "toy-6-q100", "toy-6-q103",
+                                  "toy-4-nu-doubled", "toy-4-p3-plus-1",
+                                  "toy-4-pbar3-plus-qbar3"])
+def test_verify_construction_matches_direct_formulas(case):
+    st = _oracle_state(case)
+    want = [astuple(e) for e in _direct_verify_construction(st).entries]
+    got = [astuple(e) for e in con.verify_construction(st).entries]
+    assert got == want
+    failed = {name for name, _, passed, _, _ in want if passed is False}
+    assert failed == {"toy-4-nu-doubled": {"direction_coprime"},
+                      "toy-4-pbar3-plus-qbar3": {"tail_bound", "approximants_increasing"},
+                      }.get(case, set())
+    if case == "toy-4-p3-plus-1":
+        # the corrupted numerator moves the convergent gcds; the tail and
+        # monotonicity entries read the moved approximant too, but 1/q_3 is
+        # far below the seven digits of the tail margin
+        clean = {(e[0], e[1]): e for e in
+                 map(astuple, con.verify_construction(_oracle_state("toy-4")).entries)}
+        moved = {e[:2] for e in want if clean[e[0], e[1]] != e}
+        assert moved == {("convergent_gcd_divides", "index 3"),
+                         ("convergent_gcd_linear", "index 3")}
+
+
+def test_lowest_difference_matches_fraction_sub():
+    # coprime denominators, a common factor cancelled by the cross term or
+    # not, and some operands of 30,000 bits
+    rng = random.Random(24)
+    for i in range(600):
+        bits = 30000 if i % 50 == 0 else rng.randint(1, 200)
+        shared = rng.getrandbits(bits) | 1
+        x = Fraction(rng.randint(-1 << bits, 1 << bits), shared * rng.randint(1, 99))
+        y = Fraction(rng.getrandbits(bits), shared * rng.randint(1, 99) if i % 3 else 1)
+        diff = x - y
+        got = con._lowest_difference(x.numerator, x.denominator,
+                                     y.numerator, y.denominator)
+        assert got == (diff.numerator, diff.denominator)
 
 
 def test_divisor_bounds_paper_level_zero():

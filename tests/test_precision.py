@@ -117,6 +117,28 @@ def test_int_nth_root_counts_one_public_call(monkeypatch):
     assert calls == [n]
 
 
+_WIDE = (49, 64, 200, 2000, 20000)
+
+
+@pytest.mark.parametrize("k,seed,root_bits", [(3, 3, _WIDE), (5, 5, _WIDE), (7, 7, _WIDE),
+                                               (31, 31, _WIDE), (300, 1, (1000, 1500))])
+def test_int_nth_root_inner_levels_need_no_descent(k, seed, root_bits):
+    # the inner levels of the recursion return at most one above their
+    # floor, so the outermost descent steps down at most once; on the two
+    # k = 300 roots a fixed 4 guard bits would overshoot by 22 and 13
+    rng = random.Random(seed)
+    for bits in root_bits:
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        for n, root in ((x ** k - 1, x - 1), (x ** k, x), (x ** k + 1, x)):
+            assert 0 <= precision._iroot_above(n, k) - root <= 1, (k, bits)
+            assert precision.int_nth_root(n, k) == root
+    if k == 5:
+        n = 5 << 698070
+        root = precision.int_nth_root(n, 5)
+        assert _is_floor_root(root, n, 5)
+        assert 0 <= precision._iroot_above(n, 5) - root <= 1
+
+
 @pytest.mark.parametrize("theta_bar", [Fraction(2, 5), Fraction(1, 3), Fraction(3, 7)])
 def test_floor_twist_scaled_matches_fraction_formula(theta_bar):
     rng = random.Random(theta_bar.denominator)

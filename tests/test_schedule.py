@@ -727,6 +727,56 @@ def test_dimension_one_check_liouville_divergence():
     assert all(b <= a for a, b in zip(deltas, deltas[1:]))
 
 
+def _bisect_all_steps(dist, g_log, log_m, dot, hi):
+    """`_bisect_mode_cap` as a plain 80-step bisection: the inequality
+    formed whole at every step, no early stop."""
+    dist = to_mpf(dist) if not isinstance(dist, Fraction) else \
+        mpmath.mpf(dist.numerator) / dist.denominator
+    m_val = mpmath.exp(to_mpf(log_m))
+    g_val = mpmath.exp(to_mpf(g_log))
+
+    def feasible(delta):
+        return mpmath.exp(2 * mpmath.pi * dot * to_mpf(delta)) * g_val <= m_val * dist
+
+    lo = -64.0
+    if feasible(hi):
+        return hi
+    if not feasible(lo):
+        return lo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("case", ["golden", "liouville"])
+def test_bisect_mode_cap_early_stop_matches_all_steps(monkeypatch, golden, case):
+    # every binding mode the one-dimensional checks bisect; the caps
+    # re-derivation is stubbed out, since only the bisection inputs matter
+    calls = []
+    bisect = sch._bisect_mode_cap
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(sch, "_bisect_mode_cap", recording)
+    monkeypatch.setattr(sch, "_independent_stage_caps",
+                        lambda oracle, grid, weights, prev, n, variant: list(prev))
+    if case == "golden":
+        sch.dimension_one_check([golden], 12)
+    else:
+        sch.dimension_one_check([dio.synthetic_liouville(4)], 16, gothic_d=0.75)
+    assert len(calls) == 12                 # stages 0..11
+    for args, kwargs in calls:
+        got = bisect(*args, **kwargs)
+        assert got == _bisect_all_steps(*args, **kwargs)
+        assert -64.0 < got < kwargs["hi"]   # decided inside the loop
+
+
 def test_construction_weights_dominate_offdirection_divisors():
     # the third term of the recipe forces e^(-2^n c_n) <= k_n at every
     # scanned stage: inner off-direction modes are never constraining
