@@ -54,6 +54,7 @@ from .precision import (
     floor_rational_pow,
     int_divmod,
     int_nth_root,
+    int_nth_root_bracket,
     resolve_floor,
     to_mpf,
 )
@@ -125,11 +126,12 @@ def _floor_twist_scaled(q_bar: int, q: int, gap: int, t: int,
                         theta_bar: Fraction) -> int:
     """Exact floor((q_bar/q) * (2 t^(tb/2)/gap - 1)).
 
-    Uses s = t^(tb/2) enclosed by an exact integer root at escalating scale:
-    S = floor(s * 2^P) satisfies S = int_nth_root(t^rn << (rd*P), rd), so the
-    value lies in an interval of width (2 q_bar)/(q gap 2^P) and the floor is
-    read off once that interval clears an integer.  When t^rn is a perfect
-    rd-th power the value is rational and the floor is immediate.
+    Uses s = t^(tb/2) enclosed by an integer root at escalating scale:
+    r = int_nth_root_bracket(t^rn << (rd*P), rd) is floor(s * 2^P) or one
+    above it, so s * 2^P lies in [r - 1, r + 1), the value in an interval
+    of width (4 q_bar)/(q gap 2^P), and the floor is read off once that
+    interval clears an integer.  When t^rn is a perfect rd-th power the
+    value is rational and the floor is immediate.
     """
     half = theta_bar / 2
     rn, rd = half.numerator, half.denominator
@@ -137,15 +139,15 @@ def _floor_twist_scaled(q_bar: int, q: int, gap: int, t: int,
     root = int_nth_root(power, rd)
     if root ** rd == power:
         return q_bar * (2 * root - gap) // (q * gap)
-    # lo and hi are q_bar (2 S - gap 2^P) / (q gap 2^P) for S = scaled and
-    # scaled + 1, floored by integer division without gcd normalisation;
-    # hi - lo = 2 q_bar / den, so one division gives both floors
+    # lo and hi are q_bar (2 S - gap 2^P) / (q gap 2^P) for S = r - 1 and
+    # r + 1, floored by integer division without gcd normalisation;
+    # hi - lo = 4 q_bar / den, so one division gives both floors
     bits = max(q_bar.bit_length() - q.bit_length(), 0) + 66
     while True:
-        scaled = int_nth_root(power << (rd * bits), rd)
+        scaled = int_nth_root_bracket(power << (rd * bits), rd)
         den = q * gap << bits
-        flo, rem = int_divmod(q_bar * (2 * scaled - (gap << bits)), den)
-        fhi = flo + (rem + 2 * q_bar) // den
+        flo, rem = int_divmod(q_bar * (2 * scaled - 2 - (gap << bits)), den)
+        fhi = flo + (rem + 4 * q_bar) // den
         if flo == fhi:
             return flo
         bits *= 2

@@ -6,12 +6,14 @@ partial sums, and the minimal divisor
 
     Omega_alpha(N) = min over 0 < |l|_sup <= N of ||alpha . l||
 
-with minimizer tracking.  Scans accept either exact rational vectors
-(fractions.Fraction entries, certified in pure integer arithmetic) or real
-vectors certified as mpf at the working precision.  Every scan filters then
+with minimizer tracking.  `DivisorOracle` is the one evaluator of
+||alpha . l||: exact rational vectors (fractions.Fraction entries) are
+certified in pure integer arithmetic, and every other vector, plain floats
+included, as mpf at the working precision.  Every scan filters then
 certifies: a float64 pass over the whole box, with a rigorous rounding
 margin, keeps the few vectors that can still be minimal or resonant, and only
-those are evaluated exactly (see _divisor_min).
+those go through the oracle's route (see _divisor_min); the schedule
+stages do the same per mode (schedule._stage_caps).
 
 Since ||x|| is even, minimizers always come in +/- pairs; scans therefore
 enumerate only the representatives whose first nonzero entry is positive and
@@ -28,11 +30,16 @@ from typing import Sequence
 import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
+                          mpf_neg, mpf_sub, mpf_sum, to_float)
 
 from .errors import RationalTruncation, ResonanceDetected
 from .precision import to_mpf
 
 LatticeVector = tuple  # d-tuple of ints
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
 
 
 def sup_norm(l: Sequence[int]) -> int:
@@ -181,10 +188,11 @@ def _resonance_eps():
 def resonance_threshold(alpha: Sequence):
     """The resonance policy: ||alpha . l|| below this is resonant.
 
-    The threshold follows the kind of input, as DivisorOracle's route does:
+    The threshold follows the kind of input:
 
     * Fraction/int entries: 0, since only an exact zero is resonant;
-    * entries that are all plain floats: 1e-13, about 450 ulps of 1;
+    * entries that are all plain floats: 1e-13, about 450 ulps of 1, the
+      floats' own resolution, though they are evaluated like mpf;
     * any other input (mpf at the working precision): 2^-(prec - 16).
 
     Every scan and oracle of ||alpha . l|| reads it.  The one other guard,
@@ -232,11 +240,9 @@ class _DivisorFilter:
     `distances(block)` gives fd(l) = |x - rint(x)|, x = fl(l . af), for the
     int64 rows l of `block`, with af_i the float64 of alpha_i reduced mod 1.
     `margin` is an m with |fd(l) - c(l)| <= m for every |l|_sup <= N, where
-    c(l) is ||alpha . l|| as certified at `prec` bits: exactly for
-    Fraction/int alpha (`prec` unused), else the libmp route
-    nearest_int_distance(fsum(l_i alpha_i)) at `prec`, or, with prec = 53,
-    the double route |s - round(s)|, s = math.fsum(alpha_i * l_i), that
-    DivisorOracle takes for float alpha.  With u = 2^-53, S = sum |af_i| and
+    c(l) is ||alpha . l|| as DivisorOracle's route gives it: exactly for
+    Fraction/int alpha, else nearest_int_distance(fsum(l_i alpha_i)) at the
+    working precision prec.  With u = 2^-53, S = sum |af_i| and
     A = sum |alpha_i|, three error terms bound |fd(l) - c(l)|:
 
     * rounding alpha_i mod 1 to af_i (faithful, even when subnormal): at
@@ -249,8 +255,8 @@ class _DivisorFilter:
     * for inexact alpha, the evaluation of c(l) at prec >= 53 bits: each
       product l_i alpha_i and the final fsum round once (2^(1-prec)
       relative each; mpmath's fsum adds its terms exactly up to a
-      2^(-2 prec) cut, math.fsum exactly), and 1 - frac rounds once
-      (s - round(s) is exact), so at most 2^(2-prec) (N A + 1).
+      2^(-2 prec) cut), and 1 - frac rounds once, so at most
+      2^(2-prec) (N A + 1).
 
     m = (d + 3) u (N S + 1) + 2^(2-prec) (N A + 1), with the second term
     only for inexact alpha, bounds their sum with a slack of at least
@@ -259,7 +265,7 @@ class _DivisorFilter:
     infinite when sum |alpha_i| overflows float64).
     """
 
-    def __init__(self, alpha: Sequence, N: int, prec: int):
+    def __init__(self, alpha: Sequence, N: int):
         if all(isinstance(a, (Fraction, int)) for a in alpha):
             self.af = np.array([a.numerator % a.denominator / a.denominator
                                 for a in alpha])
@@ -267,9 +273,9 @@ class _DivisorFilter:
         else:
             alphas = [to_mpf(a) for a in alpha]
             self.af = np.array([float(a - mpmath.floor(a)) for a in alphas])
-            eval_error = 2.0 ** (2 - prec) * (
+            eval_error = 2.0 ** (2 - mp.prec) * (
                 N * float(mpmath.fsum(alphas, absolute=True)) + 1)
-        self.margin = ((len(alpha) + 3) * 2.0 ** -53 * (N * float(self.af.sum()) + 1)
+        self.margin = ((len(alpha) + 3) * _U * (N * float(self.af.sum()) + 1)
                        + eval_error)
 
     def distances(self, block: np.ndarray) -> np.ndarray:
@@ -277,15 +283,145 @@ class _DivisorFilter:
         return np.abs(x - np.rint(x))
 
 
+class DivisorOracle:
+    """||alpha.l|| with resonance detection; exact on rational vectors.
+
+    Two routes, each returning the raw distance.  Rational alpha = P / q
+    (q the common denominator) is evaluated on integers: r = (l.P) mod q
+    and ||alpha.l|| = min(r, q - r) / q (`_residue`).  Any other alpha,
+    plain floats included, is evaluated at the working precision through
+    the `mpmath.libmp` functions behind nearest_int_distance(fsum(to_mpf(a)
+    * c)): same precision, same rounding, no wrapper objects
+    (`_mpf_distance`).  distance(l) and log_inv(l) = log(1/||alpha.l||), a
+    float (the solver works in log scale, so double precision suffices even
+    when the divisor itself underflows a double, as Liouville-type vectors
+    arrange), raise ResonanceDetected below resonance_threshold(alpha);
+    each mode's value is computed once per oracle.
+    """
+
+    def __init__(self, alpha):
+        self.alpha = tuple(alpha)
+        self.dimension = len(self.alpha)
+        self.exact = all(isinstance(a, (Fraction, int)) for a in self.alpha)
+        # tau, the exact route's absolute log_inv error (schedule._stage_caps)
+        self._log_tau = 0.0
+        if self.exact:
+            self._den = math.lcm(*(a.denominator for a in self.alpha))
+            self._nums = tuple(a.numerator * (self._den // a.denominator)
+                               for a in self.alpha)
+            self._log_tau = 48 * _U * (self._den.bit_length() * math.log10(2) + 1)
+        # ((prec, rounding), raw mpf alpha, raw resonance threshold)
+        self._mpf_alpha = (None, None, None)
+        self._cache = {}                    # distance per mode
+        self._log_table = {}                # log_inv per mode
+        self.bounded_modes = 0              # rows through log_inv_bounds
+        self.log_inv_calls = 0
+
+    def _residue(self, key) -> int:
+        """Numerator m of ||alpha.l|| = m / q (exact route)."""
+        q = self._den
+        r = sum(c * p for c, p in zip(key, self._nums)) % q
+        return min(r, q - r)
+
+    def _mpf_distance(self, key):
+        """Raw mpf ||alpha.l|| at the working precision."""
+        prec, rnd = mp._prec_rounding
+        at, raw, eps = self._mpf_alpha
+        if at != (prec, rnd):
+            raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
+            eps = to_mpf(resonance_threshold(self.alpha))._mpf_
+            self._mpf_alpha = ((prec, rnd), raw, eps)
+        s = mpf_sum([mpf_mul_int(a, c, prec, rnd) for a, c in zip(raw, key)],
+                    prec, rnd)
+        frac = mpf_sub(s, mpf_floor(s, prec, rnd), prec, rnd)
+        other = mpf_sub(fone, frac, prec, rnd)
+        return other if mpf_lt(other, frac) else frac
+
+    def _checked(self, key):
+        """The route's raw distance, or ResonanceDetected below the
+        threshold."""
+        if self.exact:
+            dist = self._residue(key)
+            if dist == 0:
+                raise ResonanceDetected(f"alpha . {key} is an exact integer",
+                                        lattice_vector=key)
+        else:
+            dist = self._mpf_distance(key)
+            if mpf_lt(dist, self._mpf_alpha[2]):
+                raise ResonanceDetected(
+                    f"||alpha . {key}|| vanishes at working precision",
+                    lattice_vector=key)
+        return dist
+
+    def distance(self, l):
+        key = tuple(l)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        dist = self._checked(key)
+        dist = Fraction(dist, self._den) if self.exact else mp.make_mpf(dist)
+        self._cache[key] = dist
+        return dist
+
+    def _fresh_log_inv(self, key) -> float:
+        dist = self._checked(key)
+        if self.exact:
+            g = math.gcd(dist, self._den)
+            # the reduced fraction's terms, as Fraction(m, q) would hold them
+            return _log_inv_ratio(dist // g, self._den // g)
+        prec, rnd = mp._prec_rounding
+        return to_float(mpf_neg(mpf_log(dist, prec, rnd), prec, rnd), rnd=rnd)
+
+    def log_inv(self, l) -> float:
+        self.log_inv_calls += 1
+        key = tuple(l)
+        val = self._log_table.get(key)
+        if val is None:
+            val = self._log_table[key] = self._fresh_log_inv(key)
+        return val
+
+    def log_inv_bounds(self, N: int):
+        """The float64 filter's bound of log_inv over |l|_sup <= N: a
+        function mapping an int64 block of such modes to arrays (lo, hi)
+        with lo <= log_inv(l) <= hi on every row, and (-inf, inf) on each
+        row whose filtered distance does not clear the resonance threshold.
+        `schedule._stage_caps` derives the bound."""
+        filt = _DivisorFilter(self.alpha, N)
+        m, eps = filt.margin, float(resonance_threshold(self.alpha))
+        slope = 2 * (19 * _U + 2.0 ** (3 - mp.prec))    # 2 (rho + 8u)
+        offset = 2 * self._log_tau
+
+        def bounds(block: np.ndarray):
+            self.bounded_modes += len(block)
+            fd = filt.distances(block)
+            safe = fd - m > eps
+            lam_lo = -np.log(np.where(safe, fd + m, 1.0))
+            lam_hi = -np.log(np.where(safe, fd - m, 1.0))
+            width = slope * lam_hi + offset
+            return (np.where(safe, lam_lo - width, -np.inf),
+                    np.where(safe, lam_hi + width, np.inf))
+
+        return bounds
+
+
+def _log10_int(n: int) -> float:
+    """log10 of a positive integer, safe for million-bit values."""
+    shift = max(n.bit_length() - 64, 0)
+    return math.log10(n >> shift) + shift * math.log10(2)
+
+
+def _log_inv_ratio(num: int, den: int) -> float:
+    """log(den / num) = log(1 / (num / den)) for positive integers."""
+    return (_log10_int(den) - _log10_int(num)) * math.log(10)
+
+
 def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
                  skip_parallel_to=None, raise_resonance: bool = True):
     """(min ||alpha . l||, lexicographically first minimizer) over the
     canonical l with lower <= |l|_sup <= N, or (None, None) if none is left.
 
-    Fraction/int alpha gives a Fraction value, certified in integers as
-    min(r, den - r) / den with r = l . nums mod den over a common
-    denominator; other alpha gives the mpf value
-    nearest_int_distance(fsum(l_i alpha_i)) at the working precision.
+    The value is DivisorOracle's: a Fraction for Fraction/int alpha,
+    certified in integers, and an mpf at the working precision otherwise.
     `skip_parallel_to` drops every l parallel to that nonzero vector.
     Unless `raise_resonance` is false, the first l in lexicographic order
     with value 0 (exact) or below resonance_threshold(alpha) raises
@@ -305,21 +441,15 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
        resonant l: c(l) < eps (or c(l) = 0) gives fd(l) < eps + m.  Once
        2m >= 1/2 every vector passes.
     3. Certify.  The candidates, in lexicographic order, are evaluated
-       exactly as above and the strict < keeps the first minimizer, so the
-       argmin and the first resonant vector are those of a scan of the
-       whole box.  Near-ties (Liouville-type divisors far below 2^-52)
+       by the oracle's route and the strict < keeps the first minimizer,
+       so the argmin and the first resonant vector are those of a scan of
+       the whole box.  Near-ties (Liouville-type divisors far below 2^-52)
        only add candidates; many exact ties cost at most the full loop.
     """
     d = len(alpha)
-    exact = all(isinstance(a, (Fraction, int)) for a in alpha)
+    oracle = DivisorOracle(alpha)
     eps = resonance_threshold(alpha)
-    if exact:
-        fracs = [Fraction(a) for a in alpha]
-        den = math.lcm(*(f.denominator for f in fracs))
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
-    else:
-        alphas = [to_mpf(a) for a in alpha]
-    filt = _DivisorFilter(alpha, N, mp.prec)
+    filt = _DivisorFilter(alpha, N)
     slack = 2 * filt.margin + float(eps)
 
     ray = None
@@ -347,21 +477,20 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
 
     best, best_arg = None, None
     for l in map(tuple, candidates):
-        if exact:
-            r = sum(c * n for c, n in zip(l, nums)) % den
-            dist = min(r, den - r)
+        if oracle.exact:
+            dist = oracle._residue(l)
             if dist == 0 and raise_resonance:
                 raise ResonanceDetected(
                     f"alpha . {l} is an exact integer", lattice_vector=l)
         else:
-            dist = nearest_int_distance(mpmath.fsum(c * a for c, a in zip(l, alphas)))
+            dist = mp.make_mpf(oracle._mpf_distance(l))
             if dist < eps and raise_resonance:
                 raise ResonanceDetected(
                     f"||alpha . {l}|| = {mpmath.nstr(dist, 8)} is below the "
                     f"resonance threshold", lattice_vector=l)
         if best is None or dist < best:
             best, best_arg = dist, l
-    return (Fraction(best, den) if exact else best), best_arg
+    return (Fraction(best, oracle._den) if oracle.exact else best), best_arg
 
 
 def omega_min(alpha: Sequence, N: int, lower: int = 1,

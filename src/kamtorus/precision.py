@@ -151,6 +151,16 @@ def int_nth_root(n: int, k: int) -> int:
     return _iroot(n, k)
 
 
+def int_nth_root_bracket(n: int, k: int) -> int:
+    """An integer r with floor(n^(1/k)) <= r <= floor(n^(1/k)) + 1, for
+    n >= 0, k >= 1: `_iroot_above`, the enclosure `int_nth_root` takes
+    before its exact descent, where that descent would run, and
+    `int_nth_root` (gmpy2's root, `math.isqrt`, trivial cases) elsewhere."""
+    if _gmpy2 is None and k > 2 and n > 1:
+        return _iroot_above(n, k)
+    return int_nth_root(n, k)
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1, k >= 2; see `int_nth_root`.
 

@@ -24,11 +24,13 @@ arrays of dots, budgets and caps, and gives the same doubles as a loop over
 the modes: for d <= 2 the fsum of one or two products is one IEEE
 addition, np.argmin's first occurrence is the loop's strict `<` update, and
 every other step is the same elementwise IEEE operation in the same order.
-The divisors come from `DivisorOracle`, which computes each mode's
-log(1/||alpha.l||) once, on integer residues for rational alpha.  The
-stage filters, then certifies, as `diophantine._divisor_min` does: the
-float64 distances and their derived margin bracket every mode's log
-divisor and, since each IEEE step is monotone, its caps and budget.  Only
+The divisors come from `diophantine.DivisorOracle`, the one evaluator of
+||alpha.l||, which computes each mode's log(1/||alpha.l||) once: on
+integer residues for rational alpha, at the working precision for any
+other alpha, plain floats included.  The stage filters, then certifies,
+as `diophantine._divisor_min` does: the float64 distances and their
+derived margin bracket every mode's log divisor and, since each IEEE step
+is monotone, its caps and budget.  Only
 the modes whose cap can bind, whose negative budget on an orthogonal
 direction could collapse the stage, or that are not cleared of resonance
 take the oracle's exact value; the caps of the others cannot enter the
@@ -63,13 +65,10 @@ from functools import cached_property
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (fone, mpf_floor, mpf_log, mpf_lt, mpf_mul_int,
-                          mpf_neg, mpf_sub, mpf_sum, to_float)
 
-from .diophantine import (_box_blocks, _DivisorFilter, bryuno_partial_sum,
-                          omega_min, omega_min_1d, resonance_threshold,
-                          sup_norm)
-from .errors import ResonanceDetected
+from .diophantine import (DivisorOracle, _box_blocks, _log10_int,
+                          _log_inv_ratio, bryuno_partial_sum, omega_min,
+                          omega_min_1d, sup_norm)
 from .precision import to_mpf
 from .reports import VerificationReport
 
@@ -80,9 +79,6 @@ TWO_PI = 2 * math.pi
 #: cost memory: `schedule` with the README flags peaked 3 MB higher with
 #: 512 KB temporaries.
 _STAGE_CELLS = 1 << 13
-
-#: Unit roundoff of float64.
-_U = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -164,155 +160,7 @@ PHI_NOTE = "phi uses |beta.l| (plain inner product), not nearest-integer distanc
 
 
 # ---------------------------------------------------------------------------
-# divisor oracles
-
-
-class DivisorOracle:
-    """||alpha.l|| with resonance detection; exact on rational vectors.
-
-    Rational alpha = P / q (q the common denominator) is evaluated on
-    integers: r = (l.P) mod q and ||alpha.l|| = min(r, q - r) / q.  Plain
-    floats are evaluated in double precision; mpf vectors at the working
-    precision, through the `mpmath.libmp` functions the mpf operators
-    dispatch to (same precision, same rounding, no wrapper objects).
-    log_inv(l) returns log(1/||alpha.l||) as a float (the solver works in
-    log scale, so double precision suffices even when the divisor itself
-    underflows a double, as Liouville-type vectors arrange); each mode's
-    value is computed once per oracle.
-    """
-
-    def __init__(self, alpha):
-        self.alpha = tuple(alpha)
-        self.dimension = len(self.alpha)
-        self.exact = all(isinstance(a, (Fraction, int)) for a in self.alpha)
-        # plain-float input gets plain-float evaluation (the solver works in
-        # log scale where double precision is ample); mpf entries keep the
-        # working-precision route
-        self.float_mode = (not self.exact
-                           and all(isinstance(a, float) for a in self.alpha))
-        # tau, the absolute error of the exact route's log_inv (_stage_caps)
-        self._log_tau = 0.0
-        if self.exact:
-            self._den = math.lcm(*(a.denominator for a in self.alpha))
-            self._nums = tuple(a.numerator * (self._den // a.denominator)
-                               for a in self.alpha)
-            self._log_tau = 48 * _U * (self._den.bit_length() * math.log10(2) + 1)
-        elif self.float_mode:
-            self._float_eps = resonance_threshold(self.alpha)
-        # ((prec, rounding), raw mpf alpha, resonance threshold)
-        self._mpf_alpha = (None, None, None)
-        self._cache = {}                    # distance per mode
-        self._log_table = {}                # log_inv per mode
-        self.bounded_modes = 0              # rows through log_inv_bounds
-        self.log_inv_calls = 0
-
-    def _residue(self, key) -> int:
-        """Numerator m of ||alpha.l|| = m / q (exact mode)."""
-        q = self._den
-        r = sum(c * p for c, p in zip(key, self._nums)) % q
-        if r == 0:
-            raise ResonanceDetected(f"alpha . {key} is an exact integer",
-                                    lattice_vector=key)
-        return min(r, q - r)
-
-    def _float_distance(self, key) -> float:
-        s = math.fsum(a * c for a, c in zip(self.alpha, key))
-        dist = abs(s - round(s))
-        if dist < self._float_eps:
-            raise _vanishing(key, "double precision")
-        return dist
-
-    def _mpf_distance(self, key):
-        """Raw mpf ||alpha.l||: the libmp calls behind
-        nearest_int_distance(fsum(to_mpf(a) * c))."""
-        prec, rnd = mpmath.mp._prec_rounding
-        at, raw, eps = self._mpf_alpha
-        if at != (prec, rnd):
-            raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
-            eps = resonance_threshold(self.alpha)._mpf_
-            self._mpf_alpha = ((prec, rnd), raw, eps)
-        s = mpf_sum([mpf_mul_int(a, c, prec, rnd) for a, c in zip(raw, key)],
-                    prec, rnd)
-        frac = mpf_sub(s, mpf_floor(s, prec, rnd), prec, rnd)
-        other = mpf_sub(fone, frac, prec, rnd)
-        dist = other if mpf_lt(other, frac) else frac
-        if mpf_lt(dist, eps):
-            raise _vanishing(key, "working precision")
-        return dist
-
-    def distance(self, l):
-        key = tuple(l)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self.exact:
-            dist = Fraction(self._residue(key), self._den)
-        elif self.float_mode:
-            dist = self._float_distance(key)
-        else:
-            dist = mpmath.mp.make_mpf(self._mpf_distance(key))
-        self._cache[key] = dist
-        return dist
-
-    def _fresh_log_inv(self, key) -> float:
-        if self.exact:
-            m = self._residue(key)
-            g = math.gcd(m, self._den)
-            # the reduced fraction's terms, as Fraction(m, q) would hold them
-            return _log_inv_ratio(m // g, self._den // g)
-        if self.float_mode:
-            return -math.log(self._float_distance(key))
-        prec, rnd = mpmath.mp._prec_rounding
-        log = mpf_log(self._mpf_distance(key), prec, rnd)
-        return to_float(mpf_neg(log, prec, rnd), rnd=rnd)
-
-    def log_inv(self, l) -> float:
-        self.log_inv_calls += 1
-        key = tuple(l)
-        val = self._log_table.get(key)
-        if val is None:
-            val = self._log_table[key] = self._fresh_log_inv(key)
-        return val
-
-    def log_inv_bounds(self, N: int):
-        """The float64 filter's bound of log_inv over |l|_sup <= N: a
-        function mapping an int64 block of such modes to arrays (lo, hi)
-        with lo <= log_inv(l) <= hi on every row, and (-inf, inf) on each
-        row whose filtered distance does not clear the resonance threshold.
-        `_stage_caps` derives the bound."""
-        prec = mpmath.mp.prec
-        filt = _DivisorFilter(self.alpha, N, 53 if self.float_mode else prec)
-        m, eps = filt.margin, float(resonance_threshold(self.alpha))
-        slope = 2 * (19 * _U + 2.0 ** (3 - prec))      # 2 (rho + 8u)
-        offset = 2 * self._log_tau
-
-        def bounds(block: np.ndarray):
-            self.bounded_modes += len(block)
-            fd = filt.distances(block)
-            safe = fd - m > eps
-            lam_lo = -np.log(np.where(safe, fd + m, 1.0))
-            lam_hi = -np.log(np.where(safe, fd - m, 1.0))
-            width = slope * lam_hi + offset
-            return (np.where(safe, lam_lo - width, -np.inf),
-                    np.where(safe, lam_hi + width, np.inf))
-
-        return bounds
-
-
-def _vanishing(key, where: str) -> ResonanceDetected:
-    return ResonanceDetected(f"||alpha . {key}|| vanishes at {where}",
-                             lattice_vector=key)
-
-
-def _log10_int(n: int) -> float:
-    """log10 of a positive integer, safe for million-bit values."""
-    shift = max(n.bit_length() - 64, 0)
-    return math.log10(n >> shift) + shift * math.log10(2)
-
-
-def _log_inv_ratio(num: int, den: int) -> float:
-    """log(den / num) = log(1 / (num / den)) for positive integers."""
-    return (_log10_int(den) - _log10_int(num)) * math.log(10)
+# stage modes
 
 
 def _stage_blocks(dimension: int, n: int, variant: str, rows: int):
@@ -428,8 +276,8 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
     u = 2^-53:
 
     1. The divisor.  `_DivisorFilter` gives fd(l) and a margin m with
-       |fd(l) - c(l)| <= m, c(l) the distance the oracle's route computes
-       (at 53 bits for float alpha).  If lo = fl(fd - m) exceeds eps, the
+       |fd(l) - c(l)| <= m, c(l) the distance the oracle's route
+       computes.  If lo = fl(fd - m) exceeds eps, the
        resonance threshold's double (exact, or 0 once it underflows), then
        l is not resonant and c(l) lies in [lo, hi = fl(fd + m)], m's slack
        covering both roundings; otherwise l takes the exact route.
@@ -439,8 +287,7 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
        lo hi <= 1, ln(1/c) and |ln(1/hi)| are at most L = ln(1/lo) > 0.
        The oracle's value differs from ln(1/c) by at most
        rho ln(1/c) + tau with rho = 11u + 2^(3-prec):
-       * float alpha: -math.log(c) is within 8u, and tau = 0;
-       * mpf alpha: mpf_log (20 guard bits, one rounding at prec) is
+       * float or mpf alpha: mpf_log (20 guard bits, one rounding at prec) is
          within 2^(2-prec), to_float adds u, and tau = 0;
        * Fraction alpha: c = a/b in lowest terms, b <= q, the lcm of the
          denominators.  _log10_int(k) = log10 t + s log10 2, with t the

@@ -53,6 +53,8 @@ def test_int_nth_root_validation_and_trivial_cases():
         precision.int_nth_root(-1, 3)
     with pytest.raises(ValueError):
         precision.int_nth_root(5, 0)
+    with pytest.raises(ValueError):
+        precision.int_nth_root_bracket(-1, 3)
     assert precision.int_nth_root(0, 7) == 0
     assert precision.int_nth_root(1, 7) == 1
     assert precision.int_nth_root(12345, 1) == 12345
@@ -80,7 +82,9 @@ def test_int_nth_root_property_deep_recursion():
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=1 << 20000), st.integers(min_value=1, max_value=300))
 def test_int_nth_root_property(n, k):
-    assert _is_floor_root(precision.int_nth_root(n, k), n, k)
+    root = precision.int_nth_root(n, k)
+    assert _is_floor_root(root, n, k)
+    assert 0 <= precision.int_nth_root_bracket(n, k) - root <= 1
 
 
 @pytest.mark.parametrize("root_bits", [1, 2, 20, 48, 49, 64, 200, 201, 700])
@@ -93,6 +97,7 @@ def test_int_nth_root_exact_power_boundaries(root_bits, k):
             x = precision.int_nth_root(n, k)
             assert x == (r if n >= r ** k else r - 1), (r, k, n - r ** k)
             assert x == _descent_root(n, k)
+            assert 0 <= precision.int_nth_root_bracket(n, k) - x <= 1
 
 
 def test_int_nth_root_toy_six_level_input():
@@ -167,13 +172,16 @@ def test_floor_twist_scaled_near_integer_needs_more_bits(monkeypatch):
     s = _descent_root(2 << 5 * scale, 5)
     q = 2 * s - (1 << scale)
     calls = []
-    root = con.int_nth_root
 
-    def counting(n, k):
-        calls.append(k)
-        return root(n, k)
+    def counting(root):
+        def counted(n, k):
+            calls.append(k)
+            return root(n, k)
+        return counted
 
-    monkeypatch.setattr(con, "int_nth_root", counting)
+    # the perfect-power probe takes the exact root, each scale a bracket
+    for name in ("int_nth_root", "int_nth_root_bracket"):
+        monkeypatch.setattr(con, name, counting(getattr(con, name)))
     for m in (1, 7, 12345):
         q_bar = m << scale
         calls.clear()

@@ -178,18 +178,10 @@ def _ref_log_inv(alpha, l, cache):
                                     lattice_vector=key)
         val = (sch._log10_int(dist.denominator)
                - sch._log10_int(dist.numerator)) * math.log(10)
-    elif all(isinstance(a, float) for a in alpha):
-        s = math.fsum(a * c for a, c in zip(alpha, key))
-        dist = abs(s - round(s))
-        if dist < 1e-13:
-            raise ResonanceDetected(
-                f"||alpha . {key}|| vanishes at double precision",
-                lattice_vector=key)
-        val = -math.log(dist)
     else:
         s = mpmath.fsum(to_mpf(a) * c for a, c in zip(alpha, key))
         dist = dio.nearest_int_distance(s)
-        if dist < dio._resonance_eps():
+        if dist < dio.resonance_threshold(alpha):
             raise ResonanceDetected(
                 f"||alpha . {key}|| vanishes at working precision",
                 lattice_vector=key)
@@ -336,6 +328,23 @@ def test_advance_stage_matches_scalar_oracle_on_collapse():
         w = flat_weights(0.02, count=8, gothic_d=0.4)
         assert _compare_stages(alpha, sch.DirectionGrid.circle(16), w, 4,
                                "full_range")
+
+
+@pytest.mark.parametrize("count", [8, 16])
+@pytest.mark.parametrize("variant", ["full_range", "annulus"])
+def test_float_alpha_schedule_is_its_mpf_schedule(count, variant):
+    # plain floats take the working-precision route: a float alpha and the
+    # same binary values as mpf give the same schedule, bit for bit
+    alpha = _alpha_kinds(pair_alpha())["float"]
+    w = flat_weights(0.1, count=10, N=1, gothic_d=0.4)
+    grid = sch.DirectionGrid.circle(count)
+    got = sch.delta_schedule(alpha, grid, w, 8, variant=variant)
+    want = sch.delta_schedule(tuple(mpmath.mpf(a) for a in alpha), grid, w, 8,
+                              variant=variant)
+    assert got.stages() == want.stages() > 2
+    assert [[v.hex() for v in row] for row in got.values] == \
+        [[v.hex() for v in row] for row in want.values]
+    assert got.argmins == want.argmins
 
 
 def test_stage_caps_tie_keeps_first_mode(monkeypatch):
@@ -523,9 +532,8 @@ def test_oracle_distance_and_log_inv_match_scalar_oracle():
                 else:
                     want = dio.nearest_int_distance(
                         mpmath.fsum(to_mpf(a) * c for a, c in zip(alpha, l)))
-                if not oracle.float_mode:
-                    assert oracle.distance(l) == want
-                    assert type(oracle.distance(l)) is type(want)
+                assert oracle.distance(l) == want
+                assert type(oracle.distance(l)) is type(want)
 
 
 def test_ortho_snap_norm_matches_hypot():
