@@ -269,30 +269,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _build_weights(args, alpha):
-    spec = args.weights
-    if spec == "dyadic":
-        return sch.dyadic_weight_recipe(alpha, args.stages,
-                                        gothic_d=args.gothic_d,
-                                        N=args.flat_stages)
-    if spec.startswith("flat:"):
-        value = float(spec.split(":", 1)[1])
-        return sch.WeightSequence(c=(value,) * (args.stages + 2),
-                                  N=args.flat_stages, gothic_d=args.gothic_d)
-    if spec.startswith("construction:"):
-        state = con.state_from_jsonable(read_json(spec.split(":", 1)[1]))
-        return sch.construction_weights(state, args.stages,
-                                        gothic_d=args.gothic_d,
-                                        N=args.flat_stages)
-    raise SchemaMismatch(f"unknown weight recipe {spec!r}")
-
-
 def cmd_schedule(args) -> int:
     alpha = resolve_alpha(args.alpha)
-    weights = _build_weights(args, alpha)
-    grid = (sch.DirectionGrid.pair() if len(alpha) == 1
-            else sch.DirectionGrid.circle(args.grid_count))
-    result = sch.delta_schedule(alpha, grid, weights, args.stages,
+    weights = args.weights
+    if weights.startswith("construction:"):
+        weights = con.state_from_jsonable(read_json(weights.split(":", 1)[1]))
+    result = sch.build_schedule(alpha, weights=weights, gothic_d=args.gothic_d,
+                                flat_stages=args.flat_stages,
+                                grid_count=args.grid_count, stages=args.stages,
                                 variant=args.variant, c1=args.c1)
     out = args.out_dir
     _write_csv(out / "schedule.csv", SCHEDULE_CSV_COLUMNS, result.csv_rows())
@@ -330,7 +314,7 @@ def cmd_linearize(args) -> int:
                (r.csv_row() for r in report.step_reports))
     payload = _artifact_header(args)
     payload.update(alpha=list(alpha), epsilon=args.epsilon,
-                   summary=report.to_jsonable())
+                   summary=report.to_jsonable(state, kam.DEFAULT_SCHEDULE))
     write_json(out / "kam_summary.json", payload)
     if args.svg:
         series = _kam_series([r.csv_row() for r in report.step_reports])

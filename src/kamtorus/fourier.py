@@ -477,12 +477,9 @@ def _direction_dots(directions, n_max: int) -> np.ndarray:
 def multiply(f: FourierMap, g: FourierMap) -> FourierMap:
     """Coefficient convolution of scalar maps; output truncation doubles.
 
-    In d = 2 `_convolve2d` forms every product of a nonzero of f with an
-    entry of g's nonzero bounding box at once and sums them per output
-    with `np.bincount`, in an order that keeps the result bit-identical to
-    the dense loop adding f_hat(l) * g_hat over l in row-major order.  f
-    stays the left operand of every product, as in that loop: the complex
-    product is not bitwise commutative where numpy uses FMA.
+    In d = 2 `_convolve2d` adds f_hat(l) * g_hat over the nonzero l in
+    row-major order.  f stays the left operand of every product: the
+    complex product is not bitwise commutative where numpy uses FMA.
     """
     if f.components != 1 or g.components != 1:
         raise ValueError("multiply expects scalar (single component) maps")
@@ -498,43 +495,13 @@ def multiply(f: FourierMap, g: FourierMap) -> FourierMap:
 
 
 def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D convolution, bit-identical to the dense double loop that
-    adds a[i, j] * b into out, over the nonzero (i, j) of a in row-major
-    order, starting from +0.
-
-    b is cropped to its nonzero bounding box (the additions dropped are
-    exact zeros).  Every product a[i, j] * box[u, v] and its flat target
-    is formed once, step-major: the steps are the box entries (u, v) in
-    reverse row-major order, each over all nonzeros of a.  The pairs
-    (i, j), (u, v) that reach one output have i + u and j + v fixed, so a
-    descending (u, v) is an ascending (i, j): in this flat order each
-    output meets its terms in the dense loop's order.  Two `np.bincount`
-    passes, one for the real and one for the imaginary parts, then add the
-    terms of each output in input order starting from +0, which is the
-    loop's sum part by part.  The |box| x nnz(a) products and targets take
-    24 bytes each (at most 2,646 of each, 64 kB, in the series oracle's
-    calls on the benchmark's draws).  The products keep a as the left
-    operand, as in the dense loop: complex multiplication is not bitwise
-    commutative where numpy uses FMA.
-    """
-    out = np.zeros((a.shape[0] + b.shape[0] - 1,
-                    a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
-    rows, cols = np.nonzero(b)
-    if rows.size == 0:
-        return out
-    r0, c0 = rows.min(), cols.min()
-    box = b[r0:rows.max() + 1, c0:cols.max() + 1]
-    width = out.shape[1]
-    ai, aj = np.nonzero(a)
-    base = (ai + r0) * width + aj + c0           # flat target of entry (0, 0)
-    shifts = (np.arange(box.shape[0])[:, None] * width
-              + np.arange(box.shape[1])).ravel()[::-1]
-    targets = (shifts[:, None] + base).ravel()
-    prods = (a[ai, aj][None, :] * box.ravel()[::-1, None]).ravel()
-    out.real = np.bincount(targets, weights=prods.real, minlength=out.size
-                           ).reshape(out.shape)
-    out.imag = np.bincount(targets, weights=prods.imag, minlength=out.size
-                           ).reshape(out.shape)
+    """Full 2-D convolution by the dense loop: from +0, add a[i, j] * b at
+    offset (i, j) for each nonzero a[i, j] in row-major order."""
+    bh, bw = b.shape
+    out = np.zeros((a.shape[0] + bh - 1, a.shape[1] + bw - 1),
+                   dtype=np.complex128)
+    for i, j in zip(*np.nonzero(a)):
+        out[i:i + bh, j:j + bw] += a[i, j] * b
     return out
 
 

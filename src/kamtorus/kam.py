@@ -66,13 +66,7 @@ from .fourier import (
     translate,
     truncate_split,
 )
-from .schedule import (
-    DeltaSchedule,
-    DirectionGrid,
-    delta_schedule,
-    dyadic_weight_recipe,
-    epsilon_ledger,
-)
+from .schedule import DeltaSchedule, build_schedule, epsilon_ledger
 
 TWO_PI = 2 * math.pi
 
@@ -123,6 +117,12 @@ def cohomological_residual(h: FourierMap, df: FourierMap, alpha, N: int) -> floa
 # run_linearize refuses inputs whose l1 norm exceeds this
 SMALLNESS_THRESHOLD = 1e-2
 
+#: The schedule `initial_state` builds, with alpha taken as doubles, when it
+#: is given none: the keywords of `schedule.build_schedule`.
+DEFAULT_SCHEDULE = {"weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
+                    "grid_count": 8, "stages": 6, "variant": "full_range",
+                    "c1": 1.0}
+
 
 @dataclass(frozen=True)
 class KamParams:
@@ -130,10 +130,6 @@ class KamParams:
     max_stages: int = 10
     repeats: int = 1
     target_defect: float = 1e-9
-    delta0: float = 0.05
-    grid_count: int = 8
-    schedule_stages: int = 6
-    flat_stages: int = 2
 
     def truncation(self, stage: int) -> int:
         first = max(self.n_max // 4, 2)
@@ -184,8 +180,13 @@ class KamState:
     reports: tuple = ()
     ledger: object | None = None
 
+    def column(self, stage: int) -> int:
+        """The schedule column the domain of `stage` reads: the stage
+        index, or the last column past it."""
+        return min(stage, self.schedule.stages() - 1)
+
     def domain(self, stage: int) -> SlicedDomain:
-        col = min(stage, self.schedule.stages() - 1)
+        col = self.column(stage)
         radius = min(float(v) for v in self.schedule.values[col])
         if not radius > 0:
             raise DomainExhausted(
@@ -195,17 +196,6 @@ class KamState:
         return SlicedDomain.from_schedule_column(self.schedule, col)
 
 
-def _default_schedule(alpha, params: KamParams) -> DeltaSchedule:
-    """Dyadic-recipe schedule for the run's alpha, taken as doubles."""
-    alpha_f = tuple(float(a) for a in alpha)
-    weights = dyadic_weight_recipe(alpha_f, params.schedule_stages,
-                                   gothic_d=params.delta0,
-                                   N=params.flat_stages)
-    grid = (DirectionGrid.pair() if len(alpha_f) == 1
-            else DirectionGrid.circle(params.grid_count))
-    return delta_schedule(alpha_f, grid, weights, params.schedule_stages)
-
-
 def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
                   schedule: DeltaSchedule | None = None) -> KamState:
     params = params or KamParams(n_max=delta_f.n_max)
@@ -213,12 +203,13 @@ def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
         raise ValueError(f"the perturbation's n_max {delta_f.n_max} exceeds "
                          f"the run's n_max {params.n_max}")
     delta_f = retruncate(delta_f, params.n_max)
+    alpha = tuple(float(a) for a in alpha)
     if schedule is None:
-        schedule = _default_schedule(alpha, params)
+        schedule = build_schedule(alpha, **DEFAULT_SCHEDULE)
     eps0 = delta_f.l1_norm()
     ledger = epsilon_ledger(eps0, schedule.weights, delta_f.d,
                             min(params.max_stages, len(schedule.weights.c) - 2))
-    return KamState(stage=0, alpha=tuple(float(a) for a in alpha),
+    return KamState(stage=0, alpha=alpha,
                     delta_f=delta_f, conjugacy=(), schedule=schedule,
                     params=params, ledger=ledger)
 
@@ -576,8 +567,13 @@ class RunReport:
     step_reports: tuple
     notes: dict = field(default_factory=dict)
 
-    def to_jsonable(self) -> dict:
-        return {
+    def to_jsonable(self, state: KamState | None = None,
+                    spec: dict | None = None) -> dict:
+        """The summary; given the run's final `state`, also the schedule it
+        read: `schedule` holds `spec` (the `schedule.build_schedule`
+        keywords that built it, or None) and the headline, and each stage's
+        diagnostics the column of its next domain (`KamState.column`)."""
+        out = {
             "converged": self.converged,
             "stages": self.stages,
             "defect": self.defect,
@@ -599,6 +595,14 @@ class RunReport:
                  "taylor_radius_h": _finite(r.taylor_radius_h)}
                 for r in self.step_reports],
         }
+        if state is not None:
+            head = state.schedule.headline()
+            out["schedule"] = dict(spec=spec, **{k: head[k] for k in (
+                "stages", "collapsed_stage", "inf_delta",
+                "first_unreliable_stage")})
+            for entry in out["stage_diagnostics"]:
+                entry["schedule_column"] = state.column(entry["stage"] + 1)
+        return out
 
 
 def _finite(x: float):

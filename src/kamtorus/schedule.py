@@ -69,6 +69,7 @@ import numpy as np
 from .diophantine import (DivisorOracle, _box_blocks, _log10_int,
                           _log_inv_ratio, bryuno_partial_sum, omega_min,
                           omega_min_1d, sup_norm)
+from .errors import SchemaMismatch
 from .precision import to_mpf
 from .reports import VerificationReport
 
@@ -504,6 +505,33 @@ def construction_weights(state, n_max: int, gothic_d: float = 1.0,
             term += max(float(mpmath.log(1 / rec.value_mpf())), 0.0) / scale
         c.append(term)
     return WeightSequence(c=tuple(c), N=N, gothic_d=gothic_d)
+
+
+def build_schedule(alpha, *, weights, gothic_d: float, flat_stages: int,
+                   grid_count: int, stages: int, variant: str = "full_range",
+                   c1: float = 1.0) -> DeltaSchedule:
+    """The schedule of alpha to stage `stages` from a weight recipe.
+
+    `weights` is "dyadic" (`dyadic_weight_recipe`), "flat:C" (C at every
+    stage) or a constructed state (`construction_weights`); each holds its
+    first `flat_stages` stages at gothic_d.  The grid is the exact pair for
+    d = 1 and `grid_count` directions on the circle otherwise; it is the
+    schedule's `grid`.  Raises SchemaMismatch for any other recipe.
+    """
+    if not isinstance(weights, str):
+        seq = construction_weights(weights, stages, gothic_d=gothic_d,
+                                   N=flat_stages)
+    elif weights == "dyadic":
+        seq = dyadic_weight_recipe(alpha, stages, gothic_d=gothic_d,
+                                   N=flat_stages)
+    elif weights.startswith("flat:"):
+        seq = WeightSequence(c=(float(weights.split(":", 1)[1]),) * (stages + 2),
+                             N=flat_stages, gothic_d=gothic_d)
+    else:
+        raise SchemaMismatch(f"unknown weight recipe {weights!r}")
+    grid = (DirectionGrid.pair() if len(alpha) == 1
+            else DirectionGrid.circle(grid_count))
+    return delta_schedule(alpha, grid, seq, stages, variant=variant, c1=c1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 
 from kamtorus import cli
 from kamtorus import construction as con
+from kamtorus import fourier as fr
+from kamtorus import kam
 from kamtorus.serialize import read_json
 
 
@@ -91,6 +93,43 @@ def test_linearize_artifacts(tmp_path):
     assert rows[0] == "stage,trunc,norm_head,norm_tail,residual,const_term,defect,radii_min"
     assert run("--out-dir", tmp_path, "report", "--csv",
                tmp_path / "kam_stages.csv", "--kind", "kam") == 0
+
+
+def test_schedule_flags_give_the_default_kam_schedule(tmp_path):
+    # the CLI flags of kam.DEFAULT_SCHEDULE, alpha the doubles of sqrt-pair
+    alpha = "0.41421356237309515,0.7320508075688772"
+    assert run("--out-dir", tmp_path, "schedule", "--alpha", alpha,
+               "--weights", "dyadic", "--stages", 6, "--grid-count", 8,
+               "--flat-stages", 2, "--gothic-d", 0.05) == 0
+    assert kam.DEFAULT_SCHEDULE == {
+        "weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
+        "grid_count": 8, "stages": 6, "variant": "full_range", "c1": 1.0}
+    state = kam.initial_state(fr.FourierMap.zeros(2, 8),
+                              tuple(float(a) for a in alpha.split(",")))
+    rows = (tmp_path / "schedule.csv").read_text().splitlines()[1:]
+    assert [tuple(r.split(",")[:3:2]) for r in rows] == \
+        [(str(n), repr(float(v))) for n, col in enumerate(state.schedule.values)
+         for v in col]
+
+
+def test_unknown_weight_recipe_exit_2(tmp_path):
+    assert run("--out-dir", tmp_path, "schedule", "--weights", "bogus") == 2
+    diag = read_json(tmp_path / "diagnostic.json")
+    assert diag["error"] == "SchemaMismatch" and diag["command"] == "schedule"
+    assert not (tmp_path / "schedule.csv").exists()
+
+
+def test_linearize_records_the_schedule_read(tmp_path):
+    # the README run reads columns 1, 2, 2 of a default schedule that
+    # collapsed at stage 3: the last stage's column is clamped
+    assert run("--out-dir", tmp_path, "linearize", "--n-max", 32,
+               "--stages", 8, "--epsilon", "1e-3") == 0
+    summary = read_json(tmp_path / "kam_summary.json")["summary"]
+    assert summary["schedule"] == {
+        "spec": kam.DEFAULT_SCHEDULE, "stages": 3, "collapsed_stage": 3,
+        "inf_delta": 0.05, "first_unreliable_stage": None}
+    assert [d["schedule_column"] for d in summary["stage_diagnostics"]] == \
+        [1, 2, 2]
 
 
 def test_linearize_deterministic(tmp_path):

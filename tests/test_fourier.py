@@ -495,15 +495,38 @@ def test_multiply_delta_modes():
     assert np.count_nonzero(prod.coeffs) == 1
 
 
-def _convolve2d_dense(a, b):
-    """The dense double loop over a, the reference for _convolve2d."""
+def _convolve2d_bincount(a, b):
+    """The dense loop of fr._convolve2d, regrouped: every product of a
+    nonzero of a with an entry of b's nonzero bounding box at once, summed
+    per output by np.bincount.
+
+    The additions dropped by the crop are exact zeros.  The products and
+    their flat targets are formed step-major: the steps are the box entries
+    (u, v) in reverse row-major order, each over all nonzeros of a.  The
+    pairs (i, j), (u, v) that reach one output have i + u and j + v fixed,
+    so a descending (u, v) is an ascending (i, j): in this flat order each
+    output meets its terms in the loop's order, and the two np.bincount
+    passes, one per part, add them in that order from +0.  a stays the left
+    operand of every product, as in the loop.
+    """
     out = np.zeros((a.shape[0] + b.shape[0] - 1,
                     a.shape[1] + b.shape[1] - 1), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            v = a[i, j]
-            if v != 0:
-                out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    rows, cols = np.nonzero(b)
+    if rows.size == 0:
+        return out
+    r0, c0 = rows.min(), cols.min()
+    box = b[r0:rows.max() + 1, c0:cols.max() + 1]
+    width = out.shape[1]
+    ai, aj = np.nonzero(a)
+    base = (ai + r0) * width + aj + c0           # flat target of entry (0, 0)
+    shifts = (np.arange(box.shape[0])[:, None] * width
+              + np.arange(box.shape[1])).ravel()[::-1]
+    targets = (shifts[:, None] + base).ravel()
+    prods = (a[ai, aj][None, :] * box.ravel()[::-1, None]).ravel()
+    out.real = np.bincount(targets, weights=prods.real, minlength=out.size
+                           ).reshape(out.shape)
+    out.imag = np.bincount(targets, weights=prods.imag, minlength=out.size
+                           ).reshape(out.shape)
     return out
 
 
@@ -546,7 +569,7 @@ def test_convolve2d_bit_identical_to_dense_loop():
               (fr._head(h0.component(1), 10).coeffs[0],
                fr._head(df, 10).coeffs[0])]
     for a, b in cases:
-        got, want = fr._convolve2d(a, b), _convolve2d_dense(a, b)
+        got, want = fr._convolve2d(a, b), _convolve2d_bincount(a, b)
         assert got.shape == want.shape
         # compare bit patterns, so a signed zero counts as a difference
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

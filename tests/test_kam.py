@@ -10,6 +10,7 @@ import pytest
 from kamtorus import cli
 from kamtorus import fourier as fr
 from kamtorus import kam
+from kamtorus import schedule as sch
 from kamtorus.errors import (DomainExhausted, ResonanceDetected, StageDefect,
                              StepDiverged)
 from kamtorus.serialize import canonical_dumps
@@ -453,13 +454,20 @@ def test_stage_sweep_starts_second_order(monkeypatch):
     assert all(r.inversion_residual < 1e-14 for r in state.reports)
 
 
+def default_schedule_at(alpha, gothic_d):
+    """The default schedule of `initial_state` started at gothic_d."""
+    return sch.build_schedule(alpha, **dict(kam.DEFAULT_SCHEDULE,
+                                            gothic_d=gothic_d))
+
+
 def test_noise_floor_edge_converges():
     # delta0 n_max = 4.0, at the float64 noise floor (ROADMAP item 2): a
     # stage that adds re-expansion noise of its own, such as an FFT round
     # trip of an inversion map, grows the stage norm here (StepDiverged)
     f, alpha = readme_map(16)
-    params = kam.KamParams(n_max=16, delta0=0.25, target_defect=1e-10)
-    _, rep, _ = kam.run_linearize(f, alpha, params)
+    params = kam.KamParams(n_max=16, target_defect=1e-10)
+    _, rep, _ = kam.run_linearize(f, alpha, params,
+                                  default_schedule_at(alpha, 0.25))
     assert rep.converged and rep.stages == 3
     assert rep.direct_defect <= 1e-12
 
@@ -468,12 +476,12 @@ def test_non_positive_domain_column_is_a_typed_error():
     # at delta0 0.1 column 3 of the default schedule is negative; stage 2
     # reads it as its next domain
     f, alpha = readme_map(32)
-    params = kam.KamParams(n_max=32, delta0=0.1, target_defect=1e-10)
-    state = kam.initial_state(f, alpha, params)
-    assert min(float(v) for v in state.schedule.values[3]) < 0
-    assert min(float(v) for v in state.schedule.values[2]) > 0
+    params = kam.KamParams(n_max=32, target_defect=1e-10)
+    schedule = default_schedule_at(alpha, 0.1)
+    assert min(float(v) for v in schedule.values[3]) < 0
+    assert min(float(v) for v in schedule.values[2]) > 0
     with pytest.raises(DomainExhausted) as exc:
-        kam.run_linearize(f, alpha, params)
+        kam.run_linearize(f, alpha, params, schedule)
     err = exc.value
     assert err.stage == 2 and len(err.ledger) == 2
     assert [row[0] for row in err.ledger] == [0, 1]

@@ -11,7 +11,7 @@ from kamtorus import construction as con
 from kamtorus import diophantine as dio
 from kamtorus import kam
 from kamtorus import schedule as sch
-from kamtorus.errors import ResonanceDetected
+from kamtorus.errors import ResonanceDetected, SchemaMismatch
 from kamtorus.fourier import FourierMap
 from kamtorus.precision import to_mpf, working_precision
 
@@ -711,6 +711,38 @@ def test_epsilon_ledger_dominance_in_contracting_regime():
 
 
 # -- recipes and 1-D checks --------------------------------------------------
+
+@pytest.mark.parametrize("recipe", ["dyadic", "flat:0.3", "construction"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_build_schedule_is_recipe_grid_and_solve(recipe, d, golden):
+    # the weights of each recipe, the pair or an 8-direction circle, and
+    # the stage recursion, each taken on its own
+    alpha = (golden,) if d == 1 else pair_alpha()
+    stages, flat, gothic_d = 4, 2, 0.4
+    if recipe == "dyadic":
+        w = sch.dyadic_weight_recipe(alpha, stages, gothic_d=gothic_d, N=flat)
+    elif recipe == "flat:0.3":
+        w = sch.WeightSequence(c=(0.3,) * (stages + 2), N=flat,
+                               gothic_d=gothic_d)
+    else:
+        recipe = toy3_state()
+        w = sch.construction_weights(recipe, stages, gothic_d=gothic_d, N=flat)
+    grid = sch.DirectionGrid.pair() if d == 1 else sch.DirectionGrid.circle(8)
+    # the annulus shrink needs weights below 1, which only flat:0.3 has
+    variants = [("full_range", 1.0)] + [("annulus", 2.0)] * (w.c[0] == 0.3)
+    for variant, c1 in variants:
+        got = sch.build_schedule(alpha, weights=recipe, gothic_d=gothic_d,
+                                 flat_stages=flat, grid_count=8, stages=stages,
+                                 variant=variant, c1=c1)
+        assert got == sch.delta_schedule(alpha, grid, w, stages,
+                                         variant=variant, c1=c1)
+
+
+def test_build_schedule_refuses_an_unknown_recipe():
+    with pytest.raises(SchemaMismatch, match="unknown weight recipe 'bogus'"):
+        sch.build_schedule(pair_alpha(), weights="bogus", gothic_d=0.4,
+                           flat_stages=2, grid_count=8, stages=4)
+
 
 def test_dimension_one_check_golden_all_green(golden):
     rep, details = sch.dimension_one_check([golden], 12)
