@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=8)
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="size of the manufacturing conjugacy |H*-id|")
-    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--target-defect", type=float, default=1e-10)
     p.add_argument("--svg", action="store_true", help="emit the decay SVG")
 
@@ -306,7 +305,6 @@ def cmd_linearize(args) -> int:
     h_star = _manufactured_h_star(args)
     f = kam.manufacture_test_map(h_star, alpha)
     params = kam.KamParams(n_max=args.n_max, max_stages=args.stages,
-                           repeats=args.repeats,
                            target_defect=args.target_defect)
     conjugacy, report, state = kam.run_linearize(f, alpha, params)
     out = args.out_dir
@@ -318,10 +316,9 @@ def cmd_linearize(args) -> int:
     write_json(out / "kam_summary.json", payload)
     if args.svg:
         series = _kam_series([r.csv_row() for r in report.step_reports])
-        if state.ledger is not None:
-            series.append(("epsilon_ledger",
-                           [(n, float(v)) for n, v in
-                            enumerate(state.ledger.values) if float(v) > 0]))
+        series.append(("epsilon_ledger",
+                       [(n, float(v)) for n, v in
+                        enumerate(state.ledger.values) if float(v) > 0]))
         atomic_write_text(out / "kam_decay.svg",
                           plots.decay_curves(series, title="kam decay"))
     print(f"converged={report.converged} stages={report.stages} "

@@ -33,9 +33,7 @@ hypothesis by construction).  Divergence is a first-class outcome: a stage
 that grows the perturbation raises StepDiverged carrying the ledger.
 
 Stage truncations follow the dyadic ladder 2^k, entering at N_max/4 (at
-least 2) and capping at N_max; each stage may re-solve at the same
-truncation a configurable number of times before the truncation doubles,
-which crushes the truncated band without burning analyticity radius.
+least 2) and capping at N_max; each stage solves the equation once.
 """
 
 from __future__ import annotations
@@ -95,10 +93,8 @@ def solve_cohomological(df: FourierMap, alpha, N: int) -> FourierMap:
         l = tuple(int(i) - df.n_max for i in loc)
         raise ResonanceDetected(
             f"vanishing divisor at mode {l}", lattice_vector=l)
-    h = np.zeros_like(df.coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(solve_mask, df.coeffs / divisor, 0)
-    h[:] = np.where(solve_mask, ratio, 0)
+        h = np.where(solve_mask, df.coeffs / divisor, 0)
     return FourierMap(df.d, df.n_max, h)
 
 
@@ -128,7 +124,6 @@ DEFAULT_SCHEDULE = {"weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
 class KamParams:
     n_max: int = 32
     max_stages: int = 10
-    repeats: int = 1
     target_defect: float = 1e-9
 
     def truncation(self, stage: int) -> int:
@@ -177,17 +172,21 @@ class KamState:
     conjugacy: tuple                       # stage maps h_k, outermost first
     schedule: DeltaSchedule
     params: KamParams
+    ledger: object
     reports: tuple = ()
-    ledger: object | None = None
 
     def column(self, stage: int) -> int:
         """The schedule column the domain of `stage` reads: the stage
         index, or the last column past it."""
         return min(stage, self.schedule.stages() - 1)
 
+    def radius(self, col: int) -> float:
+        """The least radius of schedule column `col`."""
+        return min(float(v) for v in self.schedule.values[col])
+
     def domain(self, stage: int) -> SlicedDomain:
         col = self.column(stage)
-        radius = min(float(v) for v in self.schedule.values[col])
+        radius = self.radius(col)
         if not radius > 0:
             raise DomainExhausted(
                 f"stage {self.stage}: schedule column {col} has radius "
@@ -219,24 +218,22 @@ def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
 
 
 def kam_step(state: KamState) -> KamState:
-    """One conjugation stage (with the configured number of repeats).
+    """One conjugation stage: one solve of the cohomological equation.
 
     Builds h at the stage truncation and H = id + h, assembles the new
     perturbation, advances the domain column, and raises StepDiverged if the
     perturbation grew in the new stage norm.
 
-    Each repeat is gated twice and a breach raises StageDefect (stage
-    number, the ledger of the finished stages, the measured value and its
-    bound).  The solved band must satisfy the cohomological equation:
+    The stage is gated twice and a breach raises StageDefect (stage number,
+    the ledger of the finished stages, the measured value and its bound).
+    The solved band must satisfy the cohomological equation:
     `cohomological_residual` may not exceed `_residual_bound`.  The
     conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
     the grid points (`_conjugate`), within `_identity_bound`; the identity
-    is recorded as `assembly_mismatch` (max over repeats), with the sweep's
-    evaluations of h (`inversion_sweeps`, summed over repeats), its last
-    residual (`inversion_residual`, max over repeats) and the order and
-    radius of the Taylor sums of df and of h (max over repeats).  Both
-    bounds are derived rounding and truncation budgets, not fitted
-    tolerances.
+    is recorded as `assembly_mismatch`, with the sweep's evaluations of h
+    (`inversion_sweeps`), its last residual (`inversion_residual`) and the
+    order and radius of the Taylor sums of df and of h.  Both bounds are
+    derived rounding and truncation budgets, not fitted tolerances.
     """
     params = state.params
     n = state.stage
@@ -244,14 +241,6 @@ def kam_step(state: KamState) -> KamState:
     domain_next = state.domain(n + 1)
     df = state.delta_f
     alpha = state.alpha
-    new_maps = []
-    mismatch = 0.0
-    spill_total = 0.0
-    residual = 0.0
-    sweeps = 0
-    r_inv = 0.0
-    taylor = dict.fromkeys(("order_df", "radius_df", "order_h", "radius_h"), 0)
-
     norm_head_before, norm_tail_before = _stage_norms(df, domain_next, trunc)
 
     def gate(name, value, bound, terms):
@@ -261,23 +250,14 @@ def kam_step(state: KamState) -> KamState:
                 stage=n, ledger=[r.csv_row() for r in state.reports],
                 terms=dict(terms, check=name, value=value, bound=bound))
 
-    for repeat in range(max(1, params.repeats)):
-        h = solve_cohomological(df, alpha, trunc)
-        res = cohomological_residual(h, df, alpha, trunc)
-        gate("cohomological residual", res, _residual_bound(df, h),
-             {"repeat": repeat})
-        residual = max(residual, res)
-        df, info = _conjugate(df, h, alpha)
-        gate("conjugacy identity", info["mismatch"], info["bound"],
-             dict(info["terms"], repeat=repeat))
-        mismatch = max(mismatch, info["mismatch"])
-        spill_total += info["spill"]
-        sweeps += info["sweeps"]
-        r_inv = max(r_inv, info["terms"]["inversion_residual"])
-        taylor = {k: max(v, info["taylor"][k]) for k, v in taylor.items()}
-        new_maps.append(h)
+    h = solve_cohomological(df, alpha, trunc)
+    residual = cohomological_residual(h, df, alpha, trunc)
+    gate("cohomological residual", residual, _residual_bound(df, h), {})
+    df, info = _conjugate(df, h, alpha)
+    gate("conjugacy identity", info["mismatch"], info["bound"], info["terms"])
 
     norm_head_after, norm_tail_after = _stage_norms(df, domain_next, trunc)
+    taylor = info["taylor"]
     report = StepReport(
         stage=n,
         truncation=trunc,
@@ -287,12 +267,12 @@ def kam_step(state: KamState) -> KamState:
         norm_tail_after=norm_tail_after,
         residual=residual,
         const_term=float(np.abs(df.mean()).max()),
-        assembly_mismatch=mismatch,
-        spill=spill_total,
+        assembly_mismatch=info["mismatch"],
+        spill=info["spill"],
         radii_min=domain_next.min_radius(),
-        h_norm=max(m.l1_norm() for m in new_maps),
-        inversion_sweeps=sweeps,
-        inversion_residual=r_inv,
+        h_norm=h.l1_norm(),
+        inversion_sweeps=info["sweeps"],
+        inversion_residual=info["terms"]["inversion_residual"],
         taylor_order_df=taylor["order_df"],
         taylor_radius_df=taylor["radius_df"],
         taylor_order_h=taylor["order_h"],
@@ -302,7 +282,7 @@ def kam_step(state: KamState) -> KamState:
         state,
         stage=n + 1,
         delta_f=df,
-        conjugacy=state.conjugacy + tuple(new_maps),
+        conjugacy=state.conjugacy + (h,),
         reports=state.reports + (report,),
     )
     old_total = norm_head_before + norm_tail_before
@@ -571,7 +551,8 @@ class RunReport:
                     spec: dict | None = None) -> dict:
         """The summary; given the run's final `state`, also the schedule it
         read: `schedule` holds `spec` (the `schedule.build_schedule`
-        keywords that built it, or None) and the headline, and each stage's
+        keywords that built it, or None), the headline and the first
+        column whose least radius is <= 0 (or None), and each stage's
         diagnostics the column of its next domain (`KamState.column`)."""
         out = {
             "converged": self.converged,
@@ -600,6 +581,9 @@ class RunReport:
             out["schedule"] = dict(spec=spec, **{k: head[k] for k in (
                 "stages", "collapsed_stage", "inf_delta",
                 "first_unreliable_stage")})
+            out["schedule"]["first_nonpositive_column"] = next(
+                (col for col in range(state.schedule.stages())
+                 if not state.radius(col) > 0), None)
             for entry in out["stage_diagnostics"]:
                 entry["schedule_column"] = state.column(entry["stage"] + 1)
         return out
@@ -618,7 +602,6 @@ def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,
     inputs above the smallness threshold with a precise diagnostic; raises
     StepDiverged (ledger attached) when a stage grows the perturbation.
     """
-    params = params or KamParams(n_max=delta_f.n_max)
     initial = delta_f.l1_norm()
     if initial > SMALLNESS_THRESHOLD:
         raise ValueError(
@@ -627,6 +610,7 @@ def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,
             f"guards (cohomological divisors, inversion contraction) are "
             f"calibrated below that size")
     state = initial_state(delta_f, alpha, params, schedule)
+    params = state.params
     for _ in range(params.max_stages):
         state = kam_step(state)
         if state.delta_f.l1_norm() < params.target_defect:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from kamtorus import cli
 from kamtorus import construction as con
 from kamtorus import fourier as fr
@@ -127,7 +129,8 @@ def test_linearize_records_the_schedule_read(tmp_path):
     summary = read_json(tmp_path / "kam_summary.json")["summary"]
     assert summary["schedule"] == {
         "spec": kam.DEFAULT_SCHEDULE, "stages": 3, "collapsed_stage": 3,
-        "inf_delta": 0.05, "first_unreliable_stage": None}
+        "inf_delta": 0.05, "first_unreliable_stage": None,
+        "first_nonpositive_column": None}
     assert [d["schedule_column"] for d in summary["stage_diagnostics"]] == \
         [1, 2, 2]
 
@@ -154,6 +157,17 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levles": 3}))
     assert run("--config", cfg, "construct") == 2
+
+
+def test_linearize_has_no_repeats_option(tmp_path):
+    # a KAM stage is one solve: neither the flag nor the config key exists
+    with pytest.raises(SystemExit) as exc:
+        run("--out-dir", tmp_path, "linearize", "--repeats", 2)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"repeats": 2}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "linearize") == 2
+    assert not (tmp_path / "kam_summary.json").exists()
 
 
 def test_malformed_csv_exit_2(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kamtorus import cli
+from kamtorus import diophantine as dio
 from kamtorus import fourier as fr
 from kamtorus import kam
 from kamtorus import schedule as sch
@@ -184,21 +185,15 @@ def test_linearize_refuses_large_input():
         kam.run_linearize(big, ALPHA)
 
 
-def test_repeat_stage_configuration():
-    f = kam.manufacture_test_map(small_h_star(16), ALPHA)
-    params = kam.KamParams(n_max=16, max_stages=4, repeats=2, target_defect=1e-12)
-    _, rep, _ = kam.run_linearize(f, ALPHA, params)
-    assert rep.converged
-    assert len(rep.step_reports[0].csv_row()) == len(kam.CSV_COLUMNS)
-
-
 def test_summary_stage_diagnostics():
     f = kam.manufacture_test_map(small_h_star(12), ALPHA)
-    params = kam.KamParams(n_max=12, max_stages=5, repeats=2, target_defect=1e-12)
-    _, rep, _ = kam.run_linearize(f, ALPHA, params)
+    params = kam.KamParams(n_max=12, max_stages=5, target_defect=1e-12)
+    _, rep, state = kam.run_linearize(f, ALPHA, params)
     data = json.loads(canonical_dumps(rep.to_jsonable()))
     diag = data["stage_diagnostics"]
     assert len(diag) == rep.stages == len(rep.step_reports) >= 2
+    # a stage is one solve: it adds one map to the conjugacy
+    assert len(state.conjugacy) == rep.stages
     for entry, r in zip(diag, rep.step_reports):
         assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
                          "spill": r.spill, "h_norm": r.h_norm,
@@ -208,8 +203,8 @@ def test_summary_stage_diagnostics():
                          "taylor_radius_df": r.taylor_radius_df,
                          "taylor_order_h": r.taylor_order_h,
                          "taylor_radius_h": r.taylor_radius_h}
-        # two repeats, each sweeping at least once and stopping below tol
-        assert entry["inversion_sweeps"] >= 2
+        # the stage's sweep evaluates h at least once and stops below tol
+        assert entry["inversion_sweeps"] >= 1
         assert entry["inversion_residual"] < 1e-14
         # both Taylor routes take an order, and a radius that covers the
         # offsets they were given
@@ -217,6 +212,8 @@ def test_summary_stage_diagnostics():
             assert 0 <= entry[f"taylor_order_{route}"] <= fr.TAYLOR_MAX_ORDER
             assert entry[f"taylor_radius_{route}"] > 0
     assert len(data["stage_rows"]) == len(diag)
+    assert all(len(r.csv_row()) == len(kam.CSV_COLUMNS)
+               for r in rep.step_reports)
 
 
 # -- the stage gates -----------------------------------------------------------------
@@ -486,6 +483,37 @@ def test_non_positive_domain_column_is_a_typed_error():
     assert err.stage == 2 and len(err.ledger) == 2
     assert [row[0] for row in err.ledger] == [0, 1]
     assert err.diagnostic()["stage"] == 2
+
+
+def _schedule_record(f, alpha, n_max):
+    _, rep, state = kam.run_linearize(
+        f, alpha, kam.KamParams(n_max=n_max, target_defect=1e-10))
+    summary = rep.to_jsonable(state, kam.DEFAULT_SCHEDULE)
+    return rep, summary["schedule"], [d["schedule_column"]
+                                      for d in summary["stage_diagnostics"]]
+
+
+def test_summary_records_the_first_nonpositive_column():
+    # d = 1, the Liouville stand-in as a double, h* on modes 1-3: the run
+    # converges in 3 stages reading columns 1, 2, 3, and stops short of
+    # column 4, whose least radius is -0.149
+    alpha = (float(dio.synthetic_liouville(4)),)
+    h_star = fr.FourierMap.from_modes(
+        1, 32, {(1,): [2e-4], (2,): [-1.2e-4], (3,): [8e-5]})
+    f = kam.manufacture_test_map(h_star.scaled(1e-3 / h_star.l1_norm()), alpha)
+    rep, record, columns = _schedule_record(f, alpha, 32)
+    assert rep.converged and rep.stages == 3 and columns == [1, 2, 3]
+    assert record["first_nonpositive_column"] == 4
+    assert record["collapsed_stage"] is None
+    assert kam.initial_state(f, alpha).radius(4) == pytest.approx(-0.149,
+                                                                  abs=1e-3)
+    # the README run's schedule collapsed at stage 3 with three 0.05
+    # columns: none of them is non-positive
+    f, alpha = readme_map(32)
+    rep, record, columns = _schedule_record(f, alpha, 32)
+    assert rep.converged and columns == [1, 2, 2]
+    assert record["first_nonpositive_column"] is None
+    assert record["collapsed_stage"] == 3 and record["inf_delta"] == 0.05
 
 
 def test_initial_state_refuses_a_larger_truncation():
