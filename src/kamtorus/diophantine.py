@@ -6,14 +6,15 @@ partial sums, and the minimal divisor
 
     Omega_alpha(N) = min over 0 < |l|_sup <= N of ||alpha . l||
 
-with minimizer tracking.  `DivisorOracle` is the one evaluator of
-||alpha . l||: exact rational vectors (fractions.Fraction entries) are
-certified in pure integer arithmetic, and every other vector, plain floats
-included, as mpf at the working precision.  Every scan filters then
-certifies: a float64 pass over the whole box, with a rigorous rounding
-margin, keeps the few vectors that can still be minimal or resonant, and only
-those go through the oracle's route (see _divisor_min); the schedule
-stages do the same per mode (schedule._stage_caps).
+with minimizer tracking.  `DivisorOracle` is the one code that evaluates
+||alpha . l|| and judges it resonant: exact rational vectors
+(fractions.Fraction entries) are certified in pure integer arithmetic, and
+every other vector, plain floats included, as mpf at the precision current
+when the oracle was built.  Every scan filters then certifies: a float64
+pass over the whole box, with a rigorous rounding margin, keeps the few
+vectors that can still be minimal or resonant, and only those go through the
+oracle (see _divisor_min); the schedule stages do the same per mode
+(schedule._stage_caps).
 
 Since ||x|| is even, minimizers always come in +/- pairs; scans therefore
 enumerate only the representatives whose first nonzero entry is positive and
@@ -195,9 +196,10 @@ def resonance_threshold(alpha: Sequence):
       floats' own resolution, though they are evaluated like mpf;
     * any other input (mpf at the working precision): 2^-(prec - 16).
 
-    Every scan and oracle of ||alpha . l|| reads it.  The one other guard,
-    |e^(2 pi i alpha.l) - 1| < 1e-13 in kam.solve_cohomological, bounds the
-    complex divisor of the double-precision solve, a different quantity.
+    DivisorOracle applies it to every scanned ||alpha . l||, and
+    omega_min_1d, the independent d = 1 path, reads it too.  The one other
+    guard, |e^(2 pi i alpha.l) - 1| < 1e-13 in kam.solve_cohomological,
+    bounds the complex divisor of the double-precision solve.
     """
     if all(isinstance(a, (Fraction, int)) for a in alpha):
         return 0
@@ -235,14 +237,15 @@ def _box_blocks(d: int, N: int, lower: int):
 
 
 class _DivisorFilter:
-    """The float64 filter of ||alpha . l|| over |l|_sup <= N.
+    """The float64 filter of an oracle's ||alpha . l|| over |l|_sup <= N.
 
     `distances(block)` gives fd(l) = |x - rint(x)|, x = fl(l . af), for the
     int64 rows l of `block`, with af_i the float64 of alpha_i reduced mod 1.
     `margin` is an m with |fd(l) - c(l)| <= m for every |l|_sup <= N, where
-    c(l) is ||alpha . l|| as DivisorOracle's route gives it: exactly for
+    c(l) is ||alpha . l|| as the DivisorOracle's route gives it: exactly for
     Fraction/int alpha, else nearest_int_distance(fsum(l_i alpha_i)) at the
-    working precision prec.  With u = 2^-53, S = sum |af_i| and
+    oracle's precision prec; `eps` is the double of its resonance threshold
+    (exact, or 0 once it underflows).  With u = 2^-53, S = sum |af_i| and
     A = sum |alpha_i|, three error terms bound |fd(l) - c(l)|:
 
     * rounding alpha_i mod 1 to af_i (faithful, even when subnormal): at
@@ -265,18 +268,21 @@ class _DivisorFilter:
     infinite when sum |alpha_i| overflows float64).
     """
 
-    def __init__(self, alpha: Sequence, N: int):
-        if all(isinstance(a, (Fraction, int)) for a in alpha):
+    def __init__(self, oracle: DivisorOracle, N: int):
+        prec, rnd = oracle._prec, oracle._rnd
+        if oracle.exact:
             self.af = np.array([a.numerator % a.denominator / a.denominator
-                                for a in alpha])
+                                for a in oracle.alpha])
             eval_error = 0.0
         else:
-            alphas = [to_mpf(a) for a in alpha]
-            self.af = np.array([float(a - mpmath.floor(a)) for a in alphas])
-            eval_error = 2.0 ** (2 - mp.prec) * (
-                N * float(mpmath.fsum(alphas, absolute=True)) + 1)
-        self.margin = ((len(alpha) + 3) * _U * (N * float(self.af.sum()) + 1)
-                       + eval_error)
+            self.af = np.array([
+                to_float(mpf_sub(a, mpf_floor(a, prec, rnd), prec, rnd), rnd=rnd)
+                for a in oracle._raw])
+            eval_error = 2.0 ** (2 - prec) * (
+                N * to_float(mpf_sum(oracle._raw, prec, rnd, True), rnd=rnd) + 1)
+        self.margin = ((oracle.dimension + 3) * _U
+                       * (N * float(self.af.sum()) + 1) + eval_error)
+        self.eps = to_float(oracle._eps, rnd=rnd)
 
     def distances(self, block: np.ndarray) -> np.ndarray:
         x = block @ self.af
@@ -286,23 +292,30 @@ class _DivisorFilter:
 class DivisorOracle:
     """||alpha.l|| with resonance detection; exact on rational vectors.
 
-    Two routes, each returning the raw distance.  Rational alpha = P / q
-    (q the common denominator) is evaluated on integers: r = (l.P) mod q
-    and ||alpha.l|| = min(r, q - r) / q (`_residue`).  Any other alpha,
-    plain floats included, is evaluated at the working precision through
-    the `mpmath.libmp` functions behind nearest_int_distance(fsum(to_mpf(a)
-    * c)): same precision, same rounding, no wrapper objects
-    (`_mpf_distance`).  distance(l) and log_inv(l) = log(1/||alpha.l||), a
-    float (the solver works in log scale, so double precision suffices even
-    when the divisor itself underflows a double, as Liouville-type vectors
-    arrange), raise ResonanceDetected below resonance_threshold(alpha);
-    each mode's value is computed once per oracle.
+    The one code that evaluates ||alpha.l|| and judges it resonant, at the
+    precision current when it is built: a context entered later
+    (mpmath.workprec) changes nothing it computes or caches.  Two routes,
+    each returning the raw distance.  Rational alpha = P / q (q the common
+    denominator) is evaluated on integers: r = (l.P) mod q and
+    ||alpha.l|| = min(r, q - r) / q (`_residue`).  Any other alpha, plain
+    floats included, goes through the `mpmath.libmp` functions behind
+    nearest_int_distance(fsum(to_mpf(a) * c)): same precision, same
+    rounding, no wrapper objects (`_mpf_distance`).  `_checked` judges the
+    value by resonance_threshold(alpha); distance(l) and
+    log_inv(l) = log(1/||alpha.l||), a float (the solver works in log
+    scale, so double precision suffices even when the divisor itself
+    underflows a double, as Liouville-type vectors arrange), raise its
+    ResonanceDetected.  Each mode's value is computed once per oracle.
     """
 
     def __init__(self, alpha):
         self.alpha = tuple(alpha)
         self.dimension = len(self.alpha)
         self.exact = all(isinstance(a, (Fraction, int)) for a in self.alpha)
+        # every evaluation runs in this context; the raw mpf threshold and,
+        # for inexact alpha, the raw mpf alpha are taken at its precision
+        self._prec, self._rnd = mp._prec_rounding
+        self._eps = to_mpf(resonance_threshold(self.alpha))._mpf_
         # tau, the exact route's absolute log_inv error (schedule._stage_caps)
         self._log_tau = 0.0
         if self.exact:
@@ -310,8 +323,8 @@ class DivisorOracle:
             self._nums = tuple(a.numerator * (self._den // a.denominator)
                                for a in self.alpha)
             self._log_tau = 48 * _U * (self._den.bit_length() * math.log10(2) + 1)
-        # ((prec, rounding), raw mpf alpha, raw resonance threshold)
-        self._mpf_alpha = (None, None, None)
+        else:
+            self._raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
         self._cache = {}                    # distance per mode
         self._log_table = {}                # log_inv per mode
         self.bounded_modes = 0              # rows through log_inv_bounds
@@ -324,30 +337,25 @@ class DivisorOracle:
         return min(r, q - r)
 
     def _mpf_distance(self, key):
-        """Raw mpf ||alpha.l|| at the working precision."""
-        prec, rnd = mp._prec_rounding
-        at, raw, eps = self._mpf_alpha
-        if at != (prec, rnd):
-            raw = tuple(to_mpf(a)._mpf_ for a in self.alpha)
-            eps = to_mpf(resonance_threshold(self.alpha))._mpf_
-            self._mpf_alpha = ((prec, rnd), raw, eps)
-        s = mpf_sum([mpf_mul_int(a, c, prec, rnd) for a, c in zip(raw, key)],
-                    prec, rnd)
+        """Raw mpf ||alpha.l|| at the oracle's precision."""
+        prec, rnd = self._prec, self._rnd
+        s = mpf_sum([mpf_mul_int(a, c, prec, rnd)
+                     for a, c in zip(self._raw, key)], prec, rnd)
         frac = mpf_sub(s, mpf_floor(s, prec, rnd), prec, rnd)
         other = mpf_sub(fone, frac, prec, rnd)
         return other if mpf_lt(other, frac) else frac
 
-    def _checked(self, key):
-        """The route's raw distance, or ResonanceDetected below the
-        threshold."""
+    def _checked(self, key, raise_resonance: bool = True):
+        """The route's raw distance; ResonanceDetected below the threshold
+        unless `raise_resonance` is false."""
         if self.exact:
             dist = self._residue(key)
-            if dist == 0:
+            if dist == 0 and raise_resonance:
                 raise ResonanceDetected(f"alpha . {key} is an exact integer",
                                         lattice_vector=key)
         else:
             dist = self._mpf_distance(key)
-            if mpf_lt(dist, self._mpf_alpha[2]):
+            if raise_resonance and mpf_lt(dist, self._eps):
                 raise ResonanceDetected(
                     f"||alpha . {key}|| vanishes at working precision",
                     lattice_vector=key)
@@ -369,7 +377,7 @@ class DivisorOracle:
             g = math.gcd(dist, self._den)
             # the reduced fraction's terms, as Fraction(m, q) would hold them
             return _log_inv_ratio(dist // g, self._den // g)
-        prec, rnd = mp._prec_rounding
+        prec, rnd = self._prec, self._rnd
         return to_float(mpf_neg(mpf_log(dist, prec, rnd), prec, rnd), rnd=rnd)
 
     def log_inv(self, l) -> float:
@@ -386,9 +394,9 @@ class DivisorOracle:
         with lo <= log_inv(l) <= hi on every row, and (-inf, inf) on each
         row whose filtered distance does not clear the resonance threshold.
         `schedule._stage_caps` derives the bound."""
-        filt = _DivisorFilter(self.alpha, N)
-        m, eps = filt.margin, float(resonance_threshold(self.alpha))
-        slope = 2 * (19 * _U + 2.0 ** (3 - mp.prec))    # 2 (rho + 8u)
+        filt = _DivisorFilter(self, N)
+        m, eps = filt.margin, filt.eps
+        slope = 2 * (19 * _U + 2.0 ** (3 - self._prec))  # 2 (rho + 8u)
         offset = 2 * self._log_tau
 
         def bounds(block: np.ndarray):
@@ -423,9 +431,8 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
     The value is DivisorOracle's: a Fraction for Fraction/int alpha,
     certified in integers, and an mpf at the working precision otherwise.
     `skip_parallel_to` drops every l parallel to that nonzero vector.
-    Unless `raise_resonance` is false, the first l in lexicographic order
-    with value 0 (exact) or below resonance_threshold(alpha) raises
-    ResonanceDetected.
+    Unless `raise_resonance` is false, the oracle's ResonanceDetected is
+    raised at the first resonant l in lexicographic order.
 
     Filter then certify (Shewchuk, Discrete Comput. Geom. 18, 1997):
 
@@ -441,16 +448,15 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
        resonant l: c(l) < eps (or c(l) = 0) gives fd(l) < eps + m.  Once
        2m >= 1/2 every vector passes.
     3. Certify.  The candidates, in lexicographic order, are evaluated
-       by the oracle's route and the strict < keeps the first minimizer,
+       by the oracle (`_checked`) and the strict < keeps the first minimizer,
        so the argmin and the first resonant vector are those of a scan of
        the whole box.  Near-ties (Liouville-type divisors far below 2^-52)
        only add candidates; many exact ties cost at most the full loop.
     """
     d = len(alpha)
     oracle = DivisorOracle(alpha)
-    eps = resonance_threshold(alpha)
-    filt = _DivisorFilter(alpha, N)
-    slack = 2 * filt.margin + float(eps)
+    filt = _DivisorFilter(oracle, N)
+    slack = 2 * filt.margin + filt.eps
 
     ray = None
     if skip_parallel_to is not None:
@@ -477,17 +483,9 @@ def _divisor_min(alpha: Sequence, N: int, lower: int = 1,
 
     best, best_arg = None, None
     for l in map(tuple, candidates):
-        if oracle.exact:
-            dist = oracle._residue(l)
-            if dist == 0 and raise_resonance:
-                raise ResonanceDetected(
-                    f"alpha . {l} is an exact integer", lattice_vector=l)
-        else:
-            dist = mp.make_mpf(oracle._mpf_distance(l))
-            if dist < eps and raise_resonance:
-                raise ResonanceDetected(
-                    f"||alpha . {l}|| = {mpmath.nstr(dist, 8)} is below the "
-                    f"resonance threshold", lattice_vector=l)
+        dist = oracle._checked(l, raise_resonance)
+        if not oracle.exact:
+            dist = mp.make_mpf(dist)
         if best is None or dist < best:
             best, best_arg = dist, l
     return (Fraction(best, oracle._den) if oracle.exact else best), best_arg
@@ -508,12 +506,7 @@ def omega_min(alpha: Sequence, N: int, lower: int = 1,
         raise ValueError("N must be >= 1")
     value, best_arg = _divisor_min(alpha, N, lower)
     if seed is not None:
-        both_exact = isinstance(seed.value, Fraction) and isinstance(value, Fraction)
-        sv, nv = (seed.value, value) if both_exact else (to_mpf(seed.value), to_mpf(value))
-        if sv < nv:
-            value, best_arg = seed.value, seed.argmin
-        elif sv == nv:
-            best_arg = min(best_arg, seed.argmin)
+        value, best_arg = min((value, best_arg), (seed.value, seed.argmin))
     return SmallDivisorRecord(N=N, value=value, argmin=best_arg,
                               precision_bits=mp.prec)
 

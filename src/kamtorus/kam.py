@@ -547,13 +547,12 @@ class RunReport:
     step_reports: tuple
     notes: dict = field(default_factory=dict)
 
-    def to_jsonable(self, state: KamState | None = None,
-                    spec: dict | None = None) -> dict:
-        """The summary; given the run's final `state`, also the schedule it
-        read: `schedule` holds `spec` (the `schedule.build_schedule`
-        keywords that built it, or None), the headline and the first
-        column whose least radius is <= 0 (or None), and each stage's
-        diagnostics the column of its next domain (`KamState.column`)."""
+    def to_jsonable(self, state: KamState, spec: dict | None) -> dict:
+        """The summary, with the schedule the run's final `state` read:
+        `schedule` holds `spec` (the `schedule.build_schedule` keywords that
+        built it, or None), the headline and the first column whose least
+        radius is <= 0 (or None), and each stage's diagnostics the column of
+        its next domain (`KamState.column`)."""
         out = {
             "converged": self.converged,
             "stages": self.stages,
@@ -576,16 +575,15 @@ class RunReport:
                  "taylor_radius_h": _finite(r.taylor_radius_h)}
                 for r in self.step_reports],
         }
-        if state is not None:
-            head = state.schedule.headline()
-            out["schedule"] = dict(spec=spec, **{k: head[k] for k in (
-                "stages", "collapsed_stage", "inf_delta",
-                "first_unreliable_stage")})
-            out["schedule"]["first_nonpositive_column"] = next(
-                (col for col in range(state.schedule.stages())
-                 if not state.radius(col) > 0), None)
-            for entry in out["stage_diagnostics"]:
-                entry["schedule_column"] = state.column(entry["stage"] + 1)
+        head = state.schedule.headline()
+        out["schedule"] = dict(spec=spec, **{k: head[k] for k in (
+            "stages", "collapsed_stage", "inf_delta",
+            "first_unreliable_stage")})
+        out["schedule"]["first_nonpositive_column"] = next(
+            (col for col in range(state.schedule.stages())
+             if not state.radius(col) > 0), None)
+        for entry in out["stage_diagnostics"]:
+            entry["schedule_column"] = state.column(entry["stage"] + 1)
         return out
 
 

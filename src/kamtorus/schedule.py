@@ -26,10 +26,10 @@ addition, np.argmin's first occurrence is the loop's strict `<` update, and
 every other step is the same elementwise IEEE operation in the same order.
 The divisors come from `diophantine.DivisorOracle`, the one evaluator of
 ||alpha.l||, which computes each mode's log(1/||alpha.l||) once: on
-integer residues for rational alpha, at the working precision for any
-other alpha, plain floats included.  The stage filters, then certifies,
-as `diophantine._divisor_min` does: the float64 distances and their
-derived margin bracket every mode's log divisor and, since each IEEE step
+integer residues for rational alpha, at the precision it was built at for
+any other alpha, plain floats included.  The stage filters, then
+certifies, as `diophantine._divisor_min` does: the float64 distances and
+their margin bracket every mode's log divisor and, since each IEEE step
 is monotone, its caps and budget.  Only
 the modes whose cap can bind, whose negative budget on an orthogonal
 direction could collapse the stage, or that are not cleared of resonance
@@ -37,8 +37,8 @@ take the oracle's exact value; the caps of the others cannot enter the
 loop's result, so the stage still gives the loop's doubles (see
 `_stage_caps`).  On the README `schedule` run that is 36 of 10,976 modes.
 
-Resonance follows one policy, `diophantine.resonance_threshold`, read by
-every scan and oracle of ||alpha.l||: a divisor that is exactly zero
+Resonance follows one policy, `diophantine.resonance_threshold`, that
+`DivisorOracle` alone applies in a scan or stage: a divisor exactly zero
 (rational alpha), below 1e-13 (all-float alpha) or below 2^-(prec - 16)
 (mpf alpha) raises ResonanceDetected with the offending lattice vector.
 `kam.solve_cohomological` guards a different quantity,

@@ -314,6 +314,30 @@ def test_resonance_vector_and_exact_scan_zero():
     assert _kernel(dyadic, 5) == ("resonant", (0, 4)) == _oracle(dyadic, 5)
 
 
+@pytest.mark.parametrize("alpha", [(Fraction(1, 2), Fraction(1, 4)), (0.5, 0.25)])
+def test_scans_raise_the_oracles_resonance_verdict(alpha):
+    # one resonance test and one text: the scan's, a fresh oracle's
+    with pytest.raises(ResonanceDetected) as scan:
+        dio._divisor_min(alpha, 4)
+    L = scan.value.lattice_vector
+    with pytest.raises(ResonanceDetected) as fresh:
+        dio.DivisorOracle(alpha).distance(L)
+    assert (str(fresh.value), fresh.value.lattice_vector) == (str(scan.value), L)
+    assert dio._divisor_min(alpha, 4, raise_resonance=False) == (0, L)
+
+
+def test_oracle_evaluates_at_the_precision_it_was_built_at(golden):
+    # a context lowered after the oracle is built, as dimension_one_check's
+    # independent caps enter, changes neither what it returns nor what it
+    # caches for later reads
+    oracle = dio.DivisorOracle((golden,))
+    with mpmath.workprec(128):
+        low = oracle.distance((3,)), oracle.log_inv((5,))
+    high = oracle.distance((3,)), oracle.log_inv((5,))
+    fresh = dio.DivisorOracle((golden,))
+    assert low == high == (fresh.distance((3,)), fresh.log_inv((5,)))
+
+
 @pytest.mark.parametrize("a", [2, 3, 5])
 def test_exact_ties_the_float_filter_misorders(a):
     # ||l a/q|| = 1/q at l = a^-1 mod q and at q - l; for many q the float

@@ -189,7 +189,7 @@ def test_summary_stage_diagnostics():
     f = kam.manufacture_test_map(small_h_star(12), ALPHA)
     params = kam.KamParams(n_max=12, max_stages=5, target_defect=1e-12)
     _, rep, state = kam.run_linearize(f, ALPHA, params)
-    data = json.loads(canonical_dumps(rep.to_jsonable()))
+    data = json.loads(canonical_dumps(rep.to_jsonable(state, kam.DEFAULT_SCHEDULE)))
     diag = data["stage_diagnostics"]
     assert len(diag) == rep.stages == len(rep.step_reports) >= 2
     # a stage is one solve: it adds one map to the conjugacy
@@ -202,7 +202,8 @@ def test_summary_stage_diagnostics():
                          "taylor_order_df": r.taylor_order_df,
                          "taylor_radius_df": r.taylor_radius_df,
                          "taylor_order_h": r.taylor_order_h,
-                         "taylor_radius_h": r.taylor_radius_h}
+                         "taylor_radius_h": r.taylor_radius_h,
+                         "schedule_column": state.column(r.stage + 1)}
         # the stage's sweep evaluates h at least once and stops below tol
         assert entry["inversion_sweeps"] >= 1
         assert entry["inversion_residual"] < 1e-14
