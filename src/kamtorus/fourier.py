@@ -49,6 +49,9 @@ many modes is evaluated at perturbed grid points: every evaluation of the
 KAM stage.  For a map of few modes the dense sum is the cheaper one, and
 the dense sum stays the independent route of composition, inversion and
 the KAM loop's direct check.
+The layer owns its transforms' error model: the FFT's normwise error
+(`_fft_rho`), the Lipschitz constant of a map (`_lipschitz`), and the
+tail, Horner and synthesis bounds of the Taylor sums (`GridTaylor`).
 
 Composition f(x + h(x)) has two independent routes: the primary path samples
 on a uniform grid of (4 n_max)^d points (h by inverse FFT, f at the shifted
@@ -591,7 +594,8 @@ class GridTaylor:
     offsets of shape (m^d, d) returns the values, shape (components, m^d)
     like `FourierMap.evaluate`; an offset beyond the radius raises
     OffsetBeyondRadius, and so does `fix_radius` at a radius that no order
-    up to TAYLOR_MAX_ORDER meets.
+    up to TAYLOR_MAX_ORDER meets.  `rounding` bounds the Horner and
+    synthesis errors of the sums from the same shell table as the tail.
 
     Each derivative is a real inverse FFT over the `_bins` of the nonzero
     radius s of g: the coefficients are folded to the half spectrum of the
@@ -657,6 +661,51 @@ class GridTaylor:
             self.order, self.radius = order, float(lo)
             self.tail = _taylor_tail(self._weights, order, lo)
         return self
+
+    def rounding(self, points: int):
+        """(horner, synthesis) for the offsets within the radius r of these
+        sums of order K over N = points grid points.
+
+        On the grid, |d^t g_j| <= sum_l |(2 pi l)^t| |g_j(l)| for a
+        multi-index t, and by the binomial theorem these bounds, each over
+        t!, sum over |t| = n to sum_k w_jk (2 pi k)^n / n!, w_jk the l1
+        mass of component j at |l|_1 = k: the table that `fix_radius`
+        reads.  M_n is the largest over j of that sum for n >= 1, and M_0
+        the largest computed order-0 value.
+
+        * horner = gamma_(3K+2) sum_{n <= K} M_n r^n (0 at K = 0, which
+          adds nothing) bounds the rounding of one Horner sum against the
+          exact sum of the computed derivatives: the term of order t meets
+          3 roundings per Horner step of either axis (a product by the
+          offset, a division by the step's order, an addition), at most
+          3 |t| + 2 in all.
+        * synthesis = sum_{1 <= n <= K} n r^(n-1) e_n, with
+          e_n = (rho + 2 (n + 4) u) sqrt(N) M_n and rho = `_fft_rho`(N), is
+          the factor of |delta - delta'| in the difference of the synthesis
+          errors of two sums at offsets delta, delta' within r:
+          |delta^t - delta'^t| <= |t| r^(|t|-1) |delta - delta'|.  The
+          synthesized d^t g_j carries the FFT's error (Higham's Thm. 24.2,
+          as `_fft_rho`) and the rounding of the fold and of the factor
+          (2 pi i l)^t, at most 2 (|t| + 4) u per coefficient, against the
+          2-norm of its values, at most sqrt(N) sum_l |(2 pi l)^t| |g_j(l)|;
+          that bounds its sup too, and over |t| = n, each over t!, these
+          errors sum to at most e_n.  The order-0 error is shared by every
+          sum, and this factor leaves it out.
+        """
+        K, r = self.order, self.radius
+        if K == 0:
+            return 0.0, 0.0
+        u = UNIT_ROUNDOFF
+        n = np.arange(1, K + 1)
+        shells = TWO_PI * np.arange(self._weights.shape[1])
+        moments = ((self._weights @ np.power.outer(shells, n)).max(axis=0)
+                   / [math.factorial(i) for i in n])
+        horner = float(np.abs(self.grid).max() + (moments * r ** n).sum())
+        rho = _fft_rho(points)
+        synthesis = float((n * r ** (n - 1) * (rho + 2 * (n + 4) * u)
+                           * math.sqrt(points) * moments).sum())
+        gamma = (3 * K + 2) * u / (1 - (3 * K + 2) * u)
+        return gamma * horner, synthesis
 
     def __call__(self, offsets: np.ndarray) -> np.ndarray:
         reach = float(np.abs(offsets).max(initial=0.0))
@@ -727,6 +776,24 @@ def _taylor_tail(weights: np.ndarray, order: int, r: float) -> float:
                          / np.where(ratio < 1, 1 - ratio, 1.0), np.inf)
         return float(np.where(weights > 0, weights * inner, 0.0)
                      .sum(axis=1).max())
+
+
+def _fft_rho(points: int) -> float:
+    """rho = k / (1 - k) with k = log2(N) (u + gamma_4 (sqrt 2 + u)): the
+    normwise relative error of a computed FFT of N = points values (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm. 24.2,
+    with twiddle factors correct to u)."""
+    u = UNIT_ROUNDOFF
+    k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
+    return k / (1 - k)
+
+
+def _lipschitz(f: FourierMap) -> float:
+    """2 pi max_j sum_l |l|_1 |f_hat_j(l)|: a Lipschitz constant of f in
+    the sup norm, |f(y) - f(z)|_sup <= L |y - z|_sup."""
+    axes = tuple(range(1, f.d + 1))
+    return TWO_PI * float((np.abs(f.coeffs) * _l1_norms(f.d, f.n_max))
+                          .sum(axis=axes).max())
 
 
 def compose_shift(f: FourierMap, h: FourierMap, method: str = "grid") -> FourierMap:

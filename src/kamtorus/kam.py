@@ -50,8 +50,9 @@ from .fourier import (
     FourierMap,
     GridTaylor,
     SlicedDomain,
+    _fft_rho,
     _grid_size,
-    _l1_norms,
+    _lipschitz,
     _phase,
     _preimages,
     _reexpand,
@@ -65,8 +66,6 @@ from .fourier import (
     truncate_split,
 )
 from .schedule import DeltaSchedule, build_schedule, epsilon_ledger
-
-TWO_PI = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +141,7 @@ class StepReport:
     residual: float
     const_term: float
     assembly_mismatch: float
+    identity_bound: float
     spill: float
     radii_min: float
     h_norm: float
@@ -230,9 +230,10 @@ def kam_step(state: KamState) -> KamState:
     `cohomological_residual` may not exceed `_residual_bound`.  The
     conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
     the grid points (`_conjugate`), within `_identity_bound`; the identity
-    is recorded as `assembly_mismatch`, with the sweep's evaluations of h
-    (`inversion_sweeps`), its last residual (`inversion_residual`) and the
-    order and radius of the Taylor sums of df and of h.  Both bounds are
+    is recorded as `assembly_mismatch` and its bound as `identity_bound`,
+    with the sweep's evaluations of h (`inversion_sweeps`), its last
+    residual (`inversion_residual`) and the order and radius of the Taylor
+    sums of df and of h.  Both bounds are
     derived rounding and truncation budgets, not fitted tolerances.
     """
     params = state.params
@@ -268,6 +269,7 @@ def kam_step(state: KamState) -> KamState:
         residual=residual,
         const_term=float(np.abs(df.mean()).max()),
         assembly_mismatch=info["mismatch"],
+        identity_bound=info["bound"],
         spill=info["spill"],
         radii_min=domain_next.min_radius(),
         h_norm=h.l1_norm(),
@@ -370,18 +372,10 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     lhs = df_k + values(df_k).T
     bound, terms = _identity_bound(
         lhs, w, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
-        m=m, values=values)
+        m=m, values=values, lip=lip)
     info = {"mismatch": float(np.abs(lhs - w).max()), "bound": bound,
             "terms": terms, "spill": spill, "sweeps": sweeps, "taylor": taylor}
     return out, info
-
-
-def _lipschitz(f: FourierMap) -> float:
-    """2 pi max_j sum_l |l|_1 |f_hat_j(l)|: a Lipschitz constant of f in
-    the sup norm, |f(y) - f(z)|_sup <= L |y - z|_sup."""
-    axes = tuple(range(1, f.d + 1))
-    return TWO_PI * float((np.abs(f.coeffs) * _l1_norms(f.d, f.n_max))
-                          .sum(axis=axes).max())
 
 
 def _residual_bound(df: FourierMap, h: FourierMap) -> float:
@@ -404,87 +398,18 @@ def _residual_bound(df: FourierMap, h: FourierMap) -> float:
     return UNIT_ROUNDOFF * (32 * df.l1_norm() + 3 * h.l1_norm())
 
 
-def _fft_rho(points: int) -> float:
-    """rho = k / (1 - k) with k = log2(N) (u + gamma_4 (sqrt 2 + u)): the
-    normwise relative error of a computed FFT of N = points values (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm. 24.2,
-    with twiddle factors correct to u)."""
-    u = UNIT_ROUNDOFF
-    k = math.log2(points) * (u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u))
-    return k / (1 - k)
-
-
-def _derivative_sups(values: GridTaylor) -> np.ndarray:
-    """S[a, b] for a + b <= K (a = 0 in d = 1), bounds of
-    |d_1^a d_2^b g| over the grid for the map g of the Taylor sums
-    `values` of order K: max_j sum_l |2 pi l_1|^a |2 pi l_2|^b |g_j(l)|,
-    and for the order-0 values the largest computed one."""
-    g, K = values.g, values.order
-    size = np.abs(g.coeffs)
-    modes = np.abs(TWO_PI * np.arange(-g.n_max, g.n_max + 1))
-    axes = tuple(range(1, g.d + 1))
-    sups = np.zeros((K + 1, K + 1))
-    for a in range(K + 1 if g.d == 2 else 1):
-        for b in range(K - a + 1):
-            factor = modes ** b if g.d == 1 else np.outer(modes ** a, modes ** b)
-            sups[a, b] = (size * factor).sum(axis=axes).max()
-    sups[0, 0] = np.abs(values.grid).max()
-    return sups
-
-
-def _taylor_errors(values: GridTaylor, points: int):
-    """(horner, synthesis) for the offsets within the radius r of the
-    `GridTaylor` sums `values` of order K over N = points grid points,
-    S = `_derivative_sups`(values):
-
-    * horner = gamma_(3K+2) sum_{|t| <= K} S_t r^|t| / t! (0 at K = 0,
-      which adds nothing) bounds the rounding of one Horner sum against
-      the exact sum of the computed derivatives: the term of order t meets
-      3 roundings per Horner step of either axis (a product by the offset,
-      a division by the step's order, an addition), at most 3 |t| + 2 in
-      all.
-    * synthesis = sum_{1 <= |t| <= K} |t| r^(|t|-1) / t! e_t, with
-      e_t = (rho + 2 (|t| + 4) u) sqrt(N) S_t and rho = `_fft_rho`(N), is
-      the factor of |delta - delta'| in the difference of the synthesis
-      errors of two sums at offsets delta, delta' within r:
-      |delta^t - delta'^t| <= |t| r^(|t|-1) |delta - delta'|.  e_t bounds
-      the sup, hence the 2-norm over the grid, of the error of the
-      synthesized d^t g: the FFT (Higham's Thm. 24.2, as `_fft_rho`) and
-      the rounding of the fold and of the factor (2 pi i l)^t, at most
-      2 (|t| + 4) u per coefficient, against the values' 2-norm, at most
-      sqrt(N) S_t.  The order-0 error is shared by every sum, and this
-      factor leaves it out.
-    """
-    u = UNIT_ROUNDOFF
-    K, r = values.order, values.radius
-    sups = _derivative_sups(values)
-    if not sups.any():
-        return 0.0, 0.0
-    rho = _fft_rho(points)
-    horner = synthesis = 0.0
-    for a in range(K + 1):
-        for b in range(K + 1 - a):
-            t = a + b
-            scale = sups[a, b] / (math.factorial(a) * math.factorial(b))
-            horner += scale * r ** t
-            if t:
-                synthesis += (t * r ** (t - 1) * scale
-                              * (rho + 2 * (t + 4) * u) * math.sqrt(points))
-    n = 3 * K + 2
-    return (n * u / (1 - n * u) * horner if K else 0.0), synthesis
-
-
 def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
                     r_inv: float, assembled_sup: float, m: int,
-                    values: GridTaylor):
+                    values: GridTaylor, lip: float):
     """Bound B of sup |lhs - rhs| in `_conjugate`; returns (B, terms).
 
     Notation: u = 2^-53; N = m^d grid points; |.| the l1 coefficient norm;
     g the translated h of the Taylor sums `values` (order K, radius r,
-    tail bound T), L = `_lipschitz`(g); M the largest |offset| of lhs and
-    rhs; P = |df| + |h|, which bounds every perturbation-sized value; S the
-    sup of the assembled values; rho = `_fft_rho`(N).  Everything below is
-    first order in u and in the perturbation size.
+    tail bound T); L = `fourier._lipschitz`(g), the sweep's `lip`; M the
+    largest |offset| of lhs and rhs; P = |df| + |h|, which bounds every
+    perturbation-sized value; S the sup of the assembled values;
+    rho = `fourier._fft_rho`(N).  Everything below is first order in u and
+    in the perturbation size.
 
     Write H(delta) for the computed Taylor sum of g at offset delta.  It is
     g(x + delta) up to the tail (at most T), the Horner rounding and the
@@ -502,7 +427,7 @@ def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
                        + |df_k(x) - delta'| synthesis + 2 u M,
 
     e_0 cancelling, and |df_k(x) - delta'| <= r_inv + 3 u M + D =: move.
-    horner and synthesis are `_taylor_errors`(values, N).  D collects the
+    horner and synthesis are `values.rounding`(N).  D collects the
     assembly's roundings on partial sums at most P (3 u P); the output's
     re-expansion, which drops the band counted in `spill` (the line
     |l|_sup = m/2 = 2n is taken to be below the rounding); and its forward
@@ -515,10 +440,9 @@ def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
     u = UNIT_ROUNDOFF
     points = m ** h.d
     M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    lip = _lipschitz(values.g)
     P = df.l1_norm() + h.l1_norm()
     rho = _fft_rho(points)
-    horner, synthesis = _taylor_errors(values, points)
+    horner, synthesis = values.rounding(points)
     delta = (spill + 3 * u * P
              + 2 * (rho + 2 * u) * math.sqrt(points) * assembled_sup)
     move = r_inv + 3 * u * M + delta
@@ -566,6 +490,7 @@ class RunReport:
             "stage_rows": [list(r.csv_row()) for r in self.step_reports],
             "stage_diagnostics": [
                 {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
+                 "identity_bound": r.identity_bound,
                  "spill": r.spill, "h_norm": r.h_norm,
                  "inversion_sweeps": r.inversion_sweeps,
                  "inversion_residual": r.inversion_residual,

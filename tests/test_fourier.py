@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kamtorus import fourier as fr
-from kamtorus import kam
 from kamtorus.errors import (ContractionFailure, OffsetBeyondRadius,
                              OracleDivergence)
 from kamtorus.schedule import DirectionGrid
@@ -322,10 +321,9 @@ def _direct_tolerance(f, M):
     """Per-component rounding budget of |evaluate - direct| at points with
     |coordinates| <= M, u = 2^-53, W = sum_l |c_l| |l|_1, C = sum_l |c_l|.
 
-    evaluate: phase row m is off by at most m (3 pi M + 3) u (the row
-    error of `kam._identity_bound`'s docstring), so the phases cost
-    W (3 pi M + 3) u; the two folds and the real GEMM and contraction cost
-    at most (6 s + 10) u C (the same docstring; its folds hold for any
+    evaluate: phase row m is off by at most m (3 pi M + 3) u, so the
+    phases cost W (3 pi M + 3) u; the two folds and the real GEMM and
+    contraction cost at most (6 s + 10) u C (the folds hold for any
     coefficients, Hermitian or not).
     direct: the argument fl(fl(2 pi m) x) carries two roundings,
     4 pi |m| M u, and the complex exp at most u more, per axis; the
@@ -938,7 +936,7 @@ def test_preimages_residual_against_complex_oracle(d, n_max):
 def test_preimages_agree_with_invert_series(d, n_max):
     # the series route's preimage v - h(v) + g(v), g = `invert_series`(h),
     # taken with the complex oracle.  Each preimage a lies within
-    # |a + h(a) - v| / (1 - L) of the exact one, L = `kam._lipschitz`(h) < 1,
+    # |a + h(a) - v| / (1 - L) of the exact one, L = `fr._lipschitz`(h) < 1,
     # because |a + h(a) - b - h(b)| >= (1 - L) |a - b|.  Modes |l| <= 1 keep
     # the inverse's band beyond n_max (order 9 and up) below the rounding
     h, v = _sweep_case(d, n_max, 800 + 10 * d + n_max, amp=3e-4, span=1)
@@ -947,7 +945,7 @@ def test_preimages_agree_with_invert_series(d, n_max):
     y_ref = v - h_v + _evaluate_complex(fr.invert_series(h), v).real.T
     res_ref = np.abs(y_ref + _evaluate_complex(h, y_ref).real.T - v).max()
     s = fr.nonzero_radius(h)
-    theta = 1.0 / (1.0 - kam._lipschitz(h))
+    theta = 1.0 / (1.0 - fr._lipschitz(h))
     tol = (theta * (_true_residual_bound(h, v, y, residual, 6 * s + 10)
                     + _true_residual_bound(h, v, y_ref, res_ref, 4 * s + 8))
            + 2.0 ** -53 * float(np.abs(y).max()))   # the difference below
@@ -965,18 +963,60 @@ def test_invert_guard():
 
 # -- Taylor values from the grid -------------------------------------------------
 
+def _derivative_sups(values):
+    """S[a, b] for a + b <= K (a = 0 in d = 1), bounds of
+    |d_1^a d_2^b g| over the grid for the map g of the Taylor sums
+    `values` of order K: max_j sum_l |2 pi l_1|^a |2 pi l_2|^b |g_j(l)|,
+    one pass over the coefficients per (a, b), and for the order-0 values
+    the largest computed one."""
+    g, K = values.g, values.order
+    size = np.abs(g.coeffs)
+    modes = np.abs(fr.TWO_PI * np.arange(-g.n_max, g.n_max + 1))
+    axes = tuple(range(1, g.d + 1))
+    sups = np.zeros((K + 1, K + 1))
+    for a in range(K + 1 if g.d == 2 else 1):
+        for b in range(K - a + 1):
+            factor = modes ** b if g.d == 1 else np.outer(modes ** a, modes ** b)
+            sups[a, b] = (size * factor).sum(axis=axes).max()
+    sups[0, 0] = np.abs(values.grid).max()
+    return sups
+
+
+def _moment_rounding(values, points):
+    """`GridTaylor.rounding` in the (a, b) form, from `_derivative_sups`
+    S: horner = gamma_(3K+2) sum_{|t| <= K} S_t r^|t| / t! and
+    synthesis = sum_{1 <= |t| <= K} |t| r^(|t|-1) / t!
+    (rho + 2 (|t| + 4) u) sqrt(N) S_t, the max over components taken per
+    multi-index t."""
+    u = 2.0 ** -53
+    K, r = values.order, values.radius
+    sups = _derivative_sups(values)
+    rho = fr._fft_rho(points)
+    horner = synthesis = 0.0
+    for a in range(K + 1):
+        for b in range(K + 1 - a):
+            t = a + b
+            scale = sups[a, b] / (math.factorial(a) * math.factorial(b))
+            horner += scale * r ** t
+            if t:
+                synthesis += (t * r ** (t - 1) * scale
+                              * (rho + 2 * (t + 4) * u) * math.sqrt(points))
+    n = 3 * K + 2
+    return (n * u / (1 - n * u) * horner if K else 0.0), synthesis
+
+
 def _taylor_budget(values, M):
     """Budget of |values(delta) - the complex dense sum at x + delta| for
     offsets within the radius r and coordinates |x + delta| <= M: the tail
     bound, the Horner rounding, the synthesis error of every order times
     r^|t| / t! (of the order-0 values too, which the oracle does not
-    share; `kam._taylor_errors` gives the form), and the oracle's own
+    share; `GridTaylor.rounding` gives the form), and the oracle's own
     rounding (`_evaluation_tolerance` with 4 s + 8)."""
     u = 2.0 ** -53
     points = values.m ** values.g.d
-    rho = kam._fft_rho(points)
-    horner, _ = kam._taylor_errors(values, points)
-    sups = kam._derivative_sups(values)
+    rho = fr._fft_rho(points)
+    horner, _ = values.rounding(points)
+    sups = _derivative_sups(values)
     synthesis = sum(
         values.radius ** (a + b) / (math.factorial(a) * math.factorial(b))
         * (rho + 2 * (a + b + 4) * u) * math.sqrt(points) * sups[a, b]
@@ -1013,6 +1053,33 @@ def test_grid_taylor_matches_complex_sum(d, n_max):
     assert orders == sorted(orders) and 1 <= orders[0] < orders[-1]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_max", [4, 16])
+def test_grid_taylor_rounding_against_moment_loops(d, n_max):
+    # the shell sums regroup the (a, b) moments of one component exactly
+    # (binomial theorem), so one component agrees up to the rounding of
+    # the two summation orders; with two, the max over components is taken
+    # after the regrouping, never above the max per multi-index
+    rng = np.random.default_rng(960 + 10 * d + n_max)
+    m = fr._grid_size(n_max)
+    points = m ** d
+    orders = []
+    for components in (1, 2):
+        g = random_map(rng, d=d, n_max=n_max, components=components,
+                       max_modes=8, decay=0.7)
+        for r in (1e-9, 1e-6, 1e-4, 1e-3):
+            values = fr.GridTaylor(g, m).fix_radius(r)
+            got = values.rounding(points)
+            want = _moment_rounding(values, points)
+            assert min(got) > 0
+            if components == 1:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+            else:
+                assert all(x <= y * (1 + 1e-12) for x, y in zip(got, want))
+            orders.append(values.order)
+    assert 1 <= min(orders) and max(orders) >= 6
+
+
 def test_grid_taylor_refuses_offsets_beyond_radius():
     rng = np.random.default_rng(940)
     g = random_map(rng, n_max=8, max_modes=6)
@@ -1033,6 +1100,7 @@ def test_grid_taylor_refuses_offsets_beyond_radius():
     const = fr.GridTaylor(fr.FourierMap.constant(2, 8, [0.25, -0.5]), m)
     const.fix_radius(1.0)
     assert const.order == 0 and const.radius == math.inf and const.tail == 0
+    assert const.rounding(m * m) == (0.0, 0.0)
     assert np.array_equal(const(np.full((m * m, 2), 3.0)),
                           np.repeat([[0.25], [-0.5]], m * m, axis=1))
 

@@ -196,6 +196,7 @@ def test_summary_stage_diagnostics():
     assert len(state.conjugacy) == rep.stages
     for entry, r in zip(diag, rep.step_reports):
         assert entry == {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
+                         "identity_bound": r.identity_bound,
                          "spill": r.spill, "h_norm": r.h_norm,
                          "inversion_sweeps": r.inversion_sweeps,
                          "inversion_residual": r.inversion_residual,
@@ -329,9 +330,9 @@ def _dense_identity_bound(lhs, rhs, h, df, spill, r_inv, assembled_sup, m,
     u = kam.UNIT_ROUNDOFF
     points = m ** h.d
     M = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    lip = kam._lipschitz(h)
+    lip = fr._lipschitz(h)
     P = df.l1_norm() + h.l1_norm()
-    rho = kam._fft_rho(points)
+    rho = fr._fft_rho(points)
     e_h = u * (1.5 * (M + 1) * lip
                + (6 * fr.nonzero_radius(h) + 10) * h.l1_norm())
     delta = (spill + 3 * u * P
@@ -358,6 +359,7 @@ def test_readme_run_identity_within_bound(tmp_path, monkeypatch):
     assert len(seen) == len(diag) >= 2
     for (identity, b, dense), entry in zip(seen, diag):
         assert entry["assembly_mismatch"] == identity <= b
+        assert entry["identity_bound"] == b
         # the bound is a rounding budget, far below a structural error, and
         # no looser than the dense route's on the same inputs
         assert b < 1e-12
@@ -403,7 +405,7 @@ def test_stage_sweep_starts_second_order(monkeypatch):
     # the rounding of y0: the order-0 values, grid errors included, cancel,
     # and what is left is at most L |y0| for the translated h, its tail T,
     # the Horner rounding, the synthesis errors of the higher orders
-    # (|y0| times `kam._taylor_errors`' synthesis factor), and u M each for
+    # (|y0| times `GridTaylor.rounding`'s synthesis factor), and u M each for
     # the rounding of y0, of y0 + H(y0) and of the difference with w.  That
     # budget is below the one of the dense start that it replaces, which
     # charged a dense evaluation of h, an inverse FFT of the translated h
@@ -426,12 +428,12 @@ def test_stage_sweep_starts_second_order(monkeypatch):
         state = kam.kam_step(state)
         h, values, w, y0 = calls[-1]
         M = max(float(np.abs(w).max()), float(np.abs(y0).max()))
-        L = kam._lipschitz(values.g)
+        L = fr._lipschitz(values.g)
         dist = float(np.abs(y0).max())
         df_k = float(np.abs(state.delta_f.grid_values(m)).max())
         assert dist <= 2 * df_k + 2 * u * M
         first = float(np.abs(y0 + values(y0).T - w).max())
-        horner, synthesis = kam._taylor_errors(values, m ** 2)
+        horner, synthesis = values.rounding(m ** 2)
         budget = (1 + 2 * u) * (L * dist + values.tail + horner
                                 + dist * synthesis + 3 * u * M)
         assert first <= budget
@@ -442,7 +444,7 @@ def test_stage_sweep_starts_second_order(monkeypatch):
         e_h = u * (1.5 * (M + 1) * L
                    + (6 * fr.nonzero_radius(h) + 10) * h.l1_norm())
         dense = (1 + 2 * u) * (L * dist + e_h
-                               + (kam._fft_rho(m ** 2) + 2 * u) * m * g_sup
+                               + (fr._fft_rho(m ** 2) + 2 * u) * m * g_sup
                                + u * (4 * max(map(abs, alpha)) * L
                                       + 5 * h.l1_norm())
                                + (2 + L) * u * M)
