@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -169,8 +170,8 @@ def resolve_alpha(spec: str):
         parts = tuple(float(x) for x in spec.split(","))
     except ValueError:
         raise SchemaMismatch(f"cannot interpret alpha spec {spec!r}") from None
-    if not 1 <= len(parts) <= 2:
-        raise SchemaMismatch("alpha must have one or two components")
+    if not 1 <= len(parts) <= 2 or not all(map(math.isfinite, parts)):
+        raise SchemaMismatch("alpha must have one or two finite components")
     return parts
 
 
@@ -304,7 +305,7 @@ def cmd_linearize(args) -> int:
         raise SchemaMismatch("linearize expects a two-component alpha")
     h_star = _manufactured_h_star(args)
     f = kam.manufacture_test_map(h_star, alpha)
-    params = kam.KamParams(n_max=args.n_max, max_stages=args.stages,
+    params = kam.KamParams(max_stages=args.stages,
                            target_defect=args.target_defect)
     conjugacy, report, state = kam.run_linearize(f, alpha, params)
     out = args.out_dir
@@ -312,7 +313,7 @@ def cmd_linearize(args) -> int:
                (r.csv_row() for r in report.step_reports))
     payload = _artifact_header(args)
     payload.update(alpha=list(alpha), epsilon=args.epsilon,
-                   summary=report.to_jsonable(state, kam.DEFAULT_SCHEDULE))
+                   summary=report.to_jsonable(state))
     write_json(out / "kam_summary.json", payload)
     if args.svg:
         series = _kam_series([r.csv_row() for r in report.step_reports])

@@ -134,11 +134,9 @@ class FourierMap:
         for l, val in modes.items():
             vec = np.broadcast_to(np.asarray(val, dtype=np.complex128),
                                   (components,))
-            idx = tuple(int(c) + n_max for c in l)
-            out.coeffs[(slice(None),) + idx] += vec
+            out.coeffs[out._index(l)] += vec
             if hermitian and any(c != 0 for c in l):
-                conj_idx = tuple(-int(c) + n_max for c in l)
-                out.coeffs[(slice(None),) + conj_idx] += np.conj(vec)
+                out.coeffs[out._index([-int(c) for c in l])] += np.conj(vec)
         return out
 
     @classmethod
@@ -155,9 +153,16 @@ class FourierMap:
     def components(self) -> int:
         return self.coeffs.shape[0]
 
+    def _index(self, l) -> tuple:
+        """The coefficient index of mode l, which must have d components
+        and |l|_sup <= n_max (ValueError)."""
+        if len(l) != self.d or max(abs(int(c)) for c in l) > self.n_max:
+            raise ValueError(f"mode {tuple(l)} is not stored: d={self.d}, "
+                             f"n_max={self.n_max}")
+        return (slice(None),) + tuple(int(c) + self.n_max for c in l)
+
     def mode(self, l) -> np.ndarray:
-        idx = tuple(int(c) + self.n_max for c in l)
-        return self.coeffs[(slice(None),) + idx]
+        return self.coeffs[self._index(l)]
 
     def mean(self) -> np.ndarray:
         return self.mode((0,) * self.d)

@@ -33,7 +33,8 @@ hypothesis by construction).  Divergence is a first-class outcome: a stage
 that grows the perturbation raises StepDiverged carrying the ledger.
 
 Stage truncations follow the dyadic ladder 2^k, entering at N_max/4 (at
-least 2) and capping at N_max; each stage solves the equation once.
+least 2) and capping at N_max, the perturbation's n_max; each stage solves
+the equation once.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .fourier import (
     compose_shift,
     invert_near_identity,
     norm_xi,
-    retruncate,
     translate,
     truncate_split,
 )
@@ -112,8 +112,8 @@ def cohomological_residual(h: FourierMap, df: FourierMap, alpha, N: int) -> floa
 # run_linearize refuses inputs whose l1 norm exceeds this
 SMALLNESS_THRESHOLD = 1e-2
 
-#: The schedule `initial_state` builds, with alpha taken as doubles, when it
-#: is given none: the keywords of `schedule.build_schedule`.
+#: The spec of a run's schedule, the keywords of `schedule.build_schedule`
+#: (alpha taken as doubles), when `initial_state` is given none.
 DEFAULT_SCHEDULE = {"weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
                     "grid_count": 8, "stages": 6, "variant": "full_range",
                     "c1": 1.0}
@@ -121,13 +121,8 @@ DEFAULT_SCHEDULE = {"weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
 
 @dataclass(frozen=True)
 class KamParams:
-    n_max: int = 32
     max_stages: int = 10
     target_defect: float = 1e-9
-
-    def truncation(self, stage: int) -> int:
-        first = max(self.n_max // 4, 2)
-        return min(first * 2 ** stage, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -148,9 +143,9 @@ class StepReport:
     inversion_sweeps: int
     inversion_residual: float
     taylor_order_df: int
-    taylor_radius_df: float
+    taylor_radius_df: float | None         # None for a constant map
     taylor_order_h: int
-    taylor_radius_h: float
+    taylor_radius_h: float | None
 
     def csv_row(self):
         return (self.stage, self.truncation, repr(self.norm_head_after),
@@ -163,6 +158,13 @@ class StepReport:
 CSV_COLUMNS = ("stage", "trunc", "norm_head", "norm_tail", "residual",
                "const_term", "defect", "radii_min")
 
+#: The `StepReport` fields that `kam_summary.json` records per stage, next
+#: to the stage number and its schedule column.
+STAGE_DIAGNOSTICS = ("assembly_mismatch", "identity_bound", "spill", "h_norm",
+                     "inversion_sweeps", "inversion_residual",
+                     "taylor_order_df", "taylor_radius_df", "taylor_order_h",
+                     "taylor_radius_h")
+
 
 @dataclass(frozen=True)
 class KamState:
@@ -171,9 +173,16 @@ class KamState:
     delta_f: FourierMap
     conjugacy: tuple                       # stage maps h_k, outermost first
     schedule: DeltaSchedule
+    spec: dict                             # the keywords that built `schedule`
     params: KamParams
     ledger: object
     reports: tuple = ()
+
+    def truncation(self, stage: int) -> int:
+        """The truncation `stage` solves at: the dyadic ladder from a
+        quarter of the perturbation's n_max (at least 2), capped at it."""
+        n_max = self.delta_f.n_max
+        return min(max(n_max // 4, 2) * 2 ** stage, n_max)
 
     def column(self, stage: int) -> int:
         """The schedule column the domain of `stage` reads: the stage
@@ -196,21 +205,17 @@ class KamState:
 
 
 def initial_state(delta_f: FourierMap, alpha, params: KamParams | None = None,
-                  schedule: DeltaSchedule | None = None) -> KamState:
-    params = params or KamParams(n_max=delta_f.n_max)
-    if delta_f.n_max > params.n_max:
-        raise ValueError(f"the perturbation's n_max {delta_f.n_max} exceeds "
-                         f"the run's n_max {params.n_max}")
-    delta_f = retruncate(delta_f, params.n_max)
+                  spec: dict = DEFAULT_SCHEDULE) -> KamState:
+    """Stage 0 of a run on the schedule `build_schedule`(alpha, **spec)."""
+    params = params or KamParams()
     alpha = tuple(float(a) for a in alpha)
-    if schedule is None:
-        schedule = build_schedule(alpha, **DEFAULT_SCHEDULE)
+    schedule = build_schedule(alpha, **spec)
     eps0 = delta_f.l1_norm()
     ledger = epsilon_ledger(eps0, schedule.weights, delta_f.d,
                             min(params.max_stages, len(schedule.weights.c) - 2))
     return KamState(stage=0, alpha=alpha,
                     delta_f=delta_f, conjugacy=(), schedule=schedule,
-                    params=params, ledger=ledger)
+                    spec=dict(spec), params=params, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +234,14 @@ def kam_step(state: KamState) -> KamState:
     The solved band must satisfy the cohomological equation:
     `cohomological_residual` may not exceed `_residual_bound`.  The
     conjugation must satisfy the stage identity H o f_k = f_(k-1) o H at
-    the grid points (`_conjugate`), within `_identity_bound`; the identity
-    is recorded as `assembly_mismatch` and its bound as `identity_bound`,
-    with the sweep's evaluations of h (`inversion_sweeps`), its last
-    residual (`inversion_residual`) and the order and radius of the Taylor
-    sums of df and of h.  Both bounds are
-    derived rounding and truncation budgets, not fitted tolerances.
+    the grid points (`_conjugate`), within `_identity_bound`; both are
+    recorded with the other `STAGE_DIAGNOSTICS` of `_conjugate`.  Both
+    bounds are derived rounding and truncation budgets, not fitted
+    tolerances.
     """
     params = state.params
     n = state.stage
-    trunc = params.truncation(n)
+    trunc = state.truncation(n)
     domain_next = state.domain(n + 1)
     df = state.delta_f
     alpha = state.alpha
@@ -254,11 +257,11 @@ def kam_step(state: KamState) -> KamState:
     h = solve_cohomological(df, alpha, trunc)
     residual = cohomological_residual(h, df, alpha, trunc)
     gate("cohomological residual", residual, _residual_bound(df, h), {})
-    df, info = _conjugate(df, h, alpha)
-    gate("conjugacy identity", info["mismatch"], info["bound"], info["terms"])
+    df, diagnostics, terms = _conjugate(df, h, alpha)
+    gate("conjugacy identity", diagnostics["assembly_mismatch"],
+         diagnostics["identity_bound"], dict(terms, **diagnostics))
 
     norm_head_after, norm_tail_after = _stage_norms(df, domain_next, trunc)
-    taylor = info["taylor"]
     report = StepReport(
         stage=n,
         truncation=trunc,
@@ -268,17 +271,9 @@ def kam_step(state: KamState) -> KamState:
         norm_tail_after=norm_tail_after,
         residual=residual,
         const_term=float(np.abs(df.mean()).max()),
-        assembly_mismatch=info["mismatch"],
-        identity_bound=info["bound"],
-        spill=info["spill"],
         radii_min=domain_next.min_radius(),
         h_norm=h.l1_norm(),
-        inversion_sweeps=info["sweeps"],
-        inversion_residual=info["terms"]["inversion_residual"],
-        taylor_order_df=taylor["order_df"],
-        taylor_radius_df=taylor["radius_df"],
-        taylor_order_h=taylor["order_h"],
-        taylor_radius_h=taylor["radius_h"],
+        **diagnostics,
     )
     new_state = replace(
         state,
@@ -303,7 +298,7 @@ def _stage_norms(df: FourierMap, domain: SlicedDomain, trunc: int):
 
 def _conjugate(df: FourierMap, h: FourierMap, alpha):
     """New perturbation of H^(-1) o (R_alpha + df) o H, H = id + h, and the
-    stage identity that checks it; returns (map, info).
+    stage identity that checks it; returns (map, diagnostics, terms).
 
     The stage works in offsets from x + alpha at the (4 n_max)^d grid
     points x, so no value carries the rounding of a coordinate of size 1.
@@ -340,16 +335,18 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     solved band h o R_alpha - h, which neither side uses, nor a wrong
     `translate`, which the sweep and the check share: the cohomological
     residual checks both.
-    info["mismatch"] is sup |lhs - rhs|, info["bound"] its
-    `_identity_bound`, info["terms"] the bound's inputs, info["sweeps"] the
-    sweep's evaluations of h, info["taylor"] the order and radius of both
-    Taylor routes.
+    The diagnostics are `StepReport` fields: assembly_mismatch is
+    sup |lhs - rhs|, identity_bound its `_identity_bound`, whose other
+    inputs are the terms; inversion_sweeps and inversion_residual count
+    and measure the sweep, and taylor_* give both Taylor routes' orders
+    and radii (radius None for a constant map).
     """
     m = _grid_size(df.n_max)
     h_at = h.grid_values(m).T                          # h(x)
     shift = GridTaylor(df, m).fix_radius(float(np.abs(h_at).max()))
     w = h_at + shift(h_at).T                           # h(x) + df(x + h(x))
-    taylor = {"order_df": shift.order, "radius_df": shift.radius}
+    diagnostics = dict(taylor_order_df=shift.order,
+                       taylor_radius_df=_finite(shift.radius))
     del h_at, shift
 
     values = GridTaylor(translate(h, alpha), m)        # h(x + alpha + delta)
@@ -359,7 +356,6 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
         raise ContractionFailure(
             f"the sweep's Lipschitz constant {lip:.3g} is not below 1")
     values.fix_radius(2 * float(np.abs(start).max()) / (1 - lip))
-    taylor.update(order_h=values.order, radius_h=values.radius)
     _, h_last, r_inv, sweeps = _preimages(h, values, w, start)
     assembled = w - h_last                             # delta_K = df_k(x)
     del start, h_last
@@ -373,9 +369,11 @@ def _conjugate(df: FourierMap, h: FourierMap, alpha):
     bound, terms = _identity_bound(
         lhs, w, h, df, spill=spill, r_inv=r_inv, assembled_sup=assembled_sup,
         m=m, values=values, lip=lip)
-    info = {"mismatch": float(np.abs(lhs - w).max()), "bound": bound,
-            "terms": terms, "spill": spill, "sweeps": sweeps, "taylor": taylor}
-    return out, info
+    diagnostics.update(
+        assembly_mismatch=float(np.abs(lhs - w).max()), identity_bound=bound,
+        spill=spill, inversion_sweeps=sweeps, inversion_residual=r_inv,
+        taylor_order_h=values.order, taylor_radius_h=_finite(values.radius))
+    return out, diagnostics, terms
 
 
 def _residual_bound(df: FourierMap, h: FourierMap) -> float:
@@ -448,11 +446,8 @@ def _identity_bound(lhs, rhs, h: FourierMap, df: FourierMap, spill: float,
     move = r_inv + 3 * u * M + delta
     bound = (delta + (lip + synthesis) * move + 2 * values.tail + 2 * horner
              + 2 * u * M)
-    terms = {"spill": spill, "inversion_residual": r_inv,
-             "lipschitz_h": lip, "offset_max": M, "perturbation_l1": P,
-             "assembled_sup": assembled_sup, "taylor_order_h": values.order,
-             "taylor_radius_h": _finite(values.radius)}
-    return bound, terms
+    return bound, {"lipschitz_h": lip, "offset_max": M, "perturbation_l1": P,
+                   "assembled_sup": assembled_sup}
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +466,11 @@ class RunReport:
     step_reports: tuple
     notes: dict = field(default_factory=dict)
 
-    def to_jsonable(self, state: KamState, spec: dict | None) -> dict:
+    def to_jsonable(self, state: KamState) -> dict:
         """The summary, with the schedule the run's final `state` read:
-        `schedule` holds `spec` (the `schedule.build_schedule` keywords that
-        built it, or None), the headline and the first column whose least
-        radius is <= 0 (or None), and each stage's diagnostics the column of
+        `schedule` holds its spec (`KamState.spec`), the headline and the
+        first column whose least radius is <= 0 (or None), and each stage's
+        diagnostics the `STAGE_DIAGNOSTICS` of its report and the column of
         its next domain (`KamState.column`)."""
         out = {
             "converged": self.converged,
@@ -489,26 +484,17 @@ class RunReport:
             "csv_columns": list(CSV_COLUMNS),
             "stage_rows": [list(r.csv_row()) for r in self.step_reports],
             "stage_diagnostics": [
-                {"stage": r.stage, "assembly_mismatch": r.assembly_mismatch,
-                 "identity_bound": r.identity_bound,
-                 "spill": r.spill, "h_norm": r.h_norm,
-                 "inversion_sweeps": r.inversion_sweeps,
-                 "inversion_residual": r.inversion_residual,
-                 "taylor_order_df": r.taylor_order_df,
-                 "taylor_radius_df": _finite(r.taylor_radius_df),
-                 "taylor_order_h": r.taylor_order_h,
-                 "taylor_radius_h": _finite(r.taylor_radius_h)}
+                dict({k: getattr(r, k) for k in STAGE_DIAGNOSTICS},
+                     stage=r.stage, schedule_column=state.column(r.stage + 1))
                 for r in self.step_reports],
         }
         head = state.schedule.headline()
-        out["schedule"] = dict(spec=spec, **{k: head[k] for k in (
+        out["schedule"] = dict(spec=state.spec, **{k: head[k] for k in (
             "stages", "collapsed_stage", "inf_delta",
             "first_unreliable_stage")})
         out["schedule"]["first_nonpositive_column"] = next(
             (col for col in range(state.schedule.stages())
              if not state.radius(col) > 0), None)
-        for entry in out["stage_diagnostics"]:
-            entry["schedule_column"] = state.column(entry["stage"] + 1)
         return out
 
 
@@ -518,12 +504,13 @@ def _finite(x: float):
 
 
 def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,
-                  schedule: DeltaSchedule | None = None):
-    """Iterate stages until the perturbation defect undercuts the target.
+                  spec: dict = DEFAULT_SCHEDULE):
+    """Iterate stages on the schedule `build_schedule`(alpha, **spec)
+    until the perturbation defect undercuts the target.
 
-    Returns (conjugacy perturbation P with H = id + P, RunReport).  Refuses
-    inputs above the smallness threshold with a precise diagnostic; raises
-    StepDiverged (ledger attached) when a stage grows the perturbation.
+    Returns (conjugacy perturbation P with H = id + P, RunReport, KamState).
+    Refuses inputs above the smallness threshold with a precise diagnostic;
+    raises StepDiverged (ledger attached) when a stage grows the perturbation.
     """
     initial = delta_f.l1_norm()
     if initial > SMALLNESS_THRESHOLD:
@@ -532,7 +519,7 @@ def run_linearize(delta_f: FourierMap, alpha, params: KamParams | None = None,
             f"threshold {SMALLNESS_THRESHOLD:.3g}; the iteration "
             f"guards (cohomological divisors, inversion contraction) are "
             f"calibrated below that size")
-    state = initial_state(delta_f, alpha, params, schedule)
+    state = initial_state(delta_f, alpha, params, spec)
     params = state.params
     for _ in range(params.max_stages):
         state = kam_step(state)

@@ -147,9 +147,9 @@ class WeightSequence:
     gothic_d: float = 1.0
 
     def __post_init__(self):
-        if any(x < 0 for x in self.c):
+        if any(not x >= 0 for x in self.c):
             raise ValueError("weights must be nonnegative")
-        if self.N < 0 or self.gothic_d <= 0:
+        if self.N < 0 or not self.gothic_d > 0:
             raise ValueError("need N >= 0 and gothic_d > 0")
 
 

@@ -269,7 +269,7 @@ def test_criterion_09_kam_convergence():
     h_star = fr.FourierMap.from_modes(2, 32, modes)
     h_star = h_star.scaled(1e-3 / h_star.l1_norm())     # |H* - id| ~ 1e-3
     f = kam.manufacture_test_map(h_star, PAIR)
-    params = kam.KamParams(n_max=32, max_stages=8, target_defect=1e-9)
+    params = kam.KamParams(max_stages=8, target_defect=1e-9)
     conj, rep, state = kam.run_linearize(f, PAIR, params)
     elapsed = time.monotonic() - t0
     assert rep.stages <= 8

@@ -192,6 +192,24 @@ def test_bad_alpha_spec_exit_2(tmp_path):
     assert run("--out-dir", tmp_path, "analyze", "--alpha", "nonsense") == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("analyze", "--alpha", "nan,0.5"), "SchemaMismatch"),
+    (("analyze", "--alpha", "inf,0.5"), "SchemaMismatch"),
+    (("schedule", "--alpha", "nan,0.5"), "SchemaMismatch"),
+    (("schedule", "--alpha", "0.5,-inf"), "SchemaMismatch"),
+    (("linearize", "--alpha", "nan,0.5"), "SchemaMismatch"),
+    (("schedule", "--gothic-d", "nan"), "ValueError"),
+    (("schedule", "--weights", "flat:nan"), "ValueError"),
+    (("linearize", "--n-max", "0"), "ValueError"),
+], ids=["analyze-nan", "analyze-inf", "schedule-nan", "schedule-inf",
+        "linearize-nan", "gothic-d-nan", "flat-weight-nan", "n-max-0"])
+def test_non_finite_or_unstorable_input_exit_2(tmp_path, argv, error):
+    assert run("--out-dir", tmp_path, *argv) == 2
+    diag = read_json(tmp_path / "diagnostic.json")
+    assert diag["error"] == error and diag["command"] == argv[0]
+    assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
 def test_verify_suite(tmp_path):
     assert run("--out-dir", tmp_path, "verify", "--levels", "3",
                "--depth", "6") == 0

@@ -372,6 +372,18 @@ def _nonzero_modes(f):
         yield l, f.mode(l)
 
 
+def test_mode_index_outside_the_stored_ball_refused():
+    # a negative index would wrap around to another stored mode
+    with pytest.raises(ValueError):
+        fr.FourierMap.from_modes(2, 1, {(-3, 0): [1.0, 0.0]}, hermitian=False)
+    f = fr.FourierMap.from_modes(2, 2, {(1, 0): [1.0, 2.0]})
+    for l in ((-4, 0), (3, 0), (0, -3), (1,)):
+        with pytest.raises(ValueError):
+            f.mode(l)
+    assert np.array_equal(f.mode((-1, 0)), [1.0, 2.0])
+    assert np.array_equal(f.mode((2, -2)), [0.0, 0.0])
+
+
 def test_norm_single_mode_strip():
     f = fr.FourierMap.from_modes(2, 4, {(1, 0): [1.0, 0.0]}, hermitian=False)
     norm = fr.norm_xi(f, const_domain(0.1))

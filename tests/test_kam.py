@@ -1,5 +1,6 @@
 """Tests for the cohomological solver and the linearization loop."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -11,7 +12,6 @@ from kamtorus import cli
 from kamtorus import diophantine as dio
 from kamtorus import fourier as fr
 from kamtorus import kam
-from kamtorus import schedule as sch
 from kamtorus.errors import (DomainExhausted, ResonanceDetected, StageDefect,
                              StepDiverged)
 from kamtorus.serialize import canonical_dumps
@@ -94,7 +94,7 @@ def test_manufacture_first_order():
 # -- single step ------------------------------------------------------------------
 
 def test_step_on_zero_perturbation():
-    params = kam.KamParams(n_max=8, max_stages=2)
+    params = kam.KamParams(max_stages=2)
     state = kam.initial_state(fr.FourierMap.zeros(2, 8), ALPHA, params)
     out = kam.kam_step(state)
     assert out.delta_f.l1_norm() < 1e-14
@@ -102,7 +102,7 @@ def test_step_on_zero_perturbation():
 
 
 def test_step_records_schedule_radii():
-    params = kam.KamParams(n_max=16, max_stages=3)
+    params = kam.KamParams(max_stages=3)
     f = kam.manufacture_test_map(small_h_star(16), ALPHA)
     state = kam.initial_state(f, ALPHA, params)
     out = kam.kam_step(state)
@@ -112,7 +112,7 @@ def test_step_records_schedule_radii():
 
 
 def test_step_assembly_matches_direct_composition():
-    params = kam.KamParams(n_max=16, max_stages=4)
+    params = kam.KamParams(max_stages=4)
     f = kam.manufacture_test_map(small_h_star(16), ALPHA)
     state = kam.initial_state(f, ALPHA, params)
     for _ in range(2):
@@ -129,7 +129,7 @@ def test_step_diverges_near_resonance():
     alpha = (0.5 + 5e-7, math.sqrt(3) - 1)
     df = fr.FourierMap.from_modes(2, 8, {(2, 0): [1e-8, 0.0]})
     df = df + fr.FourierMap.constant(2, 8, [5e-4, 3e-4])
-    params = kam.KamParams(n_max=8, max_stages=4, target_defect=1e-18)
+    params = kam.KamParams(max_stages=4, target_defect=1e-18)
     state = kam.initial_state(df, alpha, params)
     with pytest.raises(StepDiverged) as exc:
         for _ in range(4):
@@ -140,7 +140,7 @@ def test_step_diverges_near_resonance():
 # -- the loop ----------------------------------------------------------------------
 
 def test_linearize_pure_rotation():
-    params = kam.KamParams(n_max=8, max_stages=3, target_defect=1e-13)
+    params = kam.KamParams(max_stages=3, target_defect=1e-13)
     conj, rep, _ = kam.run_linearize(fr.FourierMap.zeros(2, 8), ALPHA, params)
     assert rep.converged
     assert rep.defect < 1e-13
@@ -150,7 +150,7 @@ def test_linearize_pure_rotation():
 def test_linearize_manufactured_map():
     h_star = small_h_star(16)
     f = kam.manufacture_test_map(h_star, ALPHA)
-    params = kam.KamParams(n_max=16, max_stages=8, target_defect=1e-10)
+    params = kam.KamParams(max_stages=8, target_defect=1e-10)
     conj, rep, state = kam.run_linearize(f, ALPHA, params)
     assert rep.converged and rep.stages <= 8
     assert rep.defect <= 1e-10
@@ -164,7 +164,7 @@ def test_linearize_manufactured_map():
 
 def test_linearize_quadratic_type_contraction():
     f = kam.manufacture_test_map(small_h_star(16, scale=5.0), ALPHA)
-    params = kam.KamParams(n_max=16, max_stages=6, target_defect=1e-14)
+    params = kam.KamParams(max_stages=6, target_defect=1e-14)
     _, rep, _ = kam.run_linearize(f, ALPHA, params)
     norms = [rep.initial_norm] + [r.norm_head_after + r.norm_tail_after
                                   for r in rep.step_reports]
@@ -187,9 +187,9 @@ def test_linearize_refuses_large_input():
 
 def test_summary_stage_diagnostics():
     f = kam.manufacture_test_map(small_h_star(12), ALPHA)
-    params = kam.KamParams(n_max=12, max_stages=5, target_defect=1e-12)
+    params = kam.KamParams(max_stages=5, target_defect=1e-12)
     _, rep, state = kam.run_linearize(f, ALPHA, params)
-    data = json.loads(canonical_dumps(rep.to_jsonable(state, kam.DEFAULT_SCHEDULE)))
+    data = json.loads(canonical_dumps(rep.to_jsonable(state)))
     diag = data["stage_diagnostics"]
     assert len(diag) == rep.stages == len(rep.step_reports) >= 2
     # a stage is one solve: it adds one map to the conjugacy
@@ -234,7 +234,7 @@ def _first_order_inverse(h, values, w, y):
 
 def _manufactured_state(n_max=16):
     f = kam.manufacture_test_map(small_h_star(n_max), ALPHA)
-    return kam.initial_state(f, ALPHA, kam.KamParams(n_max=n_max, max_stages=4))
+    return kam.initial_state(f, ALPHA, kam.KamParams(max_stages=4))
 
 
 def test_gate_catches_missing_inversion_correction(monkeypatch):
@@ -246,6 +246,10 @@ def test_gate_catches_missing_inversion_correction(monkeypatch):
     assert err.stage == 0 and err.ledger == []       # no finished stage yet
     assert err.terms["check"] == "conjugacy identity"
     assert err.terms["value"] > 1e6 * err.terms["bound"]
+    # the bound's inputs, among them the stage's own diagnostics
+    assert {"lipschitz_h", "offset_max", "perturbation_l1", "assembled_sup",
+            "spill", "inversion_residual", "taylor_order_h",
+            "taylor_radius_h"} <= err.terms.keys()
     diag = err.diagnostic()
     assert diag["error"] == "StageDefect" and diag["stage"] == 0
 
@@ -266,9 +270,9 @@ def test_gate_catches_wrong_solved_band(monkeypatch):
     state = _manufactured_state()
     right = fr.translate
     monkeypatch.setattr(kam, "translate", lambda f, v: right(f, -np.asarray(v)))
-    h = kam.solve_cohomological(state.delta_f, ALPHA, kam.KamParams(n_max=16).truncation(0))
-    _, info = kam._conjugate(state.delta_f, h, ALPHA)
-    assert info["mismatch"] <= info["bound"]
+    h = kam.solve_cohomological(state.delta_f, ALPHA, state.truncation(0))
+    _, diagnostics, _ = kam._conjugate(state.delta_f, h, ALPHA)
+    assert diagnostics["assembly_mismatch"] <= diagnostics["identity_bound"]
     with pytest.raises(StageDefect) as exc:
         kam.kam_step(state)
     assert exc.value.stage == 0
@@ -420,7 +424,7 @@ def test_stage_sweep_starts_second_order(monkeypatch):
 
     monkeypatch.setattr(kam, "_preimages", record)
     f, alpha = readme_map(32)
-    params = kam.KamParams(n_max=32, max_stages=8, target_defect=1e-10)
+    params = kam.KamParams(max_stages=8, target_defect=1e-10)
     state = kam.initial_state(f, alpha, params)
     u = kam.UNIT_ROUNDOFF
     m = fr._grid_size(32)
@@ -454,10 +458,9 @@ def test_stage_sweep_starts_second_order(monkeypatch):
     assert all(r.inversion_residual < 1e-14 for r in state.reports)
 
 
-def default_schedule_at(alpha, gothic_d):
-    """The default schedule of `initial_state` started at gothic_d."""
-    return sch.build_schedule(alpha, **dict(kam.DEFAULT_SCHEDULE,
-                                            gothic_d=gothic_d))
+def default_spec_at(gothic_d):
+    """The default schedule spec of a run, started at gothic_d."""
+    return dict(kam.DEFAULT_SCHEDULE, gothic_d=gothic_d)
 
 
 def test_noise_floor_edge_converges():
@@ -465,23 +468,25 @@ def test_noise_floor_edge_converges():
     # stage that adds re-expansion noise of its own, such as an FFT round
     # trip of an inversion map, grows the stage norm here (StepDiverged)
     f, alpha = readme_map(16)
-    params = kam.KamParams(n_max=16, target_defect=1e-10)
-    _, rep, _ = kam.run_linearize(f, alpha, params,
-                                  default_schedule_at(alpha, 0.25))
+    params = kam.KamParams(target_defect=1e-10)
+    _, rep, state = kam.run_linearize(f, alpha, params, default_spec_at(0.25))
     assert rep.converged and rep.stages == 3
     assert rep.direct_defect <= 1e-12
+    # the summary records the spec the run built its schedule from
+    spec = rep.to_jsonable(state)["schedule"]["spec"]
+    assert spec == default_spec_at(0.25) and spec["gothic_d"] == 0.25
 
 
 def test_non_positive_domain_column_is_a_typed_error():
     # at delta0 0.1 column 3 of the default schedule is negative; stage 2
     # reads it as its next domain
     f, alpha = readme_map(32)
-    params = kam.KamParams(n_max=32, target_defect=1e-10)
-    schedule = default_schedule_at(alpha, 0.1)
-    assert min(float(v) for v in schedule.values[3]) < 0
-    assert min(float(v) for v in schedule.values[2]) > 0
+    params = kam.KamParams(target_defect=1e-10)
+    spec = default_spec_at(0.1)
+    state = kam.initial_state(f, alpha, params, spec)
+    assert state.radius(3) < 0 < state.radius(2)
     with pytest.raises(DomainExhausted) as exc:
-        kam.run_linearize(f, alpha, params, schedule)
+        kam.run_linearize(f, alpha, params, spec)
     err = exc.value
     assert err.stage == 2 and len(err.ledger) == 2
     assert [row[0] for row in err.ledger] == [0, 1]
@@ -490,8 +495,8 @@ def test_non_positive_domain_column_is_a_typed_error():
 
 def _schedule_record(f, alpha, n_max):
     _, rep, state = kam.run_linearize(
-        f, alpha, kam.KamParams(n_max=n_max, target_defect=1e-10))
-    summary = rep.to_jsonable(state, kam.DEFAULT_SCHEDULE)
+        f, alpha, kam.KamParams(target_defect=1e-10))
+    summary = rep.to_jsonable(state)
     return rep, summary["schedule"], [d["schedule_column"]
                                       for d in summary["stage_diagnostics"]]
 
@@ -519,11 +524,15 @@ def test_summary_records_the_first_nonpositive_column():
     assert record["collapsed_stage"] == 3 and record["inf_delta"] == 0.05
 
 
-def test_initial_state_refuses_a_larger_truncation():
-    df = fr.FourierMap.from_modes(2, 12, {(1, 0): [1e-4, 0.0]})
-    with pytest.raises(ValueError):
-        kam.initial_state(df, ALPHA, kam.KamParams(n_max=8))
-    # a smaller truncation is zero-padded to the run's
-    state = kam.initial_state(df, ALPHA, kam.KamParams(n_max=16))
-    assert state.delta_f.n_max == 16
-    assert np.array_equal(state.delta_f.mode((1, 0)), df.mode((1, 0)))
+def test_truncation_ladder_follows_the_perturbation():
+    # the ladder enters at a quarter of the perturbation's n_max and caps
+    # at it; the run has no n_max of its own
+    state = kam.initial_state(fr.FourierMap.zeros(2, 12), ALPHA)
+    assert [state.truncation(k) for k in range(4)] == [3, 6, 12, 12]
+    state = kam.initial_state(fr.FourierMap.zeros(2, 4), ALPHA)
+    assert [state.truncation(k) for k in range(3)] == [2, 4, 4]
+
+
+def test_kam_params_fields():
+    assert [f.name for f in dataclasses.fields(kam.KamParams)] == \
+        ["max_stages", "target_defect"]
