@@ -300,6 +300,13 @@ def _manufactured_h_star(args):
 
 
 def cmd_linearize(args) -> int:
+    for flag, value in (("--epsilon", args.epsilon),
+                        ("--target-defect", args.target_defect)):
+        if not 0 < value < math.inf:
+            raise SchemaMismatch(f"{flag} must be finite and positive, "
+                                 f"not {value}")
+    if args.stages < 1:
+        raise SchemaMismatch(f"--stages must be at least 1, not {args.stages}")
     alpha = tuple(float(a) for a in resolve_alpha(args.alpha))
     if len(alpha) != 2:
         raise SchemaMismatch("linearize expects a two-component alpha")
@@ -309,14 +316,14 @@ def cmd_linearize(args) -> int:
                            target_defect=args.target_defect)
     conjugacy, report, state = kam.run_linearize(f, alpha, params)
     out = args.out_dir
-    _write_csv(out / "kam_stages.csv", kam.CSV_COLUMNS,
-               (r.csv_row() for r in report.step_reports))
+    rows = state.rows()
+    _write_csv(out / "kam_stages.csv", kam.CSV_COLUMNS, rows)
     payload = _artifact_header(args)
     payload.update(alpha=list(alpha), epsilon=args.epsilon,
                    summary=report.to_jsonable(state))
     write_json(out / "kam_summary.json", payload)
     if args.svg:
-        series = _kam_series([r.csv_row() for r in report.step_reports])
+        series = _kam_series(rows)
         series.append(("epsilon_ledger",
                        [(n, float(v)) for n, v in
                         enumerate(state.ledger.values) if float(v) > 0]))
@@ -383,10 +390,9 @@ def _read_csv_checked(path: Path, expected_columns) -> list:
 
 
 def _kam_series(rows):
-    head = [(int(r[0]), float(r[2])) for r in rows]
-    tail = [(int(r[0]), float(r[3])) for r in rows]
-    defect = [(int(r[0]), float(r[6])) for r in rows]
-    return [("norm_head", head), ("norm_tail", tail), ("defect", defect)]
+    at = kam.CSV_COLUMNS.index
+    return [(name, [(int(r[at("stage")]), float(r[at(name)])) for r in rows])
+            for name in ("norm_head", "norm_tail", "defect")]
 
 
 def cmd_report(args) -> int:

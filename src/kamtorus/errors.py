@@ -80,7 +80,7 @@ class ContractionFailure(KamTorusError):
 class StepDiverged(KamTorusError):
     """A KAM step increased the perturbation norm."""
 
-    fields = {"ledger": None}
+    fields = {"stage": None, "ledger": None}
 
 
 class StageDefect(KamTorusError):

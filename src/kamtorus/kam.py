@@ -127,18 +127,21 @@ class KamParams:
 
 @dataclass(frozen=True)
 class StepReport:
+    """One KAM stage.  Its views are projections by field list: the
+    `kam_stages.csv` and ledger row by `CSV_COLUMNS`, the summary entry by
+    `STAGE_DIAGNOSTICS`."""
     stage: int
-    truncation: int
-    norm_head_before: float
-    norm_tail_before: float
-    norm_head_after: float
-    norm_tail_after: float
+    trunc: int                             # the truncation the stage solved at
+    norm_head: float
+    norm_tail: float
     residual: float
     const_term: float
+    defect: float                          # norm_head + norm_tail
+    radii_min: float
+    schedule_column: int                   # the column of the next domain
     assembly_mismatch: float
     identity_bound: float
     spill: float
-    radii_min: float
     h_norm: float
     inversion_sweeps: int
     inversion_residual: float
@@ -148,22 +151,19 @@ class StepReport:
     taylor_radius_h: float | None
 
     def csv_row(self):
-        return (self.stage, self.truncation, repr(self.norm_head_after),
-                repr(self.norm_tail_after), repr(self.residual),
-                repr(self.const_term), repr(self.norm_head_after
-                                            + self.norm_tail_after),
-                repr(self.radii_min))
+        """The `CSV_COLUMNS` of the stage, each float as its repr."""
+        return tuple(v if isinstance(v, int) else repr(v)
+                     for v in (getattr(self, k) for k in CSV_COLUMNS))
 
 
 CSV_COLUMNS = ("stage", "trunc", "norm_head", "norm_tail", "residual",
                "const_term", "defect", "radii_min")
 
-#: The `StepReport` fields that `kam_summary.json` records per stage, next
-#: to the stage number and its schedule column.
-STAGE_DIAGNOSTICS = ("assembly_mismatch", "identity_bound", "spill", "h_norm",
-                     "inversion_sweeps", "inversion_residual",
+#: The `StepReport` fields that `kam_summary.json` records per stage.
+STAGE_DIAGNOSTICS = ("stage", "assembly_mismatch", "identity_bound", "spill",
+                     "h_norm", "inversion_sweeps", "inversion_residual",
                      "taylor_order_df", "taylor_radius_df", "taylor_order_h",
-                     "taylor_radius_h")
+                     "taylor_radius_h", "schedule_column")
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,10 @@ class KamState:
         """The least radius of schedule column `col`."""
         return min(float(v) for v in self.schedule.values[col])
 
+    def rows(self) -> list:
+        """The `kam_stages.csv` rows of the finished stages."""
+        return [r.csv_row() for r in self.reports]
+
     def domain(self, stage: int) -> SlicedDomain:
         col = self.column(stage)
         radius = self.radius(col)
@@ -200,7 +204,7 @@ class KamState:
             raise DomainExhausted(
                 f"stage {self.stage}: schedule column {col} has radius "
                 f"{radius:.3g} <= 0",
-                stage=self.stage, ledger=[r.csv_row() for r in self.reports])
+                stage=self.stage, ledger=self.rows())
         return SlicedDomain.from_schedule_column(self.schedule, col)
 
 
@@ -245,13 +249,13 @@ def kam_step(state: KamState) -> KamState:
     domain_next = state.domain(n + 1)
     df = state.delta_f
     alpha = state.alpha
-    norm_head_before, norm_tail_before = _stage_norms(df, domain_next, trunc)
+    old_total = sum(_stage_norms(df, domain_next, trunc))
 
     def gate(name, value, bound, terms):
         if not value <= bound:
             raise StageDefect(
                 f"stage {n}: {name} {value:.3g} exceeds its bound {bound:.3g}",
-                stage=n, ledger=[r.csv_row() for r in state.reports],
+                stage=n, ledger=state.rows(),
                 terms=dict(terms, check=name, value=value, bound=bound))
 
     h = solve_cohomological(df, alpha, trunc)
@@ -261,20 +265,13 @@ def kam_step(state: KamState) -> KamState:
     gate("conjugacy identity", diagnostics["assembly_mismatch"],
          diagnostics["identity_bound"], dict(terms, **diagnostics))
 
-    norm_head_after, norm_tail_after = _stage_norms(df, domain_next, trunc)
+    norm_head, norm_tail = _stage_norms(df, domain_next, trunc)
     report = StepReport(
-        stage=n,
-        truncation=trunc,
-        norm_head_before=norm_head_before,
-        norm_tail_before=norm_tail_before,
-        norm_head_after=norm_head_after,
-        norm_tail_after=norm_tail_after,
-        residual=residual,
-        const_term=float(np.abs(df.mean()).max()),
-        radii_min=domain_next.min_radius(),
-        h_norm=h.l1_norm(),
-        **diagnostics,
-    )
+        stage=n, trunc=trunc, norm_head=norm_head, norm_tail=norm_tail,
+        residual=residual, const_term=float(np.abs(df.mean()).max()),
+        defect=norm_head + norm_tail, radii_min=domain_next.min_radius(),
+        schedule_column=state.column(n + 1), h_norm=h.l1_norm(),
+        **diagnostics)
     new_state = replace(
         state,
         stage=n + 1,
@@ -282,12 +279,10 @@ def kam_step(state: KamState) -> KamState:
         conjugacy=state.conjugacy + (h,),
         reports=state.reports + (report,),
     )
-    old_total = norm_head_before + norm_tail_before
-    new_total = norm_head_after + norm_tail_after
-    if new_total > old_total and new_total > params.target_defect:
+    if report.defect > old_total and report.defect > params.target_defect:
         raise StepDiverged(
-            f"stage {n}: perturbation grew from {old_total:.3g} to {new_total:.3g}",
-            ledger=[r.csv_row() for r in new_state.reports])
+            f"stage {n}: perturbation grew from {old_total:.3g} to "
+            f"{report.defect:.3g}", stage=n, ledger=new_state.rows())
     return new_state
 
 
@@ -470,8 +465,7 @@ class RunReport:
         """The summary, with the schedule the run's final `state` read:
         `schedule` holds its spec (`KamState.spec`), the headline and the
         first column whose least radius is <= 0 (or None), and each stage's
-        diagnostics the `STAGE_DIAGNOSTICS` of its report and the column of
-        its next domain (`KamState.column`)."""
+        diagnostics the `STAGE_DIAGNOSTICS` of its report."""
         out = {
             "converged": self.converged,
             "stages": self.stages,
@@ -481,12 +475,8 @@ class RunReport:
             "sqrt_epsilon_margin": self.sqrt_margin,
             "initial_norm": self.initial_norm,
             "notes": self.notes,
-            "csv_columns": list(CSV_COLUMNS),
-            "stage_rows": [list(r.csv_row()) for r in self.step_reports],
-            "stage_diagnostics": [
-                dict({k: getattr(r, k) for k in STAGE_DIAGNOSTICS},
-                     stage=r.stage, schedule_column=state.column(r.stage + 1))
-                for r in self.step_reports],
+            "stage_diagnostics": [{k: getattr(r, k) for k in STAGE_DIAGNOSTICS}
+                                  for r in self.step_reports],
         }
         head = state.schedule.headline()
         out["schedule"] = dict(spec=state.spec, **{k: head[k] for k in (

@@ -149,8 +149,8 @@ class WeightSequence:
     def __post_init__(self):
         if any(not x >= 0 for x in self.c):
             raise ValueError("weights must be nonnegative")
-        if self.N < 0 or not self.gothic_d > 0:
-            raise ValueError("need N >= 0 and gothic_d > 0")
+        if self.N < 0 or not 0 < self.gothic_d < math.inf:
+            raise ValueError("need N >= 0 and a finite gothic_d > 0")
 
 
 # The mode growth factor exp(2 pi |beta.l| delta) uses the plain inner product

@@ -276,8 +276,7 @@ def test_criterion_09_kam_convergence():
     assert rep.defect <= 1e-8
     assert rep.direct_defect <= 1e-8
     assert rep.h_total_norm <= math.sqrt(rep.initial_norm)
-    norms = [rep.initial_norm] + [r.norm_head_after + r.norm_tail_after
-                                  for r in rep.step_reports]
+    norms = [rep.initial_norm] + [r.defect for r in rep.step_reports]
     floor = 1e-13
     ratios = [norms[i + 1] / norms[i] ** 1.5
               for i in range(len(norms) - 1) if norms[i + 1] > floor]

@@ -201,8 +201,21 @@ def test_bad_alpha_spec_exit_2(tmp_path):
     (("schedule", "--gothic-d", "nan"), "ValueError"),
     (("schedule", "--weights", "flat:nan"), "ValueError"),
     (("linearize", "--n-max", "0"), "ValueError"),
+    (("schedule", "--gothic-d", "inf"), "ValueError"),
+    (("linearize", "--target-defect", "nan"), "SchemaMismatch"),
+    (("linearize", "--target-defect", "inf"), "SchemaMismatch"),
+    (("linearize", "--target-defect", "-1"), "SchemaMismatch"),
+    (("linearize", "--target-defect", "0"), "SchemaMismatch"),
+    (("linearize", "--epsilon", "nan"), "SchemaMismatch"),
+    (("linearize", "--epsilon", "inf"), "SchemaMismatch"),
+    (("linearize", "--epsilon=0"), "SchemaMismatch"),
+    (("linearize", "--epsilon=-1e-3"), "SchemaMismatch"),
+    (("linearize", "--stages", "0"), "SchemaMismatch"),
 ], ids=["analyze-nan", "analyze-inf", "schedule-nan", "schedule-inf",
-        "linearize-nan", "gothic-d-nan", "flat-weight-nan", "n-max-0"])
+        "linearize-nan", "gothic-d-nan", "flat-weight-nan", "n-max-0",
+        "gothic-d-inf", "target-defect-nan", "target-defect-inf",
+        "target-defect-negative", "target-defect-0", "epsilon-nan",
+        "epsilon-inf", "epsilon-0", "epsilon-negative", "stages-0"])
 def test_non_finite_or_unstorable_input_exit_2(tmp_path, argv, error):
     assert run("--out-dir", tmp_path, *argv) == 2
     diag = read_json(tmp_path / "diagnostic.json")

@@ -25,6 +25,8 @@ CASES = [
     ("ExponentOverflow-4", ExponentOverflow, {}, {}),
     ("StepDiverged-8", StepDiverged, {"ledger": LEDGER}, {"ledger": LEDGER}),
     ("StepDiverged-9", StepDiverged, {}, {}),
+    ("StepDiverged-18", StepDiverged, {"stage": 3, "ledger": LEDGER},
+     {"stage": 3, "ledger": LEDGER}),
     ("StageDefect-10", StageDefect,
      {"stage": 1, "ledger": LEDGER, "terms": {"check": "x", "bound": 1.5}},
      {"stage": 1, "ledger": LEDGER, "terms": {"check": "x", "bound": 1.5}}),
@@ -61,4 +63,4 @@ def test_typed_error_diagnostic(cls, fields, keys, tmp_path):
 
 def test_typed_error_refuses_unknown_field():
     with pytest.raises(TypeError, match="stage"):
-        StepDiverged("m", stage=2)
+        ResonanceDetected("m", stage=2)

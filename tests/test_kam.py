@@ -121,7 +121,7 @@ def test_step_assembly_matches_direct_composition():
         assert rep.assembly_mismatch <= 1e-10
 
 
-def test_step_diverges_near_resonance():
+def test_step_diverges_near_resonance(monkeypatch):
     # a constant drift (rotation vector off alpha) feeding a near-resonant
     # mode: the solved mode stays under the inversion guard, but its
     # derivative against the drift outweighs the removed mode, so the
@@ -131,10 +131,19 @@ def test_step_diverges_near_resonance():
     df = df + fr.FourierMap.constant(2, 8, [5e-4, 3e-4])
     params = kam.KamParams(max_stages=4, target_defect=1e-18)
     state = kam.initial_state(df, alpha, params)
+    built = []                             # every state a stage builds
+    monkeypatch.setattr(kam, "replace", lambda *a, **kw: built.append(
+        dataclasses.replace(*a, **kw)) or built[-1])
     with pytest.raises(StepDiverged) as exc:
         for _ in range(4):
             state = kam.kam_step(state)
-    assert exc.value.ledger
+    # the ledger is the rows of the state the diverged stage built: the
+    # finished stages, then the diverged one
+    err = exc.value
+    assert err.ledger == built[-1].rows()
+    assert err.ledger[:-1] == state.rows()
+    assert len(err.ledger) == err.stage + 1 == built[-1].stage
+    assert err.ledger[-1][0] == err.diagnostic()["stage"] == err.stage
 
 
 # -- the loop ----------------------------------------------------------------------
@@ -166,8 +175,7 @@ def test_linearize_quadratic_type_contraction():
     f = kam.manufacture_test_map(small_h_star(16, scale=5.0), ALPHA)
     params = kam.KamParams(max_stages=6, target_defect=1e-14)
     _, rep, _ = kam.run_linearize(f, ALPHA, params)
-    norms = [rep.initial_norm] + [r.norm_head_after + r.norm_tail_after
-                                  for r in rep.step_reports]
+    norms = [rep.initial_norm] + [r.defect for r in rep.step_reports]
     floor = 1e-13
     ratios = [norms[i + 1] / norms[i] ** 1.5
               for i in range(len(norms) - 1) if norms[i + 1] > floor]
@@ -213,9 +221,20 @@ def test_summary_stage_diagnostics():
         for route in ("df", "h"):
             assert 0 <= entry[f"taylor_order_{route}"] <= fr.TAYLOR_MAX_ORDER
             assert entry[f"taylor_radius_{route}"] > 0
-    assert len(data["stage_rows"]) == len(diag)
-    assert all(len(r.csv_row()) == len(kam.CSV_COLUMNS)
-               for r in rep.step_reports)
+    # the defect is head plus tail, and each kam_stages.csv row is the
+    # CSV_COLUMNS fields written out one by one
+    for r, row in zip(rep.step_reports, state.rows(), strict=True):
+        assert r.defect == r.norm_head + r.norm_tail
+        assert row == (r.stage, r.trunc, repr(r.norm_head), repr(r.norm_tail),
+                       repr(r.residual), repr(r.const_term),
+                       repr(r.norm_head + r.norm_tail), repr(r.radii_min))
+    # the stage rows live in kam_stages.csv alone
+    assert "stage_rows" not in data and "csv_columns" not in data
+
+
+def test_every_stage_field_reaches_an_artifact():
+    fields = {f.name for f in dataclasses.fields(kam.StepReport)}
+    assert fields == set(kam.CSV_COLUMNS) | set(kam.STAGE_DIAGNOSTICS)
 
 
 # -- the stage gates -----------------------------------------------------------------
