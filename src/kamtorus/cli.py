@@ -24,7 +24,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -39,11 +38,6 @@ from . import schedule as sch
 from .errors import KamTorusError, SchemaMismatch
 from .precision import set_working_precision, working_precision_bits
 from .serialize import atomic_write_text, read_json, write_json
-
-SCHEDULE_CSV_COLUMNS = ("stage", "beta_angle", "delta",
-                        "constraint_argmin_l1", "constraint_argmin_l2",
-                        "variant")
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -90,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stages held at the starting radius before solving")
     p.add_argument("--weights", default="dyadic",
                    help="dyadic | flat:VALUE | construction:STATE.json")
-    p.add_argument("--c1", type=float, default=1.0)
 
     p = sub.add_parser("linearize", help="manufactured-map KAM run")
     p.add_argument("--alpha", default="sqrt-pair")
@@ -164,8 +157,7 @@ def resolve_alpha(spec: str):
     if spec == "liouville":
         return (dio.synthetic_liouville(4),)
     if spec.startswith("constructed:"):
-        state = con.state_from_jsonable(read_json(spec.split(":", 1)[1]))
-        return con.alpha_approx(state)
+        return con.alpha_approx(_load_state(spec))
     try:
         parts = tuple(float(x) for x in spec.split(","))
     except ValueError:
@@ -173,6 +165,15 @@ def resolve_alpha(spec: str):
     if not 1 <= len(parts) <= 2 or not all(map(math.isfinite, parts)):
         raise SchemaMismatch("alpha must have one or two finite components")
     return parts
+
+
+def _load_state(spec: str):
+    """The construction state that a `PREFIX:PATH` spec names."""
+    try:
+        data = read_json(spec.split(":", 1)[1])
+    except OSError as exc:
+        raise SchemaMismatch(f"cannot read construction state: {exc}") from exc
+    return con.state_from_jsonable(data)
 
 
 def _alpha_record(spec: str) -> dict:
@@ -218,12 +219,10 @@ def _print_report(rep) -> None:
 
 def cmd_construct(args) -> int:
     schedule = con.GrowthSchedule(
-        mode=args.mode, base=args.base,
-        exponent_scale=Fraction(str(args.scale)) if args.mode == "toy" else Fraction(1, 8),
+        mode=args.mode, base=args.base, exponent_scale=str(args.scale),
         digit_budget=args.digit_budget)
     state = con.build(theta_bar=args.theta_bar, levels=args.levels,
-                      mode=args.mode, schedule=schedule,
-                      q0=args.q0, q0_bar=args.q0_bar)
+                      schedule=schedule, q0=args.q0, q0_bar=args.q0_bar)
     rep = con.verify_construction(state)
     out = args.out_dir
     write_json(out / "state.json", con.state_to_jsonable(state))
@@ -273,13 +272,13 @@ def cmd_schedule(args) -> int:
     alpha = resolve_alpha(args.alpha)
     weights = args.weights
     if weights.startswith("construction:"):
-        weights = con.state_from_jsonable(read_json(weights.split(":", 1)[1]))
+        weights = _load_state(weights)
     result = sch.build_schedule(alpha, weights=weights, gothic_d=args.gothic_d,
                                 flat_stages=args.flat_stages,
                                 grid_count=args.grid_count, stages=args.stages,
-                                variant=args.variant, c1=args.c1)
+                                variant=args.variant)
     out = args.out_dir
-    _write_csv(out / "schedule.csv", SCHEDULE_CSV_COLUMNS, result.csv_rows())
+    _write_csv(out / "schedule.csv", sch.CSV_COLUMNS, result.csv_rows())
     payload = _artifact_header(args)
     payload.update(_alpha_record(args.alpha), headline=result.headline(),
                    scan=result.scan)
@@ -338,13 +337,11 @@ def cmd_linearize(args) -> int:
 def cmd_verify(args) -> int:
     reports = []
 
-    paper = con.build(levels=1, mode="paper")
+    paper = con.build(levels=1)
     reports.append(con.verify_construction(paper))
     reports.append(con.verify_divisor_bounds(paper, 0))
 
-    toy = con.build(levels=args.levels, mode="toy",
-                    schedule=con.GrowthSchedule(mode="toy", base=2,
-                                                exponent_scale="1/8"))
+    toy = con.build(levels=args.levels, schedule=con.GrowthSchedule(mode="toy"))
     reports.append(con.verify_construction(toy))
     reports.append(con.verify_criteria(toy, max_scale=128))
 
@@ -397,10 +394,12 @@ def _kam_series(rows):
 
 def cmd_report(args) -> int:
     if args.kind == "schedule":
-        rows = _read_csv_checked(args.csv, SCHEDULE_CSV_COLUMNS)
+        rows = _read_csv_checked(args.csv, sch.CSV_COLUMNS)
+        stage, angle, delta = map(sch.CSV_COLUMNS.index,
+                                  ("stage", "beta_angle", "delta"))
         try:
-            data = [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
-        except ValueError as exc:
+            data = [(int(r[stage]), float(r[angle]), float(r[delta])) for r in rows]
+        except (ValueError, IndexError) as exc:
             raise SchemaMismatch(f"malformed schedule row: {exc}") from exc
         svg = plots.schedule_heatmap(data)
         default_name = "schedule_heatmap.svg"
@@ -408,7 +407,7 @@ def cmd_report(args) -> int:
         rows = _read_csv_checked(args.csv, kam.CSV_COLUMNS)
         try:
             series = _kam_series(rows)
-        except ValueError as exc:
+        except (ValueError, IndexError) as exc:
             raise SchemaMismatch(f"malformed kam row: {exc}") from exc
         svg = plots.decay_curves(series, title="kam decay")
         default_name = "kam_decay.svg"

@@ -43,7 +43,7 @@ import mpmath
 from mpmath import mp, iv
 
 from .diophantine import _divisor_min, l1_norm, nearest_int_distance, sup_norm
-from .errors import ExponentOverflow, ScanTooLarge
+from .errors import ExponentOverflow, ScanTooLarge, SchemaMismatch
 from .precision import (
     DEFAULT_DIGIT_BUDGET,
     _LN10,
@@ -399,12 +399,12 @@ def construct_step(state: ConstructionState,
     )
 
 
-def build(theta_bar="0.4", levels: int = 1, mode: str = "paper",
-          schedule: GrowthSchedule | None = None, **seed_kwargs) -> ConstructionState:
-    """Seed and advance `levels` construction steps."""
-    if schedule is None:
-        schedule = GrowthSchedule(mode=mode)
-    state = ConstructionState.seed(theta_bar=theta_bar, mode=mode, **seed_kwargs)
+def build(theta_bar="0.4", levels: int = 1,
+          schedule: GrowthSchedule = GrowthSchedule(),
+          **seed_kwargs) -> ConstructionState:
+    """Seed a state in the schedule's mode and advance `levels` steps."""
+    state = ConstructionState.seed(theta_bar=theta_bar, mode=schedule.mode,
+                                   **seed_kwargs)
     for _ in range(levels):
         state = construct_step(state, schedule)
     return state
@@ -440,29 +440,32 @@ def state_to_jsonable(state: ConstructionState) -> dict:
 
 
 def state_from_jsonable(data: dict) -> ConstructionState:
-    from .errors import SchemaMismatch
-
-    if data.get("format") != STATE_FORMAT:
-        raise SchemaMismatch(
-            f"expected format {STATE_FORMAT!r}, got {data.get('format')!r}")
-    theta = parse_fraction(data["theta_bar"])
-    return ConstructionState(
-        theta_bar=theta,
-        twist=TwistSequence(theta_bar=theta,
-                            values=tuple(parse_int(t) for t in data["twist_values"])),
-        mode=data["mode"],
-        level=int(data["level"]),
-        p=tuple(parse_int(v) for v in data["p"]),
-        q=tuple(parse_int(v) for v in data["q"]),
-        p_bar=tuple(parse_int(v) for v in data["p_bar"]),
-        q_bar=tuple(parse_int(v) for v in data["q_bar"]),
-        a=tuple(parse_int(v) for v in data["a"]),
-        c=tuple(parse_int(v) for v in data["c"]),
-        nu_tilde=tuple(tuple(parse_int(v) for v in vec) for vec in data["nu_tilde"]),
-        nu=tuple(tuple(parse_int(v) for v in vec) for vec in data["nu"]),
-        q_tilde=tuple(parse_int(v) for v in data["q_tilde"]),
-        q_bar_minus1=parse_int(data["q_bar_minus1"]),
-    )
+    """The state of `state_to_jsonable`'s form; SchemaMismatch for any
+    other format or for a missing key."""
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != STATE_FORMAT:
+        raise SchemaMismatch(f"expected format {STATE_FORMAT!r}, got {fmt!r}")
+    try:
+        theta = parse_fraction(data["theta_bar"])
+        return ConstructionState(
+            theta_bar=theta,
+            twist=TwistSequence(theta_bar=theta,
+                                values=tuple(parse_int(t) for t in data["twist_values"])),
+            mode=data["mode"],
+            level=int(data["level"]),
+            p=tuple(parse_int(v) for v in data["p"]),
+            q=tuple(parse_int(v) for v in data["q"]),
+            p_bar=tuple(parse_int(v) for v in data["p_bar"]),
+            q_bar=tuple(parse_int(v) for v in data["q_bar"]),
+            a=tuple(parse_int(v) for v in data["a"]),
+            c=tuple(parse_int(v) for v in data["c"]),
+            nu_tilde=tuple(tuple(parse_int(v) for v in vec) for vec in data["nu_tilde"]),
+            nu=tuple(tuple(parse_int(v) for v in vec) for vec in data["nu"]),
+            q_tilde=tuple(parse_int(v) for v in data["q_tilde"]),
+            q_bar_minus1=parse_int(data["q_bar_minus1"]),
+        )
+    except KeyError as exc:
+        raise SchemaMismatch(f"construction state lacks key {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------

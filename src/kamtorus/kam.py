@@ -115,8 +115,7 @@ SMALLNESS_THRESHOLD = 1e-2
 #: The spec of a run's schedule, the keywords of `schedule.build_schedule`
 #: (alpha taken as doubles), when `initial_state` is given none.
 DEFAULT_SCHEDULE = {"weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
-                    "grid_count": 8, "stages": 6, "variant": "full_range",
-                    "c1": 1.0}
+                    "grid_count": 8, "stages": 6, "variant": "full_range"}
 
 
 @dataclass(frozen=True)

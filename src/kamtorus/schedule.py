@@ -13,8 +13,8 @@ Both constraint ranges are implemented:
 
 * "full_range": modes 0 < |l| <= 2^(n+1), neighborhood radius exp(-2^n c_n);
 * "annulus":    modes 2^n < |l| <= 2^(n+1), neighborhood radius
-                C1 2^(dn) exp(-2^n c_n), and the stage result is shrunk by
-                the factor (1 - c_{n+1}).
+                2^(dn) exp(-2^n c_n) (the constant C1 of the radius is 1),
+                and the stage result is shrunk by the factor (1 - c_{n+1}).
 
 The per-mode solve is the closed form delta* = log(M ||alpha.l|| / g) /
 (2 pi |beta.l|): the left side is monotone and invertible in delta, so this
@@ -178,6 +178,11 @@ def _stage_blocks(dimension: int, n: int, variant: str, rows: int):
 # the schedule
 
 
+#: The columns of `schedule.csv`, in the order of `DeltaSchedule.csv_rows`.
+CSV_COLUMNS = ("stage", "beta_angle", "delta", "constraint_argmin_l1",
+               "constraint_argmin_l2", "variant")
+
+
 @dataclass
 class DeltaSchedule:
     grid: DirectionGrid
@@ -208,7 +213,7 @@ class DeltaSchedule:
         }
 
     def csv_rows(self):
-        """Rows (stage, beta_angle, delta, argmin_l1, argmin_l2, variant)."""
+        """Rows of `schedule.csv`, one per stage and direction: `CSV_COLUMNS`."""
         for n, row in enumerate(self.values):
             for i, val in enumerate(row):
                 arg = self.argmins[n][i]
@@ -219,8 +224,7 @@ class DeltaSchedule:
 
 
 def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
-                   n_max: int, variant: str = "full_range",
-                   c1: float = 1.0) -> DeltaSchedule:
+                   n_max: int, variant: str = "full_range") -> DeltaSchedule:
     """Run the stage recursion from the flat start up to stage n_max.
 
     Stages 0..N hold gothic_d; each later stage applies the per-mode solve
@@ -250,7 +254,7 @@ def delta_schedule(alpha, grid: DirectionGrid, weights: WeightSequence,
     for n in range(weights.N, n_max):
         scanned, exact = oracle.bounded_modes, oracle.log_inv_calls
         merged, merged_arg, collapsed, radius = advance_stage(
-            oracle, grid, weights, values[n], n, variant, c1)
+            oracle, grid, weights, values[n], n, variant)
         sched.scan.append({"stage": n + 1,
                            "scanned_modes": oracle.bounded_modes - scanned,
                            "exact_modes": oracle.log_inv_calls - exact})
@@ -373,7 +377,7 @@ def _stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
 
 def advance_stage(oracle: DivisorOracle, grid: DirectionGrid,
                   weights: WeightSequence, prev, n: int,
-                  variant: str = "full_range", c1: float = 1.0):
+                  variant: str = "full_range"):
     """One stage of the recursion from the stage-n values `prev`.
 
     Returns (values_{n+1}, binding modes, collapsed, neighborhood radius).
@@ -386,7 +390,7 @@ def advance_stage(oracle: DivisorOracle, grid: DirectionGrid,
     new, binding, collapsed = _stage_caps(oracle, grid, weights, prev, n, variant)
     radius = math.exp(-damping)
     if variant == "annulus":
-        radius *= c1 * 2.0 ** (grid.dimension * n)
+        radius *= 2.0 ** (grid.dimension * n)
     j_best = np.where(grid.neighborhoods(radius), new, np.inf).argmin(axis=1)
     merged = new[j_best]
     merged_arg = [binding[j] for j in j_best.tolist()]
@@ -508,16 +512,19 @@ def construction_weights(state, n_max: int, gothic_d: float = 1.0,
 
 
 def build_schedule(alpha, *, weights, gothic_d: float, flat_stages: int,
-                   grid_count: int, stages: int, variant: str = "full_range",
-                   c1: float = 1.0) -> DeltaSchedule:
+                   grid_count: int, stages: int,
+                   variant: str = "full_range") -> DeltaSchedule:
     """The schedule of alpha to stage `stages` from a weight recipe.
 
     `weights` is "dyadic" (`dyadic_weight_recipe`), "flat:C" (C at every
     stage) or a constructed state (`construction_weights`); each holds its
     first `flat_stages` stages at gothic_d.  The grid is the exact pair for
     d = 1 and `grid_count` directions on the circle otherwise; it is the
-    schedule's `grid`.  Raises SchemaMismatch for any other recipe.
+    schedule's `grid`.  Raises SchemaMismatch for any other recipe, and
+    for `stages` below 1.
     """
+    if stages < 1:
+        raise SchemaMismatch(f"a schedule needs at least 1 stage, not {stages}")
     if not isinstance(weights, str):
         seq = construction_weights(weights, stages, gothic_d=gothic_d,
                                    N=flat_stages)
@@ -531,7 +538,7 @@ def build_schedule(alpha, *, weights, gothic_d: float, flat_stages: int,
         raise SchemaMismatch(f"unknown weight recipe {weights!r}")
     grid = (DirectionGrid.pair() if len(alpha) == 1
             else DirectionGrid.circle(grid_count))
-    return delta_schedule(alpha, grid, seq, stages, variant=variant, c1=c1)
+    return delta_schedule(alpha, grid, seq, stages, variant=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +546,9 @@ def build_schedule(alpha, *, weights, gothic_d: float, flat_stages: int,
 
 
 def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
-                            weights: WeightSequence, prev, n: int,
-                            variant: str):
-    """Re-derive the stage caps with mpf primitives on the raw distances
-    (no shared log cache), as an independent per-mode solve."""
+                            weights: WeightSequence, prev, n: int):
+    """Re-derive the full-range stage caps with mpf primitives on the raw
+    distances (no shared log cache), as an independent per-mode solve."""
     G = len(grid)
     caps = [to_mpf(float(p)) for p in prev]
     radius = 1 << n
@@ -553,7 +559,7 @@ def _independent_stage_caps(oracle: DivisorOracle, grid: DirectionGrid,
         inner_g, outer_g = -damping, mpmath.mpf(0)
         dirs = [[to_mpf(b) for b in d] for d in grid.directions]
         scaled = [two_pi * to_mpf(float(p)) for p in prev]
-        for block in _stage_blocks(grid.dimension, n, variant, _STAGE_CELLS // G):
+        for block in _stage_blocks(grid.dimension, n, "full_range", _STAGE_CELLS // G):
             for l in map(tuple, block.tolist()):
                 dist = to_mpf(oracle.distance(l))
                 g_log = inner_g if sup_norm(l) <= radius else outer_g
@@ -664,7 +670,7 @@ def dimension_one_check(alpha_1d, depth: int, gothic_d: float = 1.0):
         if n >= 12:
             continue
         caps = _independent_stage_caps(oracle, grid, weights,
-                                       sched.values[n], n, "full_range")
+                                       sched.values[n], n)
         merged = min(caps)                      # two-point neighborhood
         got = sched.values[n + 1][0]
         rep.add("caps_dual_path", f"stage {n}",

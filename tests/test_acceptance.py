@@ -31,14 +31,14 @@ _cache = {}
 
 def paper_state():
     if "paper" not in _cache:
-        _cache["paper"] = con.build(levels=1, mode="paper")
+        _cache["paper"] = con.build(levels=1)
     return _cache["paper"]
 
 
 def toy6_state():
     if "toy6" not in _cache:
         _cache["toy6"] = con.build(
-            levels=6, mode="toy",
+            levels=6,
             schedule=con.GrowthSchedule(mode="toy", base=2, exponent_scale="1/8"))
     return _cache["toy6"]
 
@@ -50,10 +50,10 @@ def _line(n, text):
 def test_criterion_01_construction_exactness():
     t0 = time.monotonic()
     with working_precision(256):
-        lo = con.build(levels=1, mode="paper")
+        lo = con.build(levels=1)
         lo_dir = con.level_direction_data(lo)
     with working_precision(512):
-        hi = con.build(levels=1, mode="paper")
+        hi = con.build(levels=1)
         hi_dir = con.level_direction_data(hi)
     assert (lo.p, lo.q, lo.p_bar, lo.q_bar, lo.a, lo.c) == \
         (hi.p, hi.q, hi.p_bar, hi.q_bar, hi.a, hi.c)

@@ -9,6 +9,7 @@ from kamtorus import cli
 from kamtorus import construction as con
 from kamtorus import fourier as fr
 from kamtorus import kam
+from kamtorus import schedule as sch
 from kamtorus.serialize import read_json
 
 
@@ -105,7 +106,7 @@ def test_schedule_flags_give_the_default_kam_schedule(tmp_path):
                "--flat-stages", 2, "--gothic-d", 0.05) == 0
     assert kam.DEFAULT_SCHEDULE == {
         "weights": "dyadic", "gothic_d": 0.05, "flat_stages": 2,
-        "grid_count": 8, "stages": 6, "variant": "full_range", "c1": 1.0}
+        "grid_count": 8, "stages": 6, "variant": "full_range"}
     state = kam.initial_state(fr.FourierMap.zeros(2, 8),
                               tuple(float(a) for a in alpha.split(",")))
     rows = (tmp_path / "schedule.csv").read_text().splitlines()[1:]
@@ -170,6 +171,18 @@ def test_linearize_has_no_repeats_option(tmp_path):
     assert not (tmp_path / "kam_summary.json").exists()
 
 
+def test_schedule_has_no_c1_option(tmp_path):
+    # the annulus neighborhood constant C1 is 1: neither the flag nor the
+    # config key exists
+    with pytest.raises(SystemExit) as exc:
+        run("--out-dir", tmp_path, "schedule", "--c1", 2)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c1": 2.0}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "schedule") == 2
+    assert not (tmp_path / "schedule.csv").exists()
+
+
 def test_malformed_csv_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
@@ -177,6 +190,11 @@ def test_malformed_csv_exit_2(tmp_path):
                "--kind", "schedule") == 2
     diag = read_json(tmp_path / "diagnostic.json")
     assert diag["error"] == "SchemaMismatch"
+    # a row short of its columns
+    for kind, columns in (("schedule", sch.CSV_COLUMNS), ("kam", kam.CSV_COLUMNS)):
+        bad.write_text(",".join(columns) + "\n0\n")
+        assert run("--out-dir", tmp_path, "report", "--csv", bad, "--kind", kind) == 2
+        assert read_json(tmp_path / "diagnostic.json")["error"] == "SchemaMismatch"
 
 
 def test_resonant_alpha_exit_3(tmp_path):
@@ -211,16 +229,39 @@ def test_bad_alpha_spec_exit_2(tmp_path):
     (("linearize", "--epsilon=0"), "SchemaMismatch"),
     (("linearize", "--epsilon=-1e-3"), "SchemaMismatch"),
     (("linearize", "--stages", "0"), "SchemaMismatch"),
+    (("schedule", "--stages", "0"), "SchemaMismatch"),
+    (("schedule", "--stages=-3"), "SchemaMismatch"),
 ], ids=["analyze-nan", "analyze-inf", "schedule-nan", "schedule-inf",
         "linearize-nan", "gothic-d-nan", "flat-weight-nan", "n-max-0",
         "gothic-d-inf", "target-defect-nan", "target-defect-inf",
         "target-defect-negative", "target-defect-0", "epsilon-nan",
-        "epsilon-inf", "epsilon-0", "epsilon-negative", "stages-0"])
+        "epsilon-inf", "epsilon-0", "epsilon-negative", "stages-0",
+        "schedule-stages-0", "schedule-stages-negative"])
 def test_non_finite_or_unstorable_input_exit_2(tmp_path, argv, error):
     assert run("--out-dir", tmp_path, *argv) == 2
     diag = read_json(tmp_path / "diagnostic.json")
     assert diag["error"] == error and diag["command"] == argv[0]
     assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [None, {"format": con.STATE_FORMAT}],
+                         ids=["missing-file", "missing-key"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--alpha", "constructed:{}"),
+    ("linearize", "--alpha", "constructed:{}"),
+    ("schedule", "--weights", "construction:{}"),
+], ids=["analyze", "linearize", "schedule"])
+def test_bad_state_file_exit_2(tmp_path, argv, content):
+    state = tmp_path / "state.json"
+    if content is not None:
+        state.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert run("--out-dir", out, *argv[:-1], argv[-1].format(state)) == 2
+    diag = read_json(out / "diagnostic.json")
+    assert diag["error"] == "SchemaMismatch" and diag["command"] == argv[0]
+    assert ("cannot read" if content is None else "lacks key 'theta_bar'") \
+        in diag["message"]
+    assert [p.name for p in out.iterdir()] == ["diagnostic.json"]
 
 
 def test_verify_suite(tmp_path):

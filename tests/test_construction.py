@@ -9,7 +9,7 @@ import pytest
 
 from kamtorus import construction as con
 from kamtorus.diophantine import _divisor_min, sup_norm
-from kamtorus.errors import ExponentOverflow, ScanTooLarge
+from kamtorus.errors import ExponentOverflow, ScanTooLarge, SchemaMismatch
 from kamtorus.precision import big_gcd, int_divmod, to_mpf, working_precision
 from kamtorus.reports import VerificationReport
 from kamtorus.serialize import canonical_dumps, int_str
@@ -116,7 +116,7 @@ def test_seed_level_zero_direction():
 
 
 def test_paper_growth_factors_level_zero():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     a1, a2 = st.a
     assert a1 == 92456120875                      # floor(e**25.25), 11 digits
     assert len(str(a2)) == 32                     # floor(e**(101/(2 log 2)))
@@ -129,7 +129,7 @@ def test_paper_growth_factors_level_zero():
 
 
 def test_construct_step_update_identities():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     a1, a2 = st.a
     c0 = st.c[0]
     assert st.q[1] == a1 * 100 * 100 * c0
@@ -162,7 +162,7 @@ def _straight_line_alphas(state):
 @pytest.mark.parametrize("mode,levels", [("paper", 1), ("toy", 3)])
 def test_dual_implementation_oracle(mode, levels):
     sched = con.GrowthSchedule(mode=mode) if mode == "paper" else toy_schedule()
-    st = con.build(levels=levels, mode=mode, schedule=sched)
+    st = con.build(levels=levels, schedule=sched)
     a1, a2, q, qb = _straight_line_alphas(st)
     assert q == list(st.q) and qb == list(st.q_bar)
     for k in range(2 * levels + 1):
@@ -172,7 +172,7 @@ def test_dual_implementation_oracle(mode, levels):
 
 def test_direction_floor_is_exact():
     # c(l) must satisfy c <= (qbar/q) * phi(l) < c + 1 with clear margin
-    st = con.build(levels=3, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=3, schedule=toy_schedule())
     for l in range(3):
         d = st.direction(l)
         with working_precision(4 * max(64, st.c[l].bit_length() + 64)):
@@ -182,15 +182,41 @@ def test_direction_floor_is_exact():
 
 
 def test_alpha_strictly_increasing_exact():
-    st = con.build(levels=3, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=3, schedule=toy_schedule())
     for k in range(2 * st.level):
         lo1, lo2 = st.alpha_pair_at(k)
         hi1, hi2 = st.alpha_pair_at(k + 1)
         assert hi1 > lo1 and hi2 > lo2
 
 
+def test_build_takes_its_mode_from_the_schedule():
+    # the state of the former explicit build(levels=2, mode="toy") call,
+    # whose toy defaults are base 2 and exponent scale 1/8
+    st = con.build(levels=2, schedule=con.GrowthSchedule(mode="toy"))
+    assert (st.mode, st.level, st.theta_bar) == ("toy", 2, Fraction(2, 5))
+    assert st.a == (1, 1, 2, 12) and st.c == (1, 135007623)
+    assert st.q == (100, 10000, 10000, 27001524600000000, 324018295200000000)
+    assert st.p == (1, 200, 10200, 27541555092010000, 357500185704120000)
+    assert st.q_bar == (
+        101, 10201, 1040604020201, 2165713453716966432160802,
+        1519747793656520582995960142338938423992480031612862990787232160802)
+    assert st.p_bar == (
+        1, 202, 20606030403, 42885436156532268362207,
+        30094030614728364604701314266655810727223457276991801631500523009)
+    assert st.nu == st.nu_tilde == ((100, -101), (1350076230000, -1040604020201))
+    assert st.q_tilde == (101, 1350076230000) and st.q_bar_minus1 == 1
+    assert st.twist.values == (2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 19, 22, 25,
+                               28, 31, 34, 38)
+    assert con.build(levels=1).mode == "paper"
+    with pytest.raises(TypeError):
+        con.build(levels=1, mode="toy")
+    # a direct caller of construct_step still has its mode checked
+    with pytest.raises(ValueError, match="schedule mode 'toy' != state mode 'paper'"):
+        con.construct_step(con.build(levels=0), con.GrowthSchedule(mode="toy"))
+
+
 def test_paper_mode_overflow_frontier():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     with pytest.raises(ExponentOverflow) as exc:
         con.construct_step(st, con.GrowthSchedule(mode="paper"))
     assert exc.value.exponent is not None
@@ -198,10 +224,10 @@ def test_paper_mode_overflow_frontier():
 
 def test_precision_independence_of_integers():
     with working_precision(256):
-        lo = con.build(levels=1, mode="paper")
+        lo = con.build(levels=1)
         lo_dir = con.level_direction_data(lo)
     with working_precision(512):
-        hi = con.build(levels=1, mode="paper")
+        hi = con.build(levels=1)
         hi_dir = con.level_direction_data(hi)
     assert lo.q == hi.q and lo.q_bar == hi.q_bar
     assert lo.p == hi.p and lo.p_bar == hi.p_bar
@@ -212,7 +238,7 @@ def test_precision_independence_of_integers():
 # -- verification reports ----------------------------------------------------
 
 def test_verify_construction_paper_green():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     rep = con.verify_construction(st)
     assert rep.all_passed(), _failure_lines(rep)
     names = {e.name for e in rep.entries}
@@ -222,7 +248,7 @@ def test_verify_construction_paper_green():
 
 
 def test_verify_construction_toy_six_levels_coprime():
-    st = con.build(levels=6, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=6, schedule=toy_schedule())
     rep = con.verify_construction(st)
     coprime = [e for e in rep.entries if e.name == "direction_coprime"]
     assert len(coprime) == 7  # levels 0..6 (current level included)
@@ -312,11 +338,11 @@ def _direct_verify_construction(state):
 
 def _oracle_state(case):
     if case == "paper-1":
-        return con.build(levels=1, mode="paper")
+        return con.build(levels=1)
     levels, q0 = {"toy-4": (4, 100), "toy-6-q100": (6, 100), "toy-6-q103": (6, 103),
                   "toy-4-nu-doubled": (4, 100), "toy-4-p3-plus-1": (4, 100),
                   "toy-4-pbar3-plus-qbar3": (4, 100)}[case]
-    st = con.build(levels=levels, mode="toy", schedule=toy_schedule(),
+    st = con.build(levels=levels, schedule=toy_schedule(),
                    q0=q0, q0_bar=q0 + 1)
     if case == "toy-4-nu-doubled":
         nu = list(st.nu)
@@ -369,7 +395,7 @@ def test_lowest_difference_matches_fraction_sub():
 
 
 def test_divisor_bounds_paper_level_zero():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     rep = con.verify_divisor_bounds(st, 0)
     assert rep.all_passed(), _failure_lines(rep)
     argmin = next(e for e in rep.entries if e.name == "argmin_is_direction")
@@ -377,7 +403,7 @@ def test_divisor_bounds_paper_level_zero():
 
 
 def test_divisor_bounds_guard_and_preconditions():
-    st = con.build(levels=2, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=2, schedule=toy_schedule())
     with pytest.raises(ScanTooLarge):
         con.verify_divisor_bounds(st, 1)   # q_tilde(1) ~ 1e12
     with pytest.raises(ValueError):
@@ -387,7 +413,7 @@ def test_divisor_bounds_guard_and_preconditions():
 def test_divisor_bounds_toy_level_zero_and_rays():
     # divisor ordering is a paper-rate property, so toy entries are
     # measurements; the exact lower bound and the band entries still assert
-    st = con.build(levels=3, mode="toy", schedule=toy_schedule("1"))
+    st = con.build(levels=3, schedule=toy_schedule("1"))
     rep = con.verify_divisor_bounds(st, 0)
     assert rep.all_passed(), _failure_lines(rep)
     lower = next(e for e in rep.entries if e.name == "omega_lower_bound")
@@ -404,7 +430,7 @@ def test_divisor_bounds_toy_level_zero_and_rays():
 def test_argmin_stable_between_consecutive_even_approximants():
     # the divisor landscape at scale q_tilde(0) settles once the level-0
     # factors are in: consecutive even approximants share the minimizer
-    st = con.build(levels=2, mode="toy", schedule=toy_schedule("1"))
+    st = con.build(levels=2, schedule=toy_schedule("1"))
     omega2, arg2 = _divisor_min(st.alpha_pair_at(2), 101, raise_resonance=False)
     omega4, arg4 = _divisor_min(st.alpha_pair_at(4), 101, raise_resonance=False)
     assert arg2 == arg4
@@ -414,14 +440,14 @@ def test_argmin_stable_between_consecutive_even_approximants():
 
 def test_odd_approximant_resonant_by_construction():
     # the odd approximant is built to annihilate the direction vector exactly
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     a1, a2 = st.alpha_pair_at(1)
     value = a1 * 100 - a2 * 101
     assert value == value.__floor__()  # alpha_{.,1} . nu(0) is an exact integer
 
 
 def test_verify_criteria_toy():
-    st = con.build(levels=4, mode="toy", schedule=toy_schedule("1"))
+    st = con.build(levels=4, schedule=toy_schedule("1"))
     rep = con.verify_criteria(st, max_scale=128)
     assert rep.all_passed(), _failure_lines(rep)
     growth = [e for e in rep.entries if e.name == "scale_growth"]
@@ -431,13 +457,13 @@ def test_verify_criteria_toy():
 
 
 def test_verify_criteria_insufficient_levels():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     rep = con.verify_criteria(st, max_scale=16)
     assert any(e.name == "levels" and "insufficient" in e.note for e in rep.entries)
 
 
 def test_verify_criteria_guard():
-    st = con.build(levels=2, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=2, schedule=toy_schedule())
     with pytest.raises(ScanTooLarge):
         con.verify_criteria(st, max_scale=10 ** 6)
 
@@ -445,7 +471,7 @@ def test_verify_criteria_guard():
 # -- serialization -----------------------------------------------------------
 
 def test_state_round_trip_exact():
-    st = con.build(levels=3, mode="toy", schedule=toy_schedule())
+    st = con.build(levels=3, schedule=toy_schedule())
     data = con.state_to_jsonable(st)
     clone = con.state_from_jsonable(data)
     assert clone == st
@@ -453,12 +479,22 @@ def test_state_round_trip_exact():
 
 
 def test_state_round_trip_paper():
-    st = con.build(levels=1, mode="paper")
+    st = con.build(levels=1)
     clone = con.state_from_jsonable(con.state_to_jsonable(st))
     assert clone == st
 
 
 def test_state_format_rejected():
-    from kamtorus.errors import SchemaMismatch
     with pytest.raises(SchemaMismatch):
         con.state_from_jsonable({"format": "bogus"})
+    with pytest.raises(SchemaMismatch, match="got None"):
+        con.state_from_jsonable([con.STATE_FORMAT])
+
+
+@pytest.mark.parametrize("key", ["theta_bar", "twist_values", "mode", "level",
+                                 "q", "nu", "q_bar_minus1"])
+def test_state_missing_key_named(key):
+    data = con.state_to_jsonable(con.build(levels=1, schedule=toy_schedule()))
+    del data[key]
+    with pytest.raises(SchemaMismatch, match=f"lacks key '{key}'"):
+        con.state_from_jsonable(data)

@@ -382,7 +382,7 @@ def test_divisors_far_below_double_precision():
 def test_constructed_state_scans_match_oracle():
     # paper mode, level 1: the even approximant puts ||alpha . nu(0)|| near
     # 2^-98, far below what float64 resolves
-    paper = con.build(levels=1, mode="paper")
+    paper = con.build(levels=1)
     alpha = paper.alpha_pair_at(2)
     value, arg = _oracle(alpha, 101)
     assert arg == (100, -101) and value < Fraction(1, 2 ** 90)
@@ -390,7 +390,7 @@ def test_constructed_state_scans_match_oracle():
     assert _kernel(alpha, 60, skip_parallel_to=paper.nu[0]) == \
         _oracle(alpha, 60, skip_parallel_to=paper.nu[0])
     # toy mode: denominators of 600+ bits, skipping a deep and a shallow ray
-    toy = con.build(levels=3, mode="toy",
+    toy = con.build(levels=3,
                     schedule=con.GrowthSchedule(mode="toy", base=2, exponent_scale="1"))
     alpha = con.alpha_approx(toy)
     assert min(a.denominator.bit_length() for a in alpha) > 600

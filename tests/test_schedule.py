@@ -224,12 +224,12 @@ def _ref_stage_caps(alpha, cache, grid, weights, prev, n, variant):
     return new, binding, collapsed
 
 
-def _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant, c1=1.0):
+def _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant):
     new, binding, collapsed = _ref_stage_caps(alpha, cache, grid, weights,
                                               prev, n, variant)
     radius = math.exp(-(1 << n) * float(weights.c[n]))
     if variant == "annulus":
-        radius *= c1 * 2.0 ** (grid.dimension * n)
+        radius *= 2.0 ** (grid.dimension * n)           # C1 = 1
     merged, merged_arg = [], []
     for i in range(len(grid)):
         j_best = min(_ref_neighbors(grid, i, radius), key=lambda j: new[j])
@@ -252,7 +252,7 @@ def _assert_same_stage(got, want):
     assert radius.hex() == want[3].hex()
 
 
-def _compare_stages(alpha, grid, weights, n_max, variant, c1=1.0):
+def _compare_stages(alpha, grid, weights, n_max, variant):
     """Step both solvers from the same values through stages N..n_max-1;
     returns the stages compared and whether any collapsed."""
     oracle = sch.DivisorOracle(alpha)
@@ -260,8 +260,8 @@ def _compare_stages(alpha, grid, weights, n_max, variant, c1=1.0):
     prev = [float(weights.gothic_d)] * len(grid)
     seen_collapse = False
     for n in range(weights.N, n_max):
-        want = _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant, c1)
-        got = sch.advance_stage(oracle, grid, weights, prev, n, variant, c1)
+        want = _ref_advance_stage(alpha, cache, grid, weights, prev, n, variant)
+        got = sch.advance_stage(oracle, grid, weights, prev, n, variant)
         _assert_same_stage(got, want)
         seen_collapse = seen_collapse or want[2]
         prev = want[0]
@@ -271,7 +271,7 @@ def _compare_stages(alpha, grid, weights, n_max, variant, c1=1.0):
 def toy3_state():
     """The state of `construct --mode toy --levels 3`: its alpha is exact,
     with 247- and 978-bit denominators."""
-    return con.build(levels=3, mode="toy", schedule=con.GrowthSchedule(
+    return con.build(levels=3, schedule=con.GrowthSchedule(
         mode="toy", base=2, exponent_scale=Fraction(1, 8)))
 
 
@@ -564,12 +564,12 @@ def test_independent_stage_caps_reads_raw_distances_only(monkeypatch, golden):
     w = flat_weights(0.2, count=6, gothic_d=0.5)
     for alpha, grid in cases:
         want = sch._independent_stage_caps(sch.DivisorOracle(alpha), grid, w,
-                                           [0.5] * len(grid), 3, "full_range")
+                                           [0.5] * len(grid), 3)
         with monkeypatch.context() as m:
             m.setattr(sch.DivisorOracle, "log_inv", refuse)
             oracle = sch.DivisorOracle(alpha)
             got = sch._independent_stage_caps(oracle, grid, w,
-                                              [0.5] * len(grid), 3, "full_range")
+                                              [0.5] * len(grid), 3)
         assert got == want
         assert oracle._log_table == {} and oracle._cache
 
@@ -729,19 +729,24 @@ def test_build_schedule_is_recipe_grid_and_solve(recipe, d, golden):
         w = sch.construction_weights(recipe, stages, gothic_d=gothic_d, N=flat)
     grid = sch.DirectionGrid.pair() if d == 1 else sch.DirectionGrid.circle(8)
     # the annulus shrink needs weights below 1, which only flat:0.3 has
-    variants = [("full_range", 1.0)] + [("annulus", 2.0)] * (w.c[0] == 0.3)
-    for variant, c1 in variants:
+    for variant in ["full_range"] + ["annulus"] * (w.c[0] == 0.3):
         got = sch.build_schedule(alpha, weights=recipe, gothic_d=gothic_d,
                                  flat_stages=flat, grid_count=8, stages=stages,
-                                 variant=variant, c1=c1)
-        assert got == sch.delta_schedule(alpha, grid, w, stages,
-                                         variant=variant, c1=c1)
+                                 variant=variant)
+        assert got == sch.delta_schedule(alpha, grid, w, stages, variant=variant)
 
 
 def test_build_schedule_refuses_an_unknown_recipe():
     with pytest.raises(SchemaMismatch, match="unknown weight recipe 'bogus'"):
         sch.build_schedule(pair_alpha(), weights="bogus", gothic_d=0.4,
                            flat_stages=2, grid_count=8, stages=4)
+
+
+@pytest.mark.parametrize("stages", [0, -3])
+def test_build_schedule_refuses_fewer_than_one_stage(stages):
+    with pytest.raises(SchemaMismatch, match=f"at least 1 stage, not {stages}"):
+        sch.build_schedule(pair_alpha(), weights="flat:0.3", gothic_d=0.4,
+                           flat_stages=2, grid_count=8, stages=stages)
 
 
 def test_dimension_one_check_golden_all_green(golden):
@@ -805,7 +810,7 @@ def test_bisect_mode_cap_early_stop_matches_all_steps(monkeypatch, golden, case)
 
     monkeypatch.setattr(sch, "_bisect_mode_cap", recording)
     monkeypatch.setattr(sch, "_independent_stage_caps",
-                        lambda oracle, grid, weights, prev, n, variant: list(prev))
+                        lambda oracle, grid, weights, prev, n: list(prev))
     if case == "golden":
         sch.dimension_one_check([golden], 12)
     else:
@@ -820,7 +825,7 @@ def test_bisect_mode_cap_early_stop_matches_all_steps(monkeypatch, golden, case)
 def test_construction_weights_dominate_offdirection_divisors():
     # the third term of the recipe forces e^(-2^n c_n) <= k_n at every
     # scanned stage: inner off-direction modes are never constraining
-    st = con.build(levels=3, mode="toy",
+    st = con.build(levels=3,
                    schedule=con.GrowthSchedule(mode="toy", base=2, exponent_scale="1"))
     alpha = con.alpha_approx(st)
     w = sch.construction_weights(st, n_max=8)

@@ -113,7 +113,7 @@ from fractions import Fraction
 from kamtorus import construction as con
 from kamtorus.precision import DEFAULT_PRECISION, set_working_precision
 set_working_precision(DEFAULT_PRECISION)
-state = con.build(levels=6, mode="toy", schedule=con.GrowthSchedule(
+state = con.build(levels=6, schedule=con.GrowthSchedule(
     mode="toy", base=2, exponent_scale=Fraction(1, 8)))
 assert max(v.bit_length() for v in state.q_bar) > 4300 * 4
 data = json.loads(json.dumps(con.state_to_jsonable(state)))
